@@ -60,7 +60,6 @@ from .symplectic import (
     reduced_cm,
     squeezer,
     symplectic_form,
-    symplectic_rank,
     vacuum_cm,
     williamson_spectrum,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "squeezer",
     "standard_form_to_cm",
     "symplectic_form",
-    "symplectic_rank",
     "theta",
     "to_standard_form",
     "vacuum_cm",

@@ -23,6 +23,7 @@ from .errors import GaussForgeError, InputFormatError
 from .gmps import parity_table, table_csv
 from .standard_form import (
     harmonic_ground_state,
+    read_vq_document,
     reconstruct_diagonal,
     ring_potential,
     standard_form_to_cm,
@@ -58,7 +59,7 @@ def _read_json(path: str):
     except OSError as exc:
         raise InputFormatError(f"cannot read {path}: {exc}") from None
     try:
-        return jsonio.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from None
 
@@ -66,8 +67,11 @@ def _read_json(path: str):
 def _emit(text: str, out_path):
     if out_path is None or out_path == "-":
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         pathlib.Path(out_path).write_text(text)
+    except OSError as exc:
+        raise InputFormatError(f"cannot write {out_path}: {exc}") from None
 
 
 _precision_option = click.option(
@@ -96,8 +100,7 @@ def main():
 def cmd_engineer(recipe_path, out_path, precision):
     """Build a pure state from a recipe and emit its covariance matrix."""
     recipe = Recipe.from_dict(_read_json(recipe_path))
-    check = validate_recipe(recipe)
-    for warning in check.warnings:
+    for warning in validate_recipe(recipe).warnings:
         click.echo(f"warning: {warning}", err=True)
     cm = engineer_state(recipe)
     click.echo(f"{free_parameter_audit(recipe)} parameters", err=True)
@@ -147,18 +150,7 @@ def cmd_standard_form(cm_path, vq_path, reconstruct, precision):
         return
     if not reconstruct:
         raise click.UsageError("--vq input requires --reconstruct")
-    doc = _read_json(vq_path)
-    if not isinstance(doc, dict) or "n_modes" not in doc or "vq" not in doc:
-        raise InputFormatError('expected an object with keys "n_modes" and "vq"')
-    n_modes = doc["n_modes"]
-    if not isinstance(n_modes, int) or n_modes < 1:
-        raise InputFormatError("n_modes must be a positive integer")
-    try:
-        vq = np.array(doc["vq"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"vq is not a numeric matrix: {exc}") from None
-    if vq.shape != (n_modes, n_modes):
-        raise InputFormatError(f"vq must be a {n_modes}x{n_modes} row-major array")
+    n_modes, vq = read_vq_document(_read_json(vq_path))
     if not np.array_equal(vq, vq.T):
         raise ValueError("vq must be symmetric")
     rows, cols = np.triu_indices(n_modes, k=1)
@@ -201,6 +193,8 @@ def cmd_ring(n_modes, coupling, precision):
     """Ground state of a spring-coupled ring, with entanglement summary."""
     if n_modes < 3:
         raise click.UsageError(f"ring size must be at least 3, got {n_modes}")
+    if not np.isfinite(coupling):
+        raise click.UsageError(f"coupling must be finite, got {coupling}")
     if coupling < 0.0:
         raise click.UsageError(f"coupling must be nonnegative, got {coupling}")
     cm = harmonic_ground_state(ring_potential(n_modes, coupling))

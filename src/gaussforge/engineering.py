@@ -7,23 +7,20 @@ per mode 3..N, and one transmittivity per mode pair (j, i) with
 every earlier mode (except the first) through a chain of beam splitters,
 so the two-mode entanglement created by the seed gets distributed across
 the register.  A final, fully determined balancing squeeze on every mode
-leaves all single-mode blocks proportional to the identity.
+leaves all single-mode blocks proportional to the identity.  No gate mixes
+q with p, so the state is evolved as its two N x N blocks V_Q and V_P.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import tolerances
 from .errors import InputFormatError, RecipeError
-from .symplectic import (
-    CovarianceMatrix,
-    apply_symplectic,
-    beam_splitter,
-    squeezer,
-    vacuum_cm,
-)
+from .symplectic import CovarianceMatrix
 
 # transmittivities this close to 0 or 1 degenerate toward a product state
 DEGENERACY_MARGIN = 1e-3
@@ -165,34 +162,21 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
     return RecipeValidation(tuple(errors), tuple(warnings))
 
 
-def _build(recipe: Recipe):
-    """Run the full pipeline; returns (cm, number of free parameters used)."""
-    check = validate_recipe(recipe)
-    if not check:
-        raise RecipeError("; ".join(check.errors))
-    n = recipe.n_modes
-    free = 0
+def _schedule(recipe: Recipe):
+    """Yield the gates in order as ``(mode, partner, value, free)``.
 
-    cm = vacuum_cm(n)
+    ``partner`` None means a squeezer of factor ``value`` on ``mode``, else a
+    beam splitter of transmittivity ``value`` between the two modes.
+    """
     # seed: squeeze modes 1 and 2 in orthogonal quadratures, mix 50:50
-    cm = apply_symplectic(cm, squeezer(n, 1, recipe.s))
-    free += 1
-    cm = apply_symplectic(cm, squeezer(n, 2, 1.0 / recipe.s))  # fixed by s
-    cm = apply_symplectic(cm, beam_splitter(n, 1, 2, 0.5))  # fixed 50:50
+    yield 1, None, recipe.s, True
+    yield 2, None, 1.0 / recipe.s, False  # fixed by s
+    yield 1, 2, 0.5, False  # fixed 50:50
     # distribute: each new mode is squeezed, then mixed with modes 2..i-1
-    for i in range(3, n + 1):
-        cm = apply_symplectic(cm, squeezer(n, i, recipe.r[i]))
-        free += 1
+    for i in range(3, recipe.n_modes + 1):
+        yield i, None, recipe.r[i], True
         for j in range(2, i):
-            cm = apply_symplectic(cm, beam_splitter(n, j, i, recipe.b[(j, i)]))
-            free += 1
-    # balance: per-mode squeezes fixed by the state itself, making every
-    # single-mode block proportional to the identity
-    for k in range(1, n + 1):
-        block = cm.mode_block(k)
-        t = (block[1, 1] / block[0, 0]) ** 0.25
-        cm = apply_symplectic(cm, squeezer(n, k, t))
-    return cm, free
+            yield j, i, recipe.b[(j, i)], True
 
 
 def engineer_state(recipe: Recipe) -> CovarianceMatrix:
@@ -202,19 +186,51 @@ def engineer_state(recipe: Recipe) -> CovarianceMatrix:
     vanish) with every single-mode block proportional to the identity.
 
     Raises:
-        RecipeError: if :func:`validate_recipe` reports errors.
+        RecipeError: if :func:`validate_recipe` reports errors, or if the
+            squeezing is too extreme for the state to be represented.
     """
-    return _build(recipe)[0]
+    check = validate_recipe(recipe)
+    if not check:
+        raise RecipeError("; ".join(check.errors))
+    n = recipe.n_modes
+    blocks = np.stack([np.eye(n), np.eye(n)])  # V_Q and V_P of the vacuum
+    with np.errstate(all="ignore"):  # extreme squeezing overflows; checked below
+        for mode, partner, value, _ in _schedule(recipe):
+            i = mode - 1
+            if partner is None:  # V_Q row and column scale by value, V_P's by 1/value
+                factors = np.array([[value], [1.0 / value]])
+                blocks[:, i, :] *= factors
+                blocks[:, :, i] *= factors
+            else:  # both blocks rotate alike in the (mode, partner) plane
+                c, s = math.sqrt(value), math.sqrt(1.0 - value)
+                j = partner - 1
+                a, b = blocks[:, i, :].copy(), blocks[:, j, :].copy()
+                blocks[:, i, :], blocks[:, j, :] = c * a - s * b, s * a + c * b
+                a, b = blocks[:, :, i].copy(), blocks[:, :, j].copy()
+                blocks[:, :, i], blocks[:, :, j] = c * a - s * b, s * a + c * b
+        # balance: per-mode squeezes fixed by the state itself, making every
+        # single-mode block proportional to the identity
+        t = (np.diagonal(blocks[1]) / np.diagonal(blocks[0])) ** 0.25
+        blocks *= np.stack([np.outer(t, t), np.outer(1.0 / t, 1.0 / t)])
+        largest = float(np.max(np.abs(blocks)))
+    if not largest <= tolerances.MAX_ENTRY:
+        raise RecipeError(
+            f"squeezing too extreme: covariance entries reach {largest:.3e} "
+            f"(limit {tolerances.MAX_ENTRY:.0e})"
+        )
+    data = np.zeros((2 * n, 2 * n))
+    data[0::2, 0::2], data[1::2, 1::2] = (blocks + blocks.transpose(0, 2, 1)) / 2.0
+    return CovarianceMatrix(n, data)
 
 
 def free_parameter_audit(recipe: Recipe) -> int:
-    """Run the pipeline and count the free parameters it actually consumed.
+    """Count the free parameters in the gate schedule of a valid recipe.
 
-    Squeezings and transmittivities fixed by other parameters or by the
-    evolving state (the mode-2 partner squeeze, the 50:50 seed splitter,
-    the final balancing squeezes) do not count.
+    Values fixed by other parameters (the mode-2 partner squeeze, the 50:50
+    seed splitter) or by the state (the balancing squeezes) do not count.
+    Nothing is computed and the values are not checked.
     """
-    return _build(recipe)[1]
+    return sum(free for *_, free in _schedule(recipe))
 
 
 def random_recipe(n_modes: int, seed: int, s_max: float = 4.0) -> Recipe:

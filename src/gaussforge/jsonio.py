@@ -33,8 +33,3 @@ def dumps(doc, digits: int = 17) -> str:
         return obj
 
     return _TOKEN.sub(r"\1", json.dumps(convert(doc), indent=2))
-
-
-def loads(text: str):
-    """Parse a JSON document."""
-    return json.loads(text)

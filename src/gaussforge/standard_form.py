@@ -101,21 +101,26 @@ class StandardForm:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "StandardForm":
-        if not isinstance(doc, dict):
-            raise InputFormatError("standard-form document must be a JSON object")
-        for key in ("n_modes", "vq"):
-            if key not in doc:
-                raise InputFormatError(f"standard-form document missing key {key!r}")
-        n_modes = doc["n_modes"]
-        if not isinstance(n_modes, int) or n_modes < 1:
-            raise InputFormatError("n_modes must be a positive integer")
-        try:
-            vq = np.array(doc["vq"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"vq is not a numeric matrix: {exc}") from None
-        if vq.shape != (n_modes, n_modes):
-            raise InputFormatError(f"vq must be a {n_modes}x{n_modes} row-major array")
-        return cls(n_modes, vq)
+        return cls(*read_vq_document(doc))
+
+
+def read_vq_document(doc) -> tuple:
+    """Schema-check a ``{"n_modes", "vq"}`` document; return ``(n_modes, vq)``."""
+    if not isinstance(doc, dict):
+        raise InputFormatError("standard-form document must be a JSON object")
+    for key in ("n_modes", "vq"):
+        if key not in doc:
+            raise InputFormatError(f"standard-form document missing key {key!r}")
+    n_modes = doc["n_modes"]
+    if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
+        raise InputFormatError("n_modes must be a positive integer")
+    try:
+        vq = np.array(doc["vq"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"vq is not a numeric matrix: {exc}") from None
+    if vq.shape != (n_modes, n_modes):
+        raise InputFormatError(f"vq must be a {n_modes}x{n_modes} row-major array")
+    return n_modes, vq
 
 
 def _local_rotation_angle(block: np.ndarray) -> float:
@@ -349,10 +354,12 @@ def ring_potential(n_modes: int, coupling: float) -> np.ndarray:
 
     Args:
         n_modes: ring length, at least 2.
-        coupling: spring constant, nonnegative.
+        coupling: spring constant, finite and nonnegative.
     """
     if n_modes < 2:
         raise ValueError(f"ring needs at least 2 modes, got {n_modes}")
+    if not np.isfinite(coupling):
+        raise ValueError(f"coupling must be finite, got {coupling}")
     if coupling < 0.0:
         raise ValueError(f"coupling must be nonnegative, got {coupling}")
     potential = (1.0 + 2.0 * coupling) * np.eye(n_modes)

@@ -116,7 +116,7 @@ class CovarianceMatrix:
                 f"unsupported ordering {doc['ordering']!r}; expected {ORDERING!r}"
             )
         n_modes = doc["n_modes"]
-        if not isinstance(n_modes, int) or n_modes < 1:
+        if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
             raise InputFormatError("n_modes must be a positive integer")
         try:
             data = np.array(doc["data"], dtype=float)
@@ -322,11 +322,6 @@ def williamson_spectrum(cm: CovarianceMatrix) -> SymplecticSpectrum:
     clamped = np.where((values < 1.0) & (values >= 1.0 - tol), 1.0, values)
     rank = int(np.sum(clamped > 1.0 + tol))
     return SymplecticSpectrum(tuple(float(v) for v in clamped), rank)
-
-
-def symplectic_rank(cm: CovarianceMatrix) -> int:
-    """Number of symplectic eigenvalues different from 1 (0 for pure states)."""
-    return williamson_spectrum(cm).rank
 
 
 def is_bona_fide(cm: CovarianceMatrix) -> bool:

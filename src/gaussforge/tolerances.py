@@ -14,6 +14,9 @@ RANK = 1e-6
 # Williamson diagonal conditions on a standard form
 WILLIAMSON_DIAG = 1e-8
 
+# largest covariance entry whose products in the purity identity stay finite
+MAX_ENTRY = 1e150
+
 # Newton solver budget for diagonal reconstruction
 NEWTON_MAX_ITER = 200
 NEWTON_MAX_BACKTRACK = 40

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,26 @@ class TestEngineer:
         assert result.exit_code == 0
         assert result.stdout == ""
         assert json.loads(out.read_text())["n_modes"] == 3
+
+    def test_out_into_missing_directory_exits_two(self, runner, tmp_path):
+        recipe = write(tmp_path / "r.json", RECIPE_N3)
+        out = tmp_path / "absent" / "cm.json"
+        result = runner.invoke(main, ["engineer", "--recipe", recipe, "--out", str(out)])
+        assert result.exit_code == 2
+        errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and errors[0].startswith("error: cannot write")
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("s", [1e300, 1e-300, 1e100, 1e-100])
+    def test_extreme_squeezing_exits_one(self, runner, tmp_path, s):
+        recipe = write(tmp_path / "r.json", dict(RECIPE_N3, s=s))
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")  # show numpy warnings even if seen before
+            result = runner.invoke(main, ["engineer", "--recipe", recipe])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: squeezing too extreme")
+        assert len(result.stderr.splitlines()) == 1
 
     def test_degenerate_transmittivity_warns(self, runner, tmp_path):
         doc = dict(RECIPE_N3, b=[{"j": 2, "i": 3, "t": 0.9999}])
@@ -229,8 +250,31 @@ class TestRing:
         assert runner.invoke(main, ["ring", "--n", "2", "--coupling", "0.5"]).exit_code == 2
         assert runner.invoke(main, ["ring", "--n", "4", "--coupling", "-1.0"]).exit_code == 2
 
+    @pytest.mark.parametrize("coupling", ["nan", "inf", "-inf"])
+    def test_non_finite_coupling_exits_two(self, runner, coupling):
+        result = runner.invoke(main, ["ring", "--n", "4", "--coupling", coupling])
+        assert result.exit_code == 2
+        assert "coupling must be finite" in result.stderr
+
+
+BOOL_N_MODES_CM = {"n_modes": True, "ordering": "qpqp", "data": [[1.0, 0.0], [0.0, 1.0]]}
+
 
 class TestCliContract:
+    @pytest.mark.parametrize(
+        "args, doc",
+        [
+            (["analyze", "--cm"], BOOL_N_MODES_CM),
+            (["standard-form", "--cm"], BOOL_N_MODES_CM),
+            (["standard-form", "--reconstruct", "--vq"], {"n_modes": True, "vq": [[1.0]]}),
+        ],
+    )
+    def test_boolean_n_modes_exits_two(self, runner, tmp_path, args, doc):
+        result = runner.invoke(main, args + [write(tmp_path / "doc.json", doc)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr == "error: n_modes must be a positive integer\n"
+
     def test_deterministic_stdout(self, runner, tmp_path):
         recipe = write(tmp_path / "r.json", RECIPE_N3)
         first = runner.invoke(main, ["engineer", "--recipe", recipe])

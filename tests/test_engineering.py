@@ -1,5 +1,7 @@
 """Tests for the state-engineering pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,36 @@ from gaussforge.engineering import (
     validate_recipe,
 )
 from gaussforge.errors import InputFormatError, RecipeError
-from gaussforge.symplectic import is_pure, reduced_cm, williamson_spectrum
+from gaussforge.symplectic import (
+    apply_symplectic,
+    beam_splitter,
+    is_pure,
+    reduced_cm,
+    squeezer,
+    vacuum_cm,
+    williamson_spectrum,
+)
+
+
+def dense_engineer(recipe):
+    """Reference pipeline: one dense 2N x 2N congruence per gate, in recipe order.
+
+    Written out gate by gate rather than from the library's gate schedule,
+    so a schedule error cannot hide in both.
+    """
+    n = recipe.n_modes
+    cm = vacuum_cm(n)
+    cm = apply_symplectic(cm, squeezer(n, 1, recipe.s))
+    cm = apply_symplectic(cm, squeezer(n, 2, 1.0 / recipe.s))
+    cm = apply_symplectic(cm, beam_splitter(n, 1, 2, 0.5))
+    for i in range(3, n + 1):
+        cm = apply_symplectic(cm, squeezer(n, i, recipe.r[i]))
+        for j in range(2, i):
+            cm = apply_symplectic(cm, beam_splitter(n, j, i, recipe.b[(j, i)]))
+    for k in range(1, n + 1):
+        block = cm.mode_block(k)
+        cm = apply_symplectic(cm, squeezer(n, k, (block[1, 1] / block[0, 0]) ** 0.25))
+    return cm
 
 
 class TestParameterCount:
@@ -94,6 +125,18 @@ class TestEngineerState:
         with pytest.raises(RecipeError, match=r"missing pair \(2, 3\)"):
             engineer_state(Recipe(3, 1.5, {3: 1.2}, {}))
 
+    @pytest.mark.parametrize(
+        "s, r3", [(1e300, 1.2), (1e-300, 1.2), (1e100, 1.2), (1e-100, 1.2), (1.5, 1e300), (1.5, 1e-300)]
+    )
+    def test_extreme_squeezing_raises_recipe_error(self, s, r3):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning either
+            with pytest.raises(RecipeError, match="squeezing too extreme"):
+                engineer_state(Recipe(3, s, {3: r3}, {(2, 3): 0.6}))
+
+    def test_large_squeezing_still_builds(self):
+        assert is_pure(engineer_state(Recipe(3, 1e20, {3: 1.2}, {(2, 3): 0.6})))
+
     @pytest.mark.parametrize("n", list(range(2, 13)))
     def test_free_parameter_audit_matches_count(self, n):
         recipe = random_recipe(n, seed=n)
@@ -121,6 +164,25 @@ class TestEngineerState:
         spectrum = np.array(williamson_spectrum(reduced_cm(cm, range(2, n + 1))).values)
         expected = np.concatenate([[a], np.ones(n - 2)])
         np.testing.assert_allclose(np.sort(spectrum), np.sort(expected), atol=1e-7)
+
+
+class TestDenseOracle:
+    """The block-space pipeline against dense per-gate congruences."""
+
+    @staticmethod
+    def assert_matches(recipe):
+        got = engineer_state(recipe).data
+        want = dense_engineer(recipe).data
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_acceptance_sweep_recipes(self, n):
+        for idx in range(100):
+            self.assert_matches(random_recipe(n, 1000 * n + idx))
+
+    @pytest.mark.parametrize("n", [16, 32, 48])
+    def test_large_registers(self, n):
+        self.assert_matches(random_recipe(n, n))
 
 
 class TestRandomRecipe:

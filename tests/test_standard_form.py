@@ -280,6 +280,11 @@ class TestRingPotential:
         with pytest.raises(ValueError, match="nonnegative"):
             ring_potential(4, -0.1)
 
+    @pytest.mark.parametrize("coupling", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_coupling(self, coupling):
+        with pytest.raises(ValueError, match="coupling must be finite"):
+            ring_potential(4, coupling)
+
 
 class TestStandardFormType:
     def test_rejects_asymmetric(self):

@@ -15,7 +15,6 @@ from gaussforge.symplectic import (
     squeezer,
     symplectic_eigenvalues,
     symplectic_form,
-    symplectic_rank,
     vacuum_cm,
     williamson_spectrum,
 )
@@ -206,7 +205,6 @@ class TestWilliamson:
         spectrum = williamson_spectrum(cm)
         np.testing.assert_allclose(spectrum.values, [2.0], atol=1e-12)
         assert spectrum.rank == 1
-        assert symplectic_rank(cm) == 1
 
     def test_rejects_non_positive_definite(self):
         cm = CovarianceMatrix(1, np.diag([1.0, -1.0]))
@@ -218,7 +216,7 @@ class TestWilliamson:
         cm = engineer_state(random_recipe(n, seed=3 * n + 1))
         values = np.array(williamson_spectrum(cm).values)
         np.testing.assert_allclose(values, 1.0, atol=1e-8)
-        assert symplectic_rank(cm) == 0
+        assert williamson_spectrum(cm).rank == 0
         assert is_pure(cm)
 
 
