@@ -18,7 +18,7 @@ import numpy as np
 
 from . import jsonio, tolerances
 from .engineering import Recipe, engineer_state, free_parameter_audit, validate_recipe
-from .entanglement import entropy_one_vs_rest, full_report, log_negativity_pair
+from .entanglement import full_report
 from .errors import GaussForgeError, InputFormatError
 from .gmps import parity_table, table_csv
 from .standard_form import (
@@ -198,12 +198,13 @@ def cmd_ring(n_modes, coupling, precision):
     if coupling < 0.0:
         raise click.UsageError(f"coupling must be nonnegative, got {coupling}")
     cm = harmonic_ground_state(ring_potential(n_modes, coupling))
+    report = full_report(cm)
     doc = {
         "n_modes": n_modes,
         "coupling": coupling,
         "cm": cm.to_dict(),
-        "per_mode_entropy": [entropy_one_vs_rest(cm, k) for k in range(1, n_modes + 1)],
-        "nearest_neighbor_logneg": log_negativity_pair(cm, 1, 2),
+        "per_mode_entropy": list(report.per_mode_entropy),
+        "nearest_neighbor_logneg": float(report.pairwise_logneg[0, 1]),
     }
     _emit(jsonio.dumps(doc, precision) + "\n", None)
 

@@ -22,9 +22,6 @@ from . import tolerances
 from .errors import InputFormatError, RecipeError
 from .symplectic import CovarianceMatrix
 
-# transmittivities this close to 0 or 1 degenerate toward a product state
-DEGENERACY_MARGIN = 1e-3
-
 
 def parameter_count(n_modes: int) -> int:
     """Number of free parameters for an N-mode state: N(N-1)/2, exactly."""
@@ -121,7 +118,7 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
 
     Every pair (j, i) with 2 <= j < i <= N must appear exactly once, all
     squeezings must be positive, and transmittivities must lie strictly
-    inside (0, 1).  Transmittivities within ``DEGENERACY_MARGIN`` of the
+    inside (0, 1).  Transmittivities within ``tolerances.DEGENERACY_MARGIN`` of the
     boundary only produce warnings: the state then degenerates toward a
     product across that link but remains valid.
     """
@@ -154,9 +151,9 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
             errors.append(
                 f"transmittivity b[({j}, {i})] must lie strictly in (0, 1), got {t}"
             )
-        elif t < DEGENERACY_MARGIN or t > 1.0 - DEGENERACY_MARGIN:
+        elif t < tolerances.DEGENERACY_MARGIN or t > 1.0 - tolerances.DEGENERACY_MARGIN:
             warnings.append(
-                f"b[({j}, {i})] = {t} is within {DEGENERACY_MARGIN} of the boundary; "
+                f"b[({j}, {i})] = {t} is within {tolerances.DEGENERACY_MARGIN} of the boundary; "
                 "the state degenerates toward a product across this link"
             )
     return RecipeValidation(tuple(errors), tuple(warnings))

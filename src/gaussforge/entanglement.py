@@ -16,14 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import NotPureError
 from .standard_form import StandardForm
-from .symplectic import (
-    CovarianceMatrix,
-    is_pure,
-    reduced_cm,
-    symplectic_eigenvalues,
-)
+from .symplectic import CovarianceMatrix, _check_mode_index, require_pure, symplectic_form
 
 _LN2 = math.log(2.0)
 
@@ -62,13 +56,14 @@ def bosonic_entropy(nu: float, nats: bool = False) -> float:
 
     ``f(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2)``,
     strictly increasing for nu > 1 with the limit f(1) = 0 taken
-    explicitly (values within 1e-12 of 1 map to 0).
+    explicitly (values within ``tolerances.unit_eigenvalue()`` of 1 map
+    to 0).
 
     Args:
         nu: symplectic eigenvalue, at least 1 up to roundoff.
         nats: report in natural-log units instead of ebits.
     """
-    if nu - 1.0 < 1e-12:
+    if nu - 1.0 < tolerances.unit_eigenvalue():
         return 0.0
     up = (nu + 1.0) / 2.0
     down = (nu - 1.0) / 2.0
@@ -76,10 +71,35 @@ def bosonic_entropy(nu: float, nats: bool = False) -> float:
     return value * _LN2 if nats else value
 
 
-def _require_pure(cm: CovarianceMatrix) -> None:
-    purity = is_pure(cm)
-    if not purity:
-        raise NotPureError(purity.residual, tolerances.purity(cm.inf_norm()))
+def _block_dets(sigma: np.ndarray, i, j) -> np.ndarray:
+    """det of the 2x2 blocks of sigma at 0-based modes (i, j), over index arrays."""
+    q, p = 2 * i, 2 * j
+    return sigma[q, p] * sigma[q + 1, p + 1] - sigma[q, p + 1] * sigma[q + 1, p]
+
+
+def _log_negativities(sigma: np.ndarray, i, j) -> np.ndarray:
+    """Log-negativities in ebits of 0-based mode pairs (i[k], j[k]).
+
+    Closed two-mode form (Adesso, Serafini and Illuminati, PRA 70, 022318):
+    ``nu^2 = 2 det / (D + sqrt(D^2 - 4 det))`` with ``D = det A + det B -
+    2 det C``.  The discriminant is expanded as ``(det A - det B)^2 - 4 det C
+    (det A + det B) + 4 tr(A w C w B w C^T w)``, which keeps its accuracy
+    where the two partially transposed eigenvalues meet.  Non-positive-definite
+    pairs raise ValueError.
+    """
+    rows = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=-1)
+    pairs = sigma[rows[:, :, None], rows[:, None, :]]
+    try:
+        np.linalg.cholesky(pairs)
+    except np.linalg.LinAlgError:
+        raise ValueError("a two-mode reduction is not positive definite") from None
+    a, b, c = _block_dets(sigma, i, i), _block_dets(sigma, j, j), _block_dets(sigma, i, j)
+    w, cross = symplectic_form(1), pairs[:, :2, 2:]
+    twist = pairs[:, :2, :2] @ w @ cross @ w @ pairs[:, 2:, 2:] @ w @ cross.swapaxes(1, 2) @ w
+    discriminant = (a - b) ** 2 - 4.0 * c * (a + b) + 4.0 * np.trace(twist, 0, 1, 2)
+    gap = np.sqrt(np.maximum(discriminant, 0.0))
+    nu2 = 2.0 * np.linalg.det(pairs) / (a + b - 2.0 * c + gap)
+    return np.where(nu2 < 1.0, -0.5 * np.log2(nu2), 0.0)
 
 
 def schmidt_parameter(cm: CovarianceMatrix, mode_index: int) -> float:
@@ -91,9 +111,9 @@ def schmidt_parameter(cm: CovarianceMatrix, mode_index: int) -> float:
     Raises:
         NotPureError: for mixed inputs.
     """
-    _require_pure(cm)
-    block = cm.mode_block(mode_index)
-    return float(np.sqrt(np.linalg.det(block)))
+    require_pure(cm)
+    _check_mode_index(mode_index, cm.n_modes)
+    return float(np.sqrt(_block_dets(cm.data, mode_index - 1, mode_index - 1)))
 
 
 def entropy_one_vs_rest(
@@ -119,8 +139,8 @@ def entropy_via_pairwise(
     if not 1 <= mode_index <= n:
         raise ValueError(f"mode index {mode_index} out of range for {n} modes")
     i = mode_index - 1
-    cross = sum(sf.vq[i, j] * sf.vp[i, j] for j in range(n) if j != i)
-    det_block = 1.0 - cross
+    others = np.arange(n) != i
+    det_block = 1.0 - float(sf.vq[i, others] @ sf.vp[i, others])
     if det_block < 0.0:
         raise ValueError(
             f"pairwise accounting gave a negative determinant ({det_block:.3e}); "
@@ -134,17 +154,14 @@ def log_negativity_pair(
 ) -> float:
     """Logarithmic negativity between two modes of a state.
 
-    Reduces to the (i, j) pair, negates the momentum of the second listed
-    mode (partial transposition), and evaluates ``max(0, -log2 nu_min)``
-    from the smallest symplectic eigenvalue of the transposed matrix.
+    Evaluates ``max(0, -log2 nu_min)`` from the smallest symplectic
+    eigenvalue of the partially transposed (i, j) reduction, in closed form.
     """
     if mode_i == mode_j:
         raise ValueError(f"log negativity needs two distinct modes, got {mode_i} twice")
-    pair = reduced_cm(cm, (mode_i, mode_j))
-    flip = np.diag([1.0, 1.0, 1.0, -1.0])
-    transposed = flip @ pair.data @ flip
-    nu_min = float(symplectic_eigenvalues(transposed)[-1])
-    value = max(0.0, -math.log2(nu_min))
+    _check_mode_index(mode_i, cm.n_modes)
+    _check_mode_index(mode_j, cm.n_modes)
+    value = float(_log_negativities(cm.data, np.array([mode_i - 1]), np.array([mode_j - 1]))[0])
     return value * _LN2 if nats else value
 
 
@@ -156,22 +173,20 @@ def full_report(cm: CovarianceMatrix, schmidt_mode: int = 1) -> EntanglementRepo
         schmidt_mode: 1-based mode defining the reported one-vs-rest
             Schmidt parameter.
     """
-    _require_pure(cm)
+    require_pure(cm)
     n = cm.n_modes
-    entropies = tuple(entropy_one_vs_rest(cm, k) for k in range(1, n + 1))
+    _check_mode_index(schmidt_mode, n)
+    modes = np.arange(n)
+    dets = _block_dets(cm.data, modes[:, None], modes)
+    schmidt = np.sqrt(np.diag(dets))
+    rows, cols = np.triu_indices(n, k=1)
     logneg = np.zeros((n, n))
-    detblocks = np.zeros((n, n))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            value = log_negativity_pair(cm, i, j)
-            logneg[i - 1, j - 1] = logneg[j - 1, i - 1] = value
-            det = float(np.linalg.det(cm.cross_block(i, j)))
-            detblocks[i - 1, j - 1] = detblocks[j - 1, i - 1] = det
+    logneg[rows, cols] = logneg[cols, rows] = _log_negativities(cm.data, rows, cols)
     return EntanglementReport(
-        per_mode_entropy=entropies,
-        schmidt_parameter=schmidt_parameter(cm, schmidt_mode),
+        per_mode_entropy=tuple(bosonic_entropy(float(v)) for v in schmidt),
+        schmidt_parameter=float(schmidt[schmidt_mode - 1]),
         pairwise_logneg=logneg,
-        pairwise_detblocks=detblocks,
+        pairwise_detblocks=np.where(modes[:, None] == modes, 0.0, dets),
     )
 
 

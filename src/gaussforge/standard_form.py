@@ -18,17 +18,13 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances
-from .errors import (
-    InfeasibleError,
-    InputFormatError,
-    NotInGenericClassError,
-    NotPureError,
-)
+from .errors import InfeasibleError, InputFormatError, NotInGenericClassError
 from .symplectic import (
     CovarianceMatrix,
     SymplecticMatrix,
     apply_symplectic,
-    is_pure,
+    read_matrix,
+    require_pure,
 )
 
 
@@ -114,20 +110,14 @@ def read_vq_document(doc) -> tuple:
     n_modes = doc["n_modes"]
     if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
         raise InputFormatError("n_modes must be a positive integer")
-    try:
-        vq = np.array(doc["vq"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputFormatError(f"vq is not a numeric matrix: {exc}") from None
-    if vq.shape != (n_modes, n_modes):
-        raise InputFormatError(f"vq must be a {n_modes}x{n_modes} row-major array")
-    return n_modes, vq
+    return n_modes, read_matrix(doc["vq"], "vq", n_modes)
 
 
 def _local_rotation_angle(block: np.ndarray) -> float:
     """Angle of the determinant-+1 rotation diagonalizing a 2x2 symmetric block."""
     gamma = block[0, 1]
     # already diagonal: never rotate, so exact zero q-p structure survives
-    if abs(gamma) <= 1e-14 * (1.0 + abs(block[0, 0]) + abs(block[1, 1])):
+    if abs(gamma) <= tolerances.rotation(abs(block[0, 0]) + abs(block[1, 1])):
         return 0.0
     return 0.5 * np.arctan2(2.0 * gamma, block[0, 0] - block[1, 1])
 
@@ -160,9 +150,7 @@ def _normalized_qqpp(cm: CovarianceMatrix) -> np.ndarray:
         NotInGenericClassError: if a residual q-p block survives local
             normalization (the heuristic class-membership test).
     """
-    purity = is_pure(cm)
-    if not purity:
-        raise NotPureError(purity.residual, tolerances.purity(cm.inf_norm()))
+    require_pure(cm)
     normalized = _local_normalization(cm)
     grouped = _to_qqpp(normalized.data, cm.n_modes)
     n = cm.n_modes
@@ -307,12 +295,9 @@ def det_identity_residual(cm: CovarianceMatrix, mode_index: int) -> float:
     if not 1 <= mode_index <= n:
         raise ValueError(f"mode index {mode_index} out of range for {n} modes")
     grouped = _normalized_qqpp(cm)
-    vq = grouped[:n, :n]
-    vp = grouped[n:, n:]
     i = mode_index - 1
-    det_block = vq[i, i] * vp[i, i]
-    cross_sum = sum(vq[i, j] * vp[i, j] for j in range(n) if j != i)
-    return float(det_block - 1.0 + cross_sum)
+    # det sigma_i + sum_{j != i} vq_ij vp_ij is the full row dot product
+    return float(grouped[i, :n] @ grouped[n + i, n:] - 1.0)
 
 
 def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import InputFormatError
+from .errors import InputFormatError, NotPureError
 
 ORDERING = "qpqp"
 
@@ -118,15 +118,29 @@ class CovarianceMatrix:
         n_modes = doc["n_modes"]
         if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
             raise InputFormatError("n_modes must be a positive integer")
-        try:
-            data = np.array(doc["data"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"data is not a numeric matrix: {exc}") from None
-        if data.shape != (2 * n_modes, 2 * n_modes):
-            raise InputFormatError(
-                f"data must be a {2 * n_modes}x{2 * n_modes} row-major array"
-            )
-        return cls(n_modes, data)
+        return cls(n_modes, read_matrix(doc["data"], "data", 2 * n_modes))
+
+
+def read_matrix(value, name: str, dim: int) -> np.ndarray:
+    """Read a JSON array as a dim x dim float matrix with bounded entries.
+
+    Raises:
+        InputFormatError: if the value is not a numeric dim x dim array, or
+            an entry is non-finite or above ``tolerances.MAX_ENTRY`` in
+            magnitude.
+    """
+    try:
+        matrix = np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"{name} is not a numeric matrix: {exc}") from None
+    if matrix.shape != (dim, dim):
+        raise InputFormatError(f"{name} must be a {dim}x{dim} row-major array")
+    if not np.all(np.abs(matrix) <= tolerances.MAX_ENTRY):
+        raise InputFormatError(
+            f"{name} entries must be finite and at most "
+            f"{tolerances.MAX_ENTRY:g} in magnitude"
+        )
+    return matrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -353,6 +367,13 @@ def is_pure(cm: CovarianceMatrix) -> PurityResult:
     """
     residual = purity_residual(cm)
     return PurityResult(residual <= tolerances.purity(cm.inf_norm()), residual)
+
+
+def require_pure(cm: CovarianceMatrix) -> None:
+    """Raise :class:`NotPureError` unless ``cm`` passes :func:`is_pure`."""
+    purity = is_pure(cm)
+    if not purity:
+        raise NotPureError(purity.residual, tolerances.purity(cm.inf_norm()))
 
 
 def reduced_cm(cm: CovarianceMatrix, mode_subset) -> CovarianceMatrix:

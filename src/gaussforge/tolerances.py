@@ -17,6 +17,10 @@ WILLIAMSON_DIAG = 1e-8
 # largest covariance entry whose products in the purity identity stay finite
 MAX_ENTRY = 1e150
 
+# transmittivities this close to 0 or 1 draw a recipe warning; a physical
+# margin, not a residual, so GF_TOL_OVERRIDE does not scale it
+DEGENERACY_MARGIN = 1e-3
+
 # Newton solver budget for diagonal reconstruction
 NEWTON_MAX_ITER = 200
 NEWTON_MAX_BACKTRACK = 40
@@ -66,3 +70,13 @@ def williamson_diag() -> float:
 def newton(d_norm: float) -> float:
     """Convergence tolerance for the diagonal-reconstruction Newton solve."""
     return 1e-12 * (1.0 + d_norm) * scale()
+
+
+def unit_eigenvalue() -> float:
+    """Distance above 1 within which a symplectic eigenvalue carries no entropy."""
+    return 1e-12 * scale()
+
+
+def rotation(block_norm: float) -> float:
+    """Largest q-p entry of a 2x2 mode block that is left unrotated."""
+    return 1e-14 * (1.0 + block_norm) * scale()

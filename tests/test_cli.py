@@ -250,11 +250,46 @@ class TestRing:
         assert runner.invoke(main, ["ring", "--n", "2", "--coupling", "0.5"]).exit_code == 2
         assert runner.invoke(main, ["ring", "--n", "4", "--coupling", "-1.0"]).exit_code == 2
 
+    def test_one_purity_check(self, runner, monkeypatch):
+        from gaussforge import symplectic
+
+        calls = []
+        original = symplectic.is_pure
+
+        def counted(cm):
+            calls.append(cm.n_modes)
+            return original(cm)
+
+        monkeypatch.setattr(symplectic, "is_pure", counted)
+        result = runner.invoke(main, ["ring", "--n", "9", "--coupling", "0.5"])
+        assert result.exit_code == 0
+        assert calls == [9]
+
     @pytest.mark.parametrize("coupling", ["nan", "inf", "-inf"])
     def test_non_finite_coupling_exits_two(self, runner, coupling):
         result = runner.invoke(main, ["ring", "--n", "4", "--coupling", coupling])
         assert result.exit_code == 2
         assert "coupling must be finite" in result.stderr
+
+
+def cm_doc(value: float) -> dict:
+    return {"n_modes": 1, "ordering": "qpqp", "data": [[value, 0.0], [0.0, 1.0 / value]]}
+
+
+def vq_doc(value: float) -> dict:
+    return {"n_modes": 2, "vq": [[value, 0.1], [0.1, 1.0]]}
+
+
+# every matrix document goes through one numeric reader, whatever the command
+BAD_ENTRY_DOCUMENTS = [
+    pytest.param(args, make(value), id=f"{label}-{value}")
+    for label, args, make in (
+        ("analyze", ["analyze", "--cm"], cm_doc),
+        ("standard-form-cm", ["standard-form", "--cm"], cm_doc),
+        ("standard-form-vq", ["standard-form", "--reconstruct", "--vq"], vq_doc),
+    )
+    for value in (float("nan"), float("inf"), float("-inf"), 1e160)
+]
 
 
 BOOL_N_MODES_CM = {"n_modes": True, "ordering": "qpqp", "data": [[1.0, 0.0], [0.0, 1.0]]}
@@ -274,6 +309,17 @@ class TestCliContract:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == "error: n_modes must be a positive integer\n"
+
+    @pytest.mark.parametrize("args, doc", BAD_ENTRY_DOCUMENTS)
+    def test_non_finite_or_huge_entries_exit_two(self, runner, tmp_path, args, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))  # NaN and Infinity as json.loads accepts them
+        result = runner.invoke(main, args + [str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert "finite and at most 1e+150" in result.stderr
+        assert len(result.stderr.splitlines()) == 1
 
     def test_deterministic_stdout(self, runner, tmp_path):
         recipe = write(tmp_path / "r.json", RECIPE_N3)

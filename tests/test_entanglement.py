@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gaussforge import symplectic
 from gaussforge.engineering import Recipe, engineer_state, random_recipe
 from gaussforge.entanglement import (
     bosonic_entropy,
@@ -17,15 +20,60 @@ from gaussforge.entanglement import (
 )
 from gaussforge.errors import NotPureError
 from gaussforge.standard_form import (
+    harmonic_ground_state,
     reconstruct_diagonal,
+    ring_potential,
     standard_form_to_cm,
     to_standard_form,
 )
-from gaussforge.symplectic import CovarianceMatrix, apply_symplectic, vacuum_cm
+from gaussforge.symplectic import (
+    CovarianceMatrix,
+    apply_symplectic,
+    is_pure,
+    reduced_cm,
+    symplectic_eigenvalues,
+    vacuum_cm,
+)
 
 from conftest import random_local_symplectic
 
 TMS = Recipe(2, np.sqrt(2.0))  # a = 1.25, c = 0.75
+
+
+def eigen_log_negativity(cm: CovarianceMatrix, mode_i: int, mode_j: int):
+    """Per-pair eigen route: reduce to the pair, negate the second mode's
+    momentum, take the smallest symplectic eigenvalue.
+
+    Returns the log-negativity in ebits and the largest over the smallest
+    eigenvalue, whose square times machine epsilon bounds this route's own
+    first-order error (the eigen solve works at the scale of the largest).
+    """
+    pair = reduced_cm(cm, (mode_i, mode_j))
+    flip = np.diag([1.0, 1.0, 1.0, -1.0])
+    values = symplectic_eigenvalues(flip @ pair.data @ flip)
+    return max(0.0, -math.log2(values[-1])), values[0] / values[-1]
+
+
+def assert_matches_eigen_route(cm: CovarianceMatrix, conditioned: bool = False):
+    """full_report and log_negativity_pair against the per-pair eigen route.
+
+    The gate is 1e-10; with ``conditioned`` it widens by the oracle's own
+    error bound eps * (nu_max / nu_min)^2, which reaches 1e-3 for pairs
+    squeezed by ~100 where the closed form stays within ~1e-10 of an
+    extended-precision evaluation.
+    """
+    n = cm.n_modes
+    report = full_report(cm)
+    for i in range(1, n + 1):
+        direct = bosonic_entropy(float(np.sqrt(np.linalg.det(cm.mode_block(i)))))
+        assert abs(report.per_mode_entropy[i - 1] - direct) <= 1e-10 * (1.0 + direct)
+        for j in range(i + 1, n + 1):
+            expected, spread = eigen_log_negativity(cm, i, j)
+            tol = 1e-10 + (np.finfo(float).eps * spread**2 if conditioned else 0.0)
+            assert abs(report.pairwise_logneg[i - 1, j - 1] - expected) <= tol
+            assert abs(log_negativity_pair(cm, i, j) - expected) <= tol
+            det = np.linalg.det(cm.cross_block(i, j))
+            assert abs(report.pairwise_detblocks[i - 1, j - 1] - det) <= 1e-10 * (1.0 + abs(det))
 
 
 def thermal_shannon_entropy(a: float, terms: int = 200) -> float:
@@ -82,6 +130,11 @@ class TestBosonicEntropy:
         assert bosonic_entropy(1.7, nats=True) == pytest.approx(
             bosonic_entropy(1.7) * math.log(2.0), abs=1e-14
         )
+
+    def test_unit_threshold_follows_tol_override(self, monkeypatch):
+        assert bosonic_entropy(1.0 + 1e-9) > 0.0
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "1e4")
+        assert bosonic_entropy(1.0 + 1e-9) == 0.0
 
 
 class TestEntropyOneVsRest:
@@ -142,6 +195,21 @@ class TestLogNegativity:
             math.log(2.0), abs=1e-10
         )
 
+    @pytest.mark.parametrize("s", [1e-3, 0.1, 1.0 + 1e-9, 10.0, 100.0, 1e3])
+    def test_squeezed_pair_exact_value(self, s):
+        """Recipe(2, s) has blocks a*I and diag(c, -c) with a - c = 1/s^2, so
+        E_N = 2 |log2 s|.  The entries a ~ c ~ s^2/2 carry rounding of
+        eps * s^2 against a - c, which sets the reachable accuracy."""
+        cm = engineer_state(Recipe(2, s))
+        expected = 2.0 * abs(math.log2(s))
+        tol = 1e-10 + np.finfo(float).eps * max(s, 1.0 / s) ** 4
+        assert abs(log_negativity_pair(cm, 1, 2) - expected) <= tol
+        assert abs(full_report(cm).pairwise_logneg[0, 1] - expected) <= tol
+
+    def test_rejects_out_of_range_mode(self):
+        with pytest.raises(ValueError, match="out of range"):
+            log_negativity_pair(vacuum_cm(2), 1, 3)
+
 
 class TestFullReport:
     def test_vacuum_all_zero(self):
@@ -171,11 +239,69 @@ class TestFullReport:
         with pytest.raises(NotPureError):
             full_report(CovarianceMatrix(1, np.diag([2.0, 2.0])))
 
+    def test_non_positive_definite_pair_refused(self):
+        """-I passes the purity identity; only the pair-block check refuses it."""
+        cm = CovarianceMatrix(2, -np.eye(4))
+        assert is_pure(cm).residual == 0.0
+        with pytest.raises(ValueError, match="positive definite"):
+            full_report(cm)
+        with pytest.raises(ValueError, match="positive definite"):
+            log_negativity_pair(cm, 1, 2)
+
+    @pytest.mark.parametrize("n", [2, 7, 16])
+    def test_one_purity_check_and_no_eigen_solves(self, n, monkeypatch):
+        calls = {"is_pure": 0, "symplectic_eigenvalues": 0, "reduced_cm": 0}
+        for name in calls:
+            original = getattr(symplectic, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(symplectic, name, counted)
+        full_report(engineer_state(random_recipe(n, seed=n)))
+        assert calls == {"is_pure": 1, "symplectic_eigenvalues": 0, "reduced_cm": 0}
+
+    def test_rejects_out_of_range_schmidt_mode(self):
+        with pytest.raises(ValueError, match="out of range"):
+            full_report(vacuum_cm(2), schmidt_mode=3)
+
     def test_matrices_symmetric_zero_diagonal(self):
         report = full_report(engineer_state(random_recipe(4, 9)))
         np.testing.assert_array_equal(report.pairwise_logneg, report.pairwise_logneg.T)
         np.testing.assert_array_equal(np.diag(report.pairwise_logneg), np.zeros(4))
         np.testing.assert_array_equal(report.pairwise_detblocks, report.pairwise_detblocks.T)
+
+
+@pytest.fixture(scope="module")
+def sweep_states():
+    """The acceptance sweep: 100 recipes per N = 2..10."""
+    return [
+        engineer_state(random_recipe(n, 1000 * n + idx))
+        for n in range(2, 11)
+        for idx in range(100)
+    ]
+
+
+class TestEigenOracle:
+    def test_acceptance_sweep(self, sweep_states):
+        for cm in sweep_states:
+            assert_matches_eigen_route(cm)
+
+    @pytest.mark.parametrize("n", [5, 31, 64])
+    @pytest.mark.parametrize("coupling", [0.1, 0.5, 2.0])
+    def test_rings(self, n, coupling):
+        assert_matches_eigen_route(harmonic_ground_state(ring_potential(n, coupling)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(min_value=2, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        s_max=st.floats(min_value=1.0, max_value=100.0, exclude_min=True),
+    )
+    def test_random_recipes(self, n, seed, s_max):
+        cm = engineer_state(random_recipe(n, seed, s_max))
+        assert_matches_eigen_route(cm, conditioned=True)
 
 
 class TestLocalUnitaryInvariance:

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from gaussforge.engineering import Recipe, engineer_state, random_recipe
-from gaussforge.errors import InfeasibleError, NotInGenericClassError, NotPureError
+from gaussforge.errors import (
+    InfeasibleError,
+    InputFormatError,
+    NotInGenericClassError,
+    NotPureError,
+)
 from gaussforge.standard_form import (
     StandardForm,
     condition_residual,
@@ -298,6 +303,11 @@ class TestStandardFormType:
     def test_rejects_williamson_violation(self):
         with pytest.raises(ValueError, match="Williamson"):
             StandardForm(2, np.array([[2.0, 0.75], [0.75, 2.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e160])
+    def test_from_dict_rejects_non_finite_or_huge_as_input_error(self, value):
+        with pytest.raises(InputFormatError, match="finite"):
+            StandardForm.from_dict({"n_modes": 2, "vq": [[value, 0.1], [0.1, 1.0]]})
 
     def test_json_round_trip(self):
         sf = to_standard_form(engineer_state(random_recipe(3, 2)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gaussforge.engineering import engineer_state, random_recipe
+from gaussforge.errors import InputFormatError
 from gaussforge.symplectic import (
     CovarianceMatrix,
     SymplecticMatrix,
@@ -300,6 +301,12 @@ class TestCovarianceMatrixType:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError, match="finite"):
             CovarianceMatrix(1, np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e160])
+    def test_from_dict_rejects_non_finite_or_huge_as_input_error(self, value):
+        doc = {"n_modes": 1, "ordering": "qpqp", "data": [[value, 0.0], [0.0, 1.0]]}
+        with pytest.raises(InputFormatError, match="finite"):
+            CovarianceMatrix.from_dict(doc)
 
     def test_data_is_read_only(self):
         cm = vacuum_cm(1)
