@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussforge import symplectic
+from gaussforge import entanglement, symplectic
 from gaussforge.engineering import Recipe, engineer_state, random_recipe
 from gaussforge.entanglement import (
     bosonic_entropy,
@@ -258,7 +258,9 @@ class TestFullReport:
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
-            monkeypatch.setattr(symplectic, name, counted)
+            # also on entanglement, in case it ever imports one of them by name
+            for module in (symplectic, entanglement):
+                monkeypatch.setattr(module, name, counted, raising=False)
         full_report(engineer_state(random_recipe(n, seed=n)))
         assert calls == {"is_pure": 1, "symplectic_eigenvalues": 0, "reduced_cm": 0}
 
