@@ -34,6 +34,9 @@ from .symplectic import CovarianceMatrix, is_pure, williamson_spectrum
 _EXIT_DOMAIN = 1
 _EXIT_INPUT = 2
 
+# the ring output is the dense 2N x 2N CM, so time, memory and stdout grow as N^2 or faster
+RING_MAX_MODES = 1000
+
 
 def _fail(message: str, code: int):
     click.echo(f"error: {message}", err=True)
@@ -60,7 +63,7 @@ def _read_json(path: str):
         raise InputFormatError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also integers beyond Python's digit limit
         raise InputFormatError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -185,14 +188,23 @@ def cmd_gmps(n_min, n_max, fmt, precision):
 
 
 @main.command("ring")
-@click.option("--n", "n_modes", type=int, required=True, help="Ring size, at least 3.")
+@click.option(
+    "--n",
+    "n_modes",
+    type=int,
+    required=True,
+    help=f"Ring size, 3 to {RING_MAX_MODES}. At {RING_MAX_MODES} modes a run writes "
+    "91 MB of JSON and takes about 19 s and 1.1 GB of memory (2-core x86 host).",
+)
 @click.option("--coupling", type=float, required=True, help="Spring constant, nonnegative.")
 @_precision_option
 @_handle_errors
 def cmd_ring(n_modes, coupling, precision):
     """Ground state of a spring-coupled ring, with entanglement summary."""
-    if n_modes < 3:
-        raise click.UsageError(f"ring size must be at least 3, got {n_modes}")
+    if not 3 <= n_modes <= RING_MAX_MODES:
+        raise click.UsageError(
+            f"ring size must satisfy 3 <= n <= {RING_MAX_MODES}, got {n_modes}"
+        )
     if not np.isfinite(coupling):
         raise click.UsageError(f"coupling must be finite, got {coupling}")
     if coupling < 0.0:

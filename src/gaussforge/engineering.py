@@ -13,6 +13,7 @@ q with p, so the state is evolved as its two N x N blocks V_Q and V_P.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import tolerances
 from .errors import InputFormatError, RecipeError
-from .symplectic import CovarianceMatrix
+from .symplectic import CovarianceMatrix, _from_blocks
 
 
 def parameter_count(n_modes: int) -> int:
@@ -70,32 +71,46 @@ class Recipe:
         n_modes = doc["n_modes"]
         if not isinstance(n_modes, int) or n_modes < 2:
             raise InputFormatError("n_modes must be an integer >= 2")
-        if not isinstance(doc["s"], (int, float)) or isinstance(doc["s"], bool):
-            raise InputFormatError("s must be a number")
+        s = _number(doc["s"], "s")
+        if not isinstance(doc.get("r", {}), dict):
+            raise InputFormatError("r must be an object keyed by mode index")
+        if not isinstance(doc.get("b", []), list):
+            raise InputFormatError("b must be an array of beam-splitter entries")
         r = {}
         for key, value in doc.get("r", {}).items():
             try:
                 index = int(key)
             except (TypeError, ValueError):
                 raise InputFormatError(f"r key {key!r} is not an integer") from None
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise InputFormatError(f"r[{key!r}] must be a number")
-            r[index] = float(value)
+            r[index] = _number(value, f"r[{key!r}]")
         b = {}
         for entry in doc.get("b", []):
             if not isinstance(entry, dict) or not {"j", "i", "t"} <= set(entry):
                 raise InputFormatError(
                     'each b entry must be an object with keys "j", "i", "t"'
                 )
-            j, i, t = entry["j"], entry["i"], entry["t"]
+            j, i = entry["j"], entry["i"]
             if not isinstance(j, int) or not isinstance(i, int):
                 raise InputFormatError("b indices j, i must be integers")
-            if not isinstance(t, (int, float)) or isinstance(t, bool):
-                raise InputFormatError("b transmittivity t must be a number")
+            t = _number(entry["t"], "b transmittivity t")
             if (j, i) in b:
                 raise InputFormatError(f"duplicate beam-splitter pair ({j}, {i})")
-            b[(j, i)] = float(t)
-        return cls(n_modes, float(doc["s"]), r, b)
+            b[(j, i)] = t
+        return cls(n_modes, s, r, b)
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; booleans and integers beyond float range are refused."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise InputFormatError(f"{name} must be a number")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputFormatError(f"{name} is beyond the float range") from None
+
+
+# missing or unexpected recipe entries named one by one; the rest are counted
+_LISTED = 5
 
 
 @dataclass(frozen=True)
@@ -120,7 +135,9 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
     squeezings must be positive, and transmittivities must lie strictly
     inside (0, 1).  Transmittivities within ``tolerances.DEGENERACY_MARGIN`` of the
     boundary only produce warnings: the state then degenerates toward a
-    product across that link but remains valid.
+    product across that link but remains valid.  Of each kind of missing or
+    unexpected entry the first five are named and the rest only counted, so
+    the cost and the message size follow the recipe's entries, not N.
     """
     errors = []
     warnings = []
@@ -131,21 +148,40 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
     if not recipe.s > 0.0:
         errors.append(f"seed squeezing s must be positive, got {recipe.s}")
 
-    expected_r = set(range(3, n + 1))
-    for index in sorted(expected_r - set(recipe.r)):
-        errors.append(f"missing mode squeezing r[{index}]")
-    for index in sorted(set(recipe.r) - expected_r):
-        errors.append(f"unexpected mode squeezing r[{index}] for {n} modes")
-    for index in sorted(expected_r & set(recipe.r)):
+    known_r = sorted(k for k in recipe.r if 3 <= k <= n)
+    extra_r = sorted(k for k in recipe.r if not 3 <= k <= n)
+    missing_r = (k for k in range(3, n + 1) if k not in recipe.r)
+    errors += _itemized(
+        (f"missing mode squeezing r[{k}]" for k in missing_r),
+        n - 2 - len(known_r),
+        "missing mode squeezings",
+    )
+    errors += _itemized(
+        (f"unexpected mode squeezing r[{k}] for {n} modes" for k in extra_r),
+        len(extra_r),
+        "unexpected mode squeezings",
+    )
+    for index in known_r:
         if not recipe.r[index] > 0.0:
             errors.append(f"r[{index}] must be positive, got {recipe.r[index]}")
 
-    expected_b = {(j, i) for i in range(3, n + 1) for j in range(2, i)}
-    for j, i in sorted(expected_b - set(recipe.b), key=lambda p: (p[1], p[0])):
-        errors.append(f"missing pair ({j}, {i})")
-    for j, i in sorted(set(recipe.b) - expected_b, key=lambda p: (p[1], p[0])):
-        errors.append(f"unexpected pair ({j}, {i}) for {n} modes")
-    for j, i in sorted(expected_b & set(recipe.b), key=lambda p: (p[1], p[0])):
+    def schedule_order(pair):
+        return pair[1], pair[0]
+
+    known_b = sorted((p for p in recipe.b if 2 <= p[0] < p[1] <= n), key=schedule_order)
+    extra_b = sorted((p for p in recipe.b if not 2 <= p[0] < p[1] <= n), key=schedule_order)
+    missing_b = ((j, i) for i in range(3, n + 1) for j in range(2, i) if (j, i) not in recipe.b)
+    errors += _itemized(
+        (f"missing pair ({j}, {i})" for j, i in missing_b),
+        (n - 1) * (n - 2) // 2 - len(known_b),
+        "missing pairs",
+    )
+    errors += _itemized(
+        (f"unexpected pair ({j}, {i}) for {n} modes" for j, i in extra_b),
+        len(extra_b),
+        "unexpected pairs",
+    )
+    for j, i in known_b:
         t = recipe.b[(j, i)]
         if not 0.0 < t < 1.0:
             errors.append(
@@ -157,6 +193,14 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
                 "the state degenerates toward a product across this link"
             )
     return RecipeValidation(tuple(errors), tuple(warnings))
+
+
+def _itemized(messages, count: int, kind: str) -> list:
+    """The first ``_LISTED`` of ``count`` lazily made messages, then one line counting the rest."""
+    listed = list(itertools.islice(messages, _LISTED))
+    if count > _LISTED:
+        listed.append(f"{count - _LISTED} more {kind} not listed")
+    return listed
 
 
 def _schedule(recipe: Recipe):
@@ -215,9 +259,7 @@ def engineer_state(recipe: Recipe) -> CovarianceMatrix:
             f"squeezing too extreme: covariance entries reach {largest:.3e} "
             f"(limit {tolerances.MAX_ENTRY:.0e})"
         )
-    data = np.zeros((2 * n, 2 * n))
-    data[0::2, 0::2], data[1::2, 1::2] = (blocks + blocks.transpose(0, 2, 1)) / 2.0
-    return CovarianceMatrix(n, data)
+    return _from_blocks(*blocks)
 
 
 def free_parameter_audit(recipe: Recipe) -> int:

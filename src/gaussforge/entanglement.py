@@ -17,7 +17,13 @@ import numpy as np
 
 from . import tolerances
 from .standard_form import StandardForm
-from .symplectic import CovarianceMatrix, _check_mode_index, require_pure, symplectic_form
+from .symplectic import (
+    CovarianceMatrix,
+    _block_dets,
+    _check_mode_index,
+    require_pure,
+    symplectic_form,
+)
 
 _LN2 = math.log(2.0)
 
@@ -69,12 +75,6 @@ def bosonic_entropy(nu: float, nats: bool = False) -> float:
     down = (nu - 1.0) / 2.0
     value = up * math.log2(up) - down * math.log2(down)
     return value * _LN2 if nats else value
-
-
-def _block_dets(sigma: np.ndarray, i, j) -> np.ndarray:
-    """det of the 2x2 blocks of sigma at 0-based modes (i, j), over index arrays."""
-    q, p = 2 * i, 2 * j
-    return sigma[q, p] * sigma[q + 1, p + 1] - sigma[q, p + 1] * sigma[q + 1, p]
 
 
 def _log_negativities(sigma: np.ndarray, i, j) -> np.ndarray:
@@ -136,8 +136,7 @@ def entropy_via_pairwise(
             which signals numerically inconsistent input.
     """
     n = sf.n_modes
-    if not 1 <= mode_index <= n:
-        raise ValueError(f"mode index {mode_index} out of range for {n} modes")
+    _check_mode_index(mode_index, n)
     i = mode_index - 1
     others = np.arange(n) != i
     det_block = 1.0 - float(sf.vq[i, others] @ sf.vp[i, others])

@@ -22,27 +22,15 @@ from .errors import InfeasibleError, InputFormatError, NotInGenericClassError
 from .symplectic import (
     CovarianceMatrix,
     SymplecticMatrix,
+    _block_dets,
+    _blocks,
+    _check_mode_index,
+    _from_blocks,
+    _mode_rows,
     apply_symplectic,
     read_matrix,
     require_pure,
 )
-
-
-def _qqpp_permutation(n_modes: int) -> np.ndarray:
-    """Row indices mapping interleaved (q1,p1,...) to grouped (q1..qN, p1..pN)."""
-    return np.concatenate([np.arange(0, 2 * n_modes, 2), np.arange(1, 2 * n_modes, 2)])
-
-
-def _to_qqpp(data: np.ndarray, n_modes: int) -> np.ndarray:
-    perm = _qqpp_permutation(n_modes)
-    return data[np.ix_(perm, perm)]
-
-
-def _from_qqpp(data: np.ndarray, n_modes: int) -> np.ndarray:
-    perm = _qqpp_permutation(n_modes)
-    inverse = np.empty_like(perm)
-    inverse[perm] = np.arange(2 * n_modes)
-    return data[np.ix_(inverse, inverse)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,8 +117,7 @@ def _local_normalization(cm: CovarianceMatrix) -> CovarianceMatrix:
     for k in range(1, n + 1):
         theta = _local_rotation_angle(cm.mode_block(k))
         c, s = np.cos(theta), np.sin(theta)
-        rows = slice(2 * (k - 1), 2 * k)
-        rotation[rows, rows] = np.array([[c, -s], [s, c]])
+        rotation[_mode_rows(k), _mode_rows(k)] = np.array([[c, -s], [s, c]])
     rotated = apply_symplectic(cm, SymplecticMatrix(n, rotation))
 
     balance = np.eye(2 * n)
@@ -140,25 +127,6 @@ def _local_normalization(cm: CovarianceMatrix) -> CovarianceMatrix:
         balance[2 * (k - 1), 2 * (k - 1)] = t
         balance[2 * k - 1, 2 * k - 1] = 1.0 / t
     return apply_symplectic(rotated, SymplecticMatrix(n, balance))
-
-
-def _normalized_qqpp(cm: CovarianceMatrix) -> np.ndarray:
-    """Locally normalize a pure state and return it in qqpp ordering.
-
-    Raises:
-        NotPureError: if the purity identity fails.
-        NotInGenericClassError: if a residual q-p block survives local
-            normalization (the heuristic class-membership test).
-    """
-    require_pure(cm)
-    normalized = _local_normalization(cm)
-    grouped = _to_qqpp(normalized.data, cm.n_modes)
-    n = cm.n_modes
-    cross = float(np.max(np.abs(grouped[:n, n:])))
-    tol = tolerances.block(normalized.inf_norm())
-    if cross > tol:
-        raise NotInGenericClassError(cross, tol)
-    return grouped
 
 
 def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
@@ -173,15 +141,18 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
             block-diagonal form (possible for some pure states of 4 or
             more modes; the check is heuristic).
     """
-    grouped = _normalized_qqpp(cm)
-    n = cm.n_modes
-    vq = (grouped[:n, :n] + grouped[:n, :n].T) / 2.0
-    vp_actual = grouped[n:, n:]
-    gap = float(np.max(np.abs(vp_actual - np.linalg.inv(vq))))
-    tol = tolerances.block(float(np.max(np.abs(grouped))))
+    require_pure(cm)
+    normalized = _local_normalization(cm)
+    q_block, p_block, cross_block = _blocks(normalized.data)
+    tol = tolerances.block(normalized.inf_norm())
+    cross = float(np.max(np.abs(cross_block)))
+    if cross > tol:
+        raise NotInGenericClassError(cross, tol)
+    vq = (q_block + q_block.T) / 2.0
+    gap = float(np.max(np.abs(p_block - np.linalg.inv(vq))))
     if gap > tol:
         raise NotInGenericClassError(gap, tol)
-    return StandardForm(n, vq)
+    return StandardForm(cm.n_modes, vq)
 
 
 def extract_parameters(sf: StandardForm) -> np.ndarray:
@@ -275,29 +246,23 @@ def reconstruct_diagonal(
 
 def standard_form_to_cm(sf: StandardForm) -> CovarianceMatrix:
     """Assemble the full covariance matrix V_Q (+) V_Q^{-1} of a standard form."""
-    n = sf.n_modes
-    grouped = np.zeros((2 * n, 2 * n))
-    grouped[:n, :n] = sf.vq
-    grouped[n:, n:] = sf.vp
-    return CovarianceMatrix(n, _from_qqpp(grouped, n))
+    return _from_blocks(sf.vq, sf.vp)
 
 
 def det_identity_residual(cm: CovarianceMatrix, mode_index: int) -> float:
-    """Residual of ``det sigma_i = 1 - sum_{j != i} det eps_ij`` on the standard form.
+    """Residual of ``det sigma_i = 1 - sum_{j != i} det eps_ij``, read in place.
 
-    The state is first brought to standard form; the identity then follows
-    from purity and holds up to roundoff for states in the class.
+    The identity is the (i, i) 2x2 block of the purity condition
+    ``sigma Omega sigma = Omega``, so it holds up to roundoff for every pure
+    state, in the class or not, and each 2x2 block determinant is unchanged
+    by local symplectics: the state is not normalized first.
 
     Raises:
-        NotPureError, NotInGenericClassError: propagated from normalization.
+        NotPureError: for mixed inputs.
     """
-    n = cm.n_modes
-    if not 1 <= mode_index <= n:
-        raise ValueError(f"mode index {mode_index} out of range for {n} modes")
-    grouped = _normalized_qqpp(cm)
-    i = mode_index - 1
-    # det sigma_i + sum_{j != i} vq_ij vp_ij is the full row dot product
-    return float(grouped[i, :n] @ grouped[n + i, n:] - 1.0)
+    _check_mode_index(mode_index, cm.n_modes)
+    require_pure(cm)
+    return float(np.sum(_block_dets(cm.data, mode_index - 1, np.arange(cm.n_modes))) - 1.0)
 
 
 def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:
@@ -320,14 +285,10 @@ def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:
         raise ValueError(
             f"potential is not positive definite (min eigenvalue {eigenvalues[0]:.3e})"
         )
-    n = potential.shape[0]
     roots = np.sqrt(eigenvalues)
-    q_block = (eigenvectors / roots) @ eigenvectors.T
-    p_block = (eigenvectors * roots) @ eigenvectors.T
-    grouped = np.zeros((2 * n, 2 * n))
-    grouped[:n, :n] = (q_block + q_block.T) / 2.0
-    grouped[n:, n:] = (p_block + p_block.T) / 2.0
-    return CovarianceMatrix(n, _from_qqpp(grouped, n))
+    return _from_blocks(
+        (eigenvectors / roots) @ eigenvectors.T, (eigenvectors * roots) @ eigenvectors.T
+    )
 
 
 def ring_potential(n_modes: int, coupling: float) -> np.ndarray:

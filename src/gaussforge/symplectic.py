@@ -49,6 +49,26 @@ def _check_mode_index(mode_index: int, n_modes: int) -> None:
         )
 
 
+def _blocks(sigma: np.ndarray) -> tuple:
+    """Views of V_Q, V_P and the q-p cross block X (rows q, columns p) of a CM."""
+    return sigma[0::2, 0::2], sigma[1::2, 1::2], sigma[0::2, 1::2]
+
+
+def _from_blocks(vq: np.ndarray, vp: np.ndarray) -> CovarianceMatrix:
+    """The q-p block-diagonal state V_Q (+) V_P, each block symmetrized."""
+    n = vq.shape[0]
+    data = np.zeros((2 * n, 2 * n))
+    data[0::2, 0::2] = (vq + vq.T) / 2.0
+    data[1::2, 1::2] = (vp + vp.T) / 2.0
+    return CovarianceMatrix(n, data)
+
+
+def _block_dets(sigma: np.ndarray, i, j) -> np.ndarray:
+    """det of the 2x2 blocks of sigma at 0-based modes (i, j), over index arrays."""
+    q, p = 2 * i, 2 * j
+    return sigma[q, p] * sigma[q + 1, p + 1] - sigma[q, p + 1] * sigma[q + 1, p]
+
+
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Second moments of a zero-mean N-mode Gaussian state.
@@ -56,7 +76,8 @@ class CovarianceMatrix:
     Attributes:
         n_modes: number of modes N.
         data: 2N x 2N real symmetric matrix, interleaved ordering,
-            vacuum variance 1.
+            vacuum variance 1, entries finite and at most
+            ``tolerances.MAX_ENTRY`` in magnitude.
     """
 
     n_modes: int
@@ -72,8 +93,11 @@ class CovarianceMatrix:
                 f"expected a {dim}x{dim} matrix for {self.n_modes} modes, "
                 f"got shape {data.shape}"
             )
-        if not np.all(np.isfinite(data)):
-            raise ValueError("covariance matrix entries must be finite")
+        if not np.all(np.abs(data) <= tolerances.MAX_ENTRY):
+            raise ValueError(
+                "covariance matrix entries must be finite and at most "
+                f"{tolerances.MAX_ENTRY:g} in magnitude"
+            )
         if not np.array_equal(data, data.T):
             raise ValueError("covariance matrix must be symmetric")
         data.flags.writeable = False

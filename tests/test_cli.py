@@ -250,6 +250,12 @@ class TestRing:
         assert runner.invoke(main, ["ring", "--n", "2", "--coupling", "0.5"]).exit_code == 2
         assert runner.invoke(main, ["ring", "--n", "4", "--coupling", "-1.0"]).exit_code == 2
 
+    def test_size_above_cap_exits_two(self, runner):
+        result = runner.invoke(main, ["ring", "--n", "1001", "--coupling", "0.5"])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "3 <= n <= 1000, got 1001" in result.stderr
+
     def test_one_purity_check(self, runner, monkeypatch):
         from gaussforge import symplectic
 
@@ -292,6 +298,9 @@ BAD_ENTRY_DOCUMENTS = [
 ]
 
 
+# a JSON integer beyond the float range
+HUGE_INT = "1" + "0" * 400
+
 BOOL_N_MODES_CM = {"n_modes": True, "ordering": "qpqp", "data": [[1.0, 0.0], [0.0, 1.0]]}
 
 
@@ -309,6 +318,38 @@ class TestCliContract:
         assert result.exit_code == 2
         assert result.stdout == ""
         assert result.stderr == "error: n_modes must be a positive integer\n"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"n_modes": 3, "s": 1.5, "r": [1.2]}', id="r-not-object"),
+            pytest.param('{"n_modes": 3, "s": 1.5, "b": 5}', id="b-not-array"),
+            pytest.param(f'{{"n_modes": 3, "s": {HUGE_INT}}}', id="s-overflow"),
+            pytest.param('{"n_modes": 3, "s": 1' + "0" * 5000 + "}", id="s-too-many-digits"),
+            pytest.param(f'{{"n_modes": 3, "s": 1.5, "r": {{"3": {HUGE_INT}}}}}', id="r-overflow"),
+            pytest.param(
+                f'{{"n_modes": 3, "s": 1.5, "b": [{{"j": 2, "i": 3, "t": {HUGE_INT}}}]}}',
+                id="t-overflow",
+            ),
+        ],
+    )
+    def test_malformed_recipe_exits_two(self, runner, tmp_path, text):
+        path = tmp_path / "recipe.json"
+        path.write_text(text)
+        result = runner.invoke(main, ["engineer", "--recipe", str(path)])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ")
+        assert len(result.stderr.splitlines()) == 1
+
+    def test_large_empty_recipe_gives_a_short_error(self, runner, tmp_path):
+        recipe = write(tmp_path / "r.json", {"n_modes": 300, "s": 1.5})
+        result = runner.invoke(main, ["engineer", "--recipe", recipe])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert len(result.stderr) < 1000
+        assert "44546 more missing pairs not listed" in result.stderr
 
     @pytest.mark.parametrize("args, doc", BAD_ENTRY_DOCUMENTS)
     def test_non_finite_or_huge_entries_exit_two(self, runner, tmp_path, args, doc):

@@ -89,6 +89,49 @@ class TestValidateRecipe:
         assert "unexpected mode squeezing r[4]" in messages
         assert "unexpected pair (2, 4)" in messages
 
+    def test_many_missing_entries_are_counted(self):
+        """An empty 300-mode recipe names five of each kind and counts the rest."""
+        check = validate_recipe(Recipe(300, 1.5))
+        assert check.errors == (
+            "missing mode squeezing r[3]",
+            "missing mode squeezing r[4]",
+            "missing mode squeezing r[5]",
+            "missing mode squeezing r[6]",
+            "missing mode squeezing r[7]",
+            "293 more missing mode squeezings not listed",
+            "missing pair (2, 3)",
+            "missing pair (2, 4)",
+            "missing pair (3, 4)",
+            "missing pair (2, 5)",
+            "missing pair (3, 5)",
+            f"{299 * 298 // 2 - 5} more missing pairs not listed",
+        )
+
+    def test_missing_entries_listed_in_schedule_order_after_present_ones(self):
+        b = {(j, i): 0.5 for i in range(3, 41) for j in range(2, i) if (j, i) != (7, 40)}
+        check = validate_recipe(Recipe(41, 1.5, {i: 1.1 for i in range(3, 42)}, b))
+        assert check.errors == (
+            "missing pair (7, 40)",
+            "missing pair (2, 41)",
+            "missing pair (3, 41)",
+            "missing pair (4, 41)",
+            "missing pair (5, 41)",
+            "35 more missing pairs not listed",
+        )
+
+    def test_many_unexpected_entries_are_counted(self):
+        recipe = Recipe(3, 1.5, {i: 1.1 for i in range(3, 103)}, {(2, 3): 0.6, (1, 2): 0.5})
+        check = validate_recipe(recipe)
+        assert check.errors == (
+            "unexpected mode squeezing r[4] for 3 modes",
+            "unexpected mode squeezing r[5] for 3 modes",
+            "unexpected mode squeezing r[6] for 3 modes",
+            "unexpected mode squeezing r[7] for 3 modes",
+            "unexpected mode squeezing r[8] for 3 modes",
+            "94 more unexpected mode squeezings not listed",
+            "unexpected pair (1, 2) for 3 modes",
+        )
+
 
 class TestEngineerState:
     def test_two_mode_squeezed_blocks(self):
@@ -250,6 +293,24 @@ class TestRecipeJson:
             "b": [{"j": 2, "i": 3, "t": 0.4}, {"j": 2, "i": 3, "t": 0.5}],
         }
         with pytest.raises(InputFormatError, match="duplicate"):
+            Recipe.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"n_modes": 3, "s": 1.2, "r": [1.2]}, "r must be an object"),
+            ({"n_modes": 3, "s": 1.2, "b": 5}, "b must be an array"),
+            ({"n_modes": 3, "s": 1.2, "b": {"j": 2, "i": 3, "t": 0.5}}, "b must be an array"),
+            ({"n_modes": 3, "s": 10**400}, "s is beyond the float range"),
+            ({"n_modes": 3, "s": 1.2, "r": {"3": -(10**400)}}, "r\\['3'\\] is beyond"),
+            (
+                {"n_modes": 3, "s": 1.2, "b": [{"j": 2, "i": 3, "t": 10**400}]},
+                "b transmittivity t is beyond",
+            ),
+        ],
+    )
+    def test_wrong_container_or_overflowing_number(self, doc, message):
+        with pytest.raises(InputFormatError, match=message):
             Recipe.from_dict(doc)
 
     def test_malformed_documents(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gaussforge import standard_form, symplectic
 from gaussforge.engineering import Recipe, engineer_state, random_recipe
 from gaussforge.errors import (
     InfeasibleError,
@@ -32,7 +33,40 @@ from gaussforge.symplectic import (
     vacuum_cm,
 )
 
+from conftest import random_local_symplectic
+
 TMS = Recipe(2, np.sqrt(2.0))  # two-mode squeezed state with a = 1.25, c = 0.75
+
+
+def cz_state() -> CovarianceMatrix:
+    """A phase-space CZ on the vacuum: pure, with q-p cross terms no local scaling removes."""
+    mixer = np.eye(4)
+    mixer[1, 2] = mixer[3, 0] = 0.7
+    return apply_symplectic(vacuum_cm(2), SymplecticMatrix(2, mixer))
+
+
+def rotated_engineered_state() -> CovarianceMatrix:
+    """``random_recipe(4, seed=3)`` with mode 1 rotated by 0.7: in the class, but
+    the per-mode normalization cannot see the rotation."""
+    rotation = np.eye(8)
+    c, s = np.cos(0.7), np.sin(0.7)
+    rotation[0:2, 0:2] = [[c, -s], [s, c]]
+    return apply_symplectic(engineer_state(random_recipe(4, seed=3)), SymplecticMatrix(4, rotation))
+
+
+def normalized_row_dots(cm: CovarianceMatrix) -> np.ndarray:
+    """Reference det identity by the former route, for every mode at once.
+
+    Normalize each mode locally, regroup to (q1..qN, p1..pN), and take
+    ``sum_j vq_ij vp_ij - 1`` as the dot product of row i of V_Q with row i
+    of V_P.  Only meaningful for states in the class.
+    """
+    n = cm.n_modes
+    data = standard_form._local_normalization(cm).data
+    perm = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
+    grouped = data[np.ix_(perm, perm)]
+    assert np.max(np.abs(grouped[:n, n:])) <= 1e-8 * (1.0 + np.max(np.abs(data)))
+    return np.einsum("ij,ij->i", grouped[:n, :n], grouped[n:, n:]) - 1.0
 
 
 class TestToStandardForm:
@@ -60,9 +94,7 @@ class TestToStandardForm:
 
     def test_rejects_cross_qp_correlations(self):
         """A phase-space CZ creates q-p cross terms no local scaling removes."""
-        mixer = np.eye(4)
-        mixer[1, 2] = mixer[3, 0] = 0.7
-        state = apply_symplectic(vacuum_cm(2), SymplecticMatrix(2, mixer))
+        state = cz_state()
         assert is_pure(state)
         with pytest.raises(NotInGenericClassError, match="local unitaries"):
             to_standard_form(state)
@@ -211,6 +243,61 @@ class TestDetIdentity:
             cm = engineer_state(random_recipe(n, seed=50 * n + seed))
             for k in range(1, n + 1):
                 assert abs(det_identity_residual(cm, k)) <= 1e-8
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_matches_normalized_route_on_acceptance_sweep(self, n):
+        for idx in range(100):
+            cm = engineer_state(random_recipe(n, 1000 * n + idx))
+            residuals = [det_identity_residual(cm, k) for k in range(1, n + 1)]
+            np.testing.assert_allclose(residuals, normalized_row_dots(cm), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [5, 31, 64])
+    @pytest.mark.parametrize("coupling", [0.1, 0.5, 2.0])
+    def test_matches_normalized_route_on_rings(self, n, coupling):
+        cm = harmonic_ground_state(ring_potential(n, coupling))
+        residuals = [det_identity_residual(cm, k) for k in range(1, n + 1)]
+        np.testing.assert_allclose(residuals, normalized_row_dots(cm), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("make", [cz_state, rotated_engineered_state])
+    def test_holds_for_pure_states_the_normalization_refuses(self, make):
+        """The identity is a block of sigma Omega sigma = Omega, so class membership
+        does not matter; to_standard_form still refuses these states."""
+        cm = make()
+        with pytest.raises(NotInGenericClassError):
+            to_standard_form(cm)
+        for k in range(1, cm.n_modes + 1):
+            assert abs(det_identity_residual(cm, k)) <= 1e-12
+
+    def test_invariant_under_local_symplectics(self, rng):
+        cm = engineer_state(random_recipe(6, 17))
+        moved = apply_symplectic(cm, random_local_symplectic(6, rng))
+        for k in range(1, 7):
+            assert abs(det_identity_residual(moved, k)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 7, 16])
+    def test_one_purity_check_and_no_normalization(self, n, monkeypatch):
+        calls = {"is_pure": 0, "apply_symplectic": 0}
+        for name in calls:
+            original = getattr(symplectic, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in (symplectic, standard_form):
+                monkeypatch.setattr(module, name, counted, raising=False)
+        cm = engineer_state(random_recipe(n, seed=n))
+        det_identity_residual(cm, n)
+        assert calls == {"is_pure": 1, "apply_symplectic": 0}
+
+    def test_rejects_mixed_state(self):
+        with pytest.raises(NotPureError):
+            det_identity_residual(CovarianceMatrix(2, 2.0 * np.eye(4)), 1)
+
+    @pytest.mark.parametrize("mode", [0, 3])
+    def test_rejects_out_of_range_mode(self, mode):
+        with pytest.raises(ValueError, match="out of range"):
+            det_identity_residual(vacuum_cm(2), mode)
 
 
 class TestHarmonicGroundState:

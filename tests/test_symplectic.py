@@ -302,6 +302,16 @@ class TestCovarianceMatrixType:
         with pytest.raises(ValueError, match="finite"):
             CovarianceMatrix(1, np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("value", [1e160, -1e160, 2e150])
+    def test_rejects_entries_beyond_max_entry(self, value):
+        """Such entries would overflow the purity tolerance's squared norm."""
+        with pytest.raises(ValueError, match="at most 1e\\+150"):
+            CovarianceMatrix(1, np.diag([value, 1.0 / value]))
+
+    def test_accepts_entries_at_max_entry(self):
+        cm = CovarianceMatrix(1, np.diag([1e150, 1e-150]))
+        assert is_pure(cm)
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e160])
     def test_from_dict_rejects_non_finite_or_huge_as_input_error(self, value):
         doc = {"n_modes": 1, "ordering": "qpqp", "data": [[value, 0.0], [0.0, 1.0]]}
