@@ -194,9 +194,15 @@ def cmd_gmps(n_min, n_max, fmt, precision):
     type=int,
     required=True,
     help=f"Ring size, 3 to {RING_MAX_MODES}. At {RING_MAX_MODES} modes a run writes "
-    "91 MB of JSON and takes about 19 s and 1.1 GB of memory (2-core x86 host).",
+    "91 MB of JSON and takes about 6-8 s and 0.5 GB of memory (2-core x86 host).",
 )
-@click.option("--coupling", type=float, required=True, help="Spring constant, nonnegative.")
+@click.option(
+    "--coupling",
+    type=float,
+    required=True,
+    help="Spring constant, nonnegative; above about 1e7 the potential is too "
+    "ill-conditioned to resolve and the run exits with code 1.",
+)
 @_precision_option
 @_handle_errors
 def cmd_ring(n_modes, coupling, precision):

@@ -7,8 +7,10 @@ per mode 3..N, and one transmittivity per mode pair (j, i) with
 every earlier mode (except the first) through a chain of beam splitters,
 so the two-mode entanglement created by the seed gets distributed across
 the register.  A final, fully determined balancing squeeze on every mode
-leaves all single-mode blocks proportional to the identity.  No gate mixes
-q with p, so the state is evolved as its two N x N blocks V_Q and V_P.
+leaves all single-mode blocks proportional to the identity.  Each mode is
+squeezed while still vacuum, so the squeezers act first: squeezed vacua
+enter one orthogonal N x N beam-splitter network, and since no gate mixes
+q with p the state is two N x N blocks, V_Q and V_P = V_Q^-1.
 """
 
 from __future__ import annotations
@@ -82,6 +84,8 @@ class Recipe:
                 index = int(key)
             except (TypeError, ValueError):
                 raise InputFormatError(f"r key {key!r} is not an integer") from None
+            if index in r:
+                raise InputFormatError(f"duplicate mode squeezing r[{index}]")
             r[index] = _number(value, f"r[{key!r}]")
         b = {}
         for entry in doc.get("b", []):
@@ -90,7 +94,7 @@ class Recipe:
                     'each b entry must be an object with keys "j", "i", "t"'
                 )
             j, i = entry["j"], entry["i"]
-            if not isinstance(j, int) or not isinstance(i, int):
+            if not all(isinstance(k, int) and not isinstance(k, bool) for k in (j, i)):
                 raise InputFormatError("b indices j, i must be integers")
             t = _number(entry["t"], "b transmittivity t")
             if (j, i) in b:
@@ -233,22 +237,19 @@ def engineer_state(recipe: Recipe) -> CovarianceMatrix:
     check = validate_recipe(recipe)
     if not check:
         raise RecipeError("; ".join(check.errors))
-    n = recipe.n_modes
-    blocks = np.stack([np.eye(n), np.eye(n)])  # V_Q and V_P of the vacuum
+    q = np.ones(recipe.n_modes)  # squared squeezings of the normal modes
+    network = np.eye(recipe.n_modes)  # orthogonal matrix M of the beam-splitter chain
     with np.errstate(all="ignore"):  # extreme squeezing overflows; checked below
         for mode, partner, value, _ in _schedule(recipe):
             i = mode - 1
-            if partner is None:  # V_Q row and column scale by value, V_P's by 1/value
-                factors = np.array([[value], [1.0 / value]])
-                blocks[:, i, :] *= factors
-                blocks[:, :, i] *= factors
-            else:  # both blocks rotate alike in the (mode, partner) plane
+            if partner is None:  # the mode is still vacuum, so its squeezer acts first
+                q[i] = value * value
+            else:  # rotate rows (mode, partner) of M
                 c, s = math.sqrt(value), math.sqrt(1.0 - value)
-                j = partner - 1
-                a, b = blocks[:, i, :].copy(), blocks[:, j, :].copy()
-                blocks[:, i, :], blocks[:, j, :] = c * a - s * b, s * a + c * b
-                a, b = blocks[:, :, i].copy(), blocks[:, :, j].copy()
-                blocks[:, :, i], blocks[:, :, j] = c * a - s * b, s * a + c * b
+                a, b = network[i], network[partner - 1]
+                network[i], network[partner - 1] = c * a - s * b, s * a + c * b
+        # V_Q = M diag(q) M^T and V_P = M diag(1/q) M^T = V_Q^-1
+        blocks = np.stack([(network * q) @ network.T, (network / q) @ network.T])
         # balance: per-mode squeezes fixed by the state itself, making every
         # single-mode block proportional to the identity
         t = (np.diagonal(blocks[1]) / np.diagonal(blocks[0])) ** 0.25

@@ -273,17 +273,29 @@ def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:
     machine precision.
 
     Args:
-        potential: symmetric positive-definite N x N coupling matrix V.
+        potential: symmetric positive-definite N x N coupling matrix V, with
+            entries at most ``tolerances.MAX_ENTRY`` in magnitude and its
+            smallest eigenvalue above ``tolerances.POTENTIAL_RESOLUTION``
+            times eps times its largest.
     """
     potential = np.asarray(potential, dtype=float)
     if potential.ndim != 2 or potential.shape[0] != potential.shape[1]:
         raise ValueError(f"potential must be square, got shape {potential.shape}")
+    if not np.all(np.abs(potential) <= tolerances.MAX_ENTRY):
+        raise ValueError(
+            f"potential entries must be finite and at most {tolerances.MAX_ENTRY:g} in magnitude"
+        )
     if not np.allclose(potential, potential.T):
         raise ValueError("potential must be symmetric")
     eigenvalues, eigenvectors = np.linalg.eigh((potential + potential.T) / 2.0)
-    if eigenvalues[0] <= 0.0:
+    lowest, largest = eigenvalues[0], max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
+    resolution = tolerances.POTENTIAL_RESOLUTION * np.finfo(float).eps * largest
+    if lowest < -resolution:
+        raise ValueError(f"potential is not positive definite (min eigenvalue {lowest:.3e})")
+    if lowest <= resolution:
         raise ValueError(
-            f"potential is not positive definite (min eigenvalue {eigenvalues[0]:.3e})"
+            f"potential is too ill-conditioned: its smallest eigenvalue {lowest:.3e} "
+            f"is not resolved against its largest {largest:.3e}"
         )
     roots = np.sqrt(eigenvalues)
     return _from_blocks(
@@ -308,7 +320,7 @@ def ring_potential(n_modes: int, coupling: float) -> np.ndarray:
         raise ValueError(f"coupling must be finite, got {coupling}")
     if coupling < 0.0:
         raise ValueError(f"coupling must be nonnegative, got {coupling}")
-    potential = (1.0 + 2.0 * coupling) * np.eye(n_modes)
+    potential = np.diag(np.full(n_modes, 1.0 + 2.0 * coupling))
     for k in range(n_modes):
         potential[k, (k + 1) % n_modes] -= coupling
         potential[(k + 1) % n_modes, k] -= coupling

@@ -17,6 +17,13 @@ WILLIAMSON_DIAG = 1e-8
 # largest covariance entry whose products in the purity identity stay finite
 MAX_ENTRY = 1e150
 
+# a potential's smallest eigenvalue must exceed this many units of eps times
+# its largest: eigh resolves eigenvalues only to about eps * largest, and on
+# rings (couplings 1e0..1e17, N in {3, 64}) the ground state's relative error
+# grew as ~0.3 * eps * largest / smallest, so accepted states stay within
+# ~3e-9; a conditioning limit, not a residual, so GF_TOL_OVERRIDE does not scale it
+POTENTIAL_RESOLUTION = 1e8
+
 # transmittivities this close to 0 or 1 draw a recipe warning; a physical
 # margin, not a residual, so GF_TOL_OVERRIDE does not scale it
 DEGENERACY_MARGIN = 1e-3

@@ -271,6 +271,17 @@ class TestRing:
         assert result.exit_code == 0
         assert calls == [9]
 
+    @pytest.mark.parametrize("n", ["3", "64"])
+    @pytest.mark.parametrize("coupling", ["1e16", "1e17", "1e308"])
+    def test_unresolvable_coupling_exits_one(self, runner, n, coupling):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["ring", "--n", n, "--coupling", coupling])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert "positive definite" not in result.stderr
+
     @pytest.mark.parametrize("coupling", ["nan", "inf", "-inf"])
     def test_non_finite_coupling_exits_two(self, runner, coupling):
         result = runner.invoke(main, ["ring", "--n", "4", "--coupling", coupling])
@@ -330,6 +341,15 @@ class TestCliContract:
             pytest.param(
                 f'{{"n_modes": 3, "s": 1.5, "b": [{{"j": 2, "i": 3, "t": {HUGE_INT}}}]}}',
                 id="t-overflow",
+            ),
+            pytest.param(
+                '{"n_modes": 3, "s": 1.5, "r": {"3": 1.2, "03": 9.0}, '
+                '"b": [{"j": 2, "i": 3, "t": 0.6}]}',
+                id="r-duplicate-mode",
+            ),
+            pytest.param(
+                '{"n_modes": 3, "s": 1.5, "r": {"3": 1.2}, "b": [{"j": true, "i": 3, "t": 0.6}]}',
+                id="b-boolean-index",
             ),
         ],
     )

@@ -7,6 +7,7 @@ import pytest
 
 from gaussforge.engineering import (
     Recipe,
+    _schedule,
     engineer_state,
     free_parameter_audit,
     parameter_count,
@@ -209,6 +210,19 @@ class TestEngineerState:
         np.testing.assert_allclose(np.sort(spectrum), np.sort(expected), atol=1e-7)
 
 
+@pytest.mark.parametrize("n", range(2, 13))
+def test_schedule_squeezes_each_mode_while_it_is_vacuum(n):
+    """engineer_state moves every squeezer to the front, which needs this order."""
+    squeezed = set()
+    for mode, partner, _, _ in _schedule(random_recipe(n, seed=n)):
+        if partner is None:
+            assert mode not in squeezed, f"mode {mode} squeezed twice"
+            squeezed.add(mode)
+        else:
+            assert {mode, partner} <= squeezed, f"splitter ({mode}, {partner}) before a squeezer"
+    assert squeezed == set(range(1, n + 1))
+
+
 class TestDenseOracle:
     """The block-space pipeline against dense per-gate congruences."""
 
@@ -307,6 +321,9 @@ class TestRecipeJson:
                 {"n_modes": 3, "s": 1.2, "b": [{"j": 2, "i": 3, "t": 10**400}]},
                 "b transmittivity t is beyond",
             ),
+            ({"n_modes": 3, "s": 1.2, "r": {"3": 1.2, "03": 9.0}}, "duplicate mode squeezing r\\[3\\]"),
+            ({"n_modes": 3, "s": 1.2, "b": [{"j": True, "i": 3, "t": 0.6}]}, "must be integers"),
+            ({"n_modes": 3, "s": 1.2, "b": [{"j": 2, "i": False, "t": 0.6}]}, "must be integers"),
         ],
     )
     def test_wrong_container_or_overflowing_number(self, doc, message):

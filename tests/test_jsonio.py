@@ -39,3 +39,63 @@ def test_rejects_bad_digit_count():
         jsonio.dumps({"x": 1.0}, digits=0)
     with pytest.raises(ValueError):
         jsonio.dumps({"x": 1.0}, digits=20)
+
+
+GOLDEN_DOC = {
+    "nested": {"empty_list": [], "empty_object": {}, "rows": [[1, 2.0], {"none": None}]},
+    "floats": [-0.0, 1e22, 2.0, float("inf"), 2.0 / 3.0],
+    "int": 7,
+    "flags": [True, False],
+    "text": "qpqp é→",
+}
+
+GOLDEN_FLOATS = {
+    1: ["-0.0", "1e+22", "2.0", "inf.0", "0.7"],
+    17: ["-0.0", "1e+22", "2.0", "inf.0", "0.66666666666666663"],
+}
+
+
+@pytest.mark.parametrize("digits", [1, 17])
+def test_golden_text(digits):
+    """The exact indent-2 text, including the float tokens at both precision ends."""
+    floats = ",\n    ".join(GOLDEN_FLOATS[digits])
+    expected = (
+        "{\n"
+        '  "nested": {\n'
+        '    "empty_list": [],\n'
+        '    "empty_object": {},\n'
+        '    "rows": [\n'
+        "      [\n"
+        "        1,\n"
+        "        2.0\n"
+        "      ],\n"
+        "      {\n"
+        '        "none": null\n'
+        "      }\n"
+        "    ]\n"
+        "  },\n"
+        '  "floats": [\n'
+        f"    {floats}\n"
+        "  ],\n"
+        '  "int": 7,\n'
+        '  "flags": [\n'
+        "    true,\n"
+        "    false\n"
+        "  ],\n"
+        '  "text": "qpqp \\u00e9\\u2192"\n'
+        "}"
+    )
+    assert jsonio.dumps(GOLDEN_DOC, digits) == expected
+
+
+def test_golden_scalars_and_tuples():
+    assert jsonio.dumps([]) == "[]"
+    assert jsonio.dumps({}) == "{}"
+    assert jsonio.dumps(1.0) == "1.0"
+    assert jsonio.dumps((0.5, -1e-300)) == "[\n  0.5,\n  -1e-300\n]"
+
+
+@pytest.mark.parametrize("doc", [{"x": object()}, {3: 1.0}, [np.int64(3)]])
+def test_unserialisable_object_raises_type_error(doc):
+    with pytest.raises(TypeError):
+        jsonio.dumps(doc)

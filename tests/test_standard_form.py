@@ -336,6 +336,25 @@ class TestHarmonicGroundState:
         with pytest.raises(ValueError, match="positive definite"):
             harmonic_ground_state(np.diag([1.0, -2.0]))
 
+    @pytest.mark.parametrize("n", [3, 64])
+    @pytest.mark.parametrize("exponent", range(0, 8))
+    def test_resolved_ring_couplings_build(self, n, exponent):
+        potential = ring_potential(n, 10.0**exponent)
+        vq = harmonic_ground_state(potential).data[0::2, 0::2]
+        assert np.max(np.abs(vq @ vq @ potential - np.eye(n))) <= 1e-8
+
+    @pytest.mark.parametrize("n", [3, 64])
+    @pytest.mark.parametrize("exponent", range(8, 18))
+    def test_unresolved_ring_couplings_are_refused(self, n, exponent):
+        """At 1e16 the computed smallest eigenvalue of the N=3 ring is -2, not 1."""
+        with pytest.raises(ValueError, match="ill-conditioned"):
+            harmonic_ground_state(ring_potential(n, 10.0**exponent))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, 1e151])
+    def test_rejects_non_finite_or_huge_potential(self, value):
+        with pytest.raises(ValueError, match="finite and at most 1e\\+150"):
+            harmonic_ground_state(np.array([[2.0, value], [value, 2.0]]))
+
     def test_rejects_asymmetric_potential(self):
         with pytest.raises(ValueError, match="symmetric"):
             harmonic_ground_state(np.array([[1.0, 0.2], [0.0, 1.0]]))
@@ -371,6 +390,10 @@ class TestRingPotential:
     def test_rejects_negative_coupling(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ring_potential(4, -0.1)
+
+    def test_largest_coupling_forms_no_inf_times_zero(self):
+        potential = ring_potential(4, 1e308)  # RuntimeWarnings are errors in this suite
+        assert np.isinf(potential[0, 0]) and potential[0, 2] == 0.0
 
     @pytest.mark.parametrize("coupling", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_coupling(self, coupling):
