@@ -80,10 +80,9 @@ class Recipe:
             raise InputFormatError("b must be an array of beam-splitter entries")
         r = {}
         for key, value in doc.get("r", {}).items():
-            try:
-                index = int(key)
-            except (TypeError, ValueError):
-                raise InputFormatError(f"r key {key!r} is not an integer") from None
+            if not (isinstance(key, str) and key.isascii() and key.isdigit()):
+                raise InputFormatError(f"r key {key!r} is not a decimal mode index")
+            index = int(key)
             if index in r:
                 raise InputFormatError(f"duplicate mode squeezing r[{index}]")
             r[index] = _number(value, f"r[{key!r}]")

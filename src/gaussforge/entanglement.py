@@ -188,14 +188,3 @@ def full_report(cm: CovarianceMatrix, schmidt_mode: int = 1) -> EntanglementRepo
         pairwise_detblocks=np.where(modes[:, None] == modes, 0.0, dets),
     )
 
-
-def pairwise_csv(matrix: np.ndarray) -> str:
-    """Render a pairwise N x N matrix as CSV with mode-index headers."""
-    matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    header = "mode," + ",".join(str(k) for k in range(1, n + 1))
-    lines = [header]
-    for i in range(n):
-        cells = ",".join(format(float(v), ".17g") for v in matrix[i])
-        lines.append(f"{i + 1},{cells}")
-    return "\n".join(lines) + "\n"

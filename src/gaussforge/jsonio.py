@@ -12,8 +12,8 @@ from json.encoder import encode_basestring_ascii as _string
 def dumps(doc, digits: int = 17) -> str:
     """Serialize ``doc`` to JSON, formatting floats with ``digits`` significant digits.
 
-    ``doc`` is built from dicts with string keys, lists, tuples, strings,
-    floats, ints, bools and None; anything else raises ``TypeError``.
+    ``doc`` is built from dicts with string keys, lists, tuples, strings, finite
+    floats, ints, bools and None; inf and nan raise ``ValueError``, other types ``TypeError``.
     """
     if not 1 <= digits <= 17:
         raise ValueError(f"digits must be in 1..17, got {digits}")
@@ -23,6 +23,8 @@ def dumps(doc, digits: int = 17) -> str:
         token = format(x, spec)
         if "." in token or "e" in token:
             return token
+        if not token[-1].isdigit():  # "inf", "-inf" or "nan", which JSON cannot spell
+            raise ValueError(f"non-finite float {x!r} is not valid JSON")
         return token + ".0"  # keep float typing (and the sign of -0.0)
 
     parts = []

@@ -63,18 +63,18 @@ class StandardForm:
             np.linalg.cholesky(vq)
         except np.linalg.LinAlgError:
             raise ValueError("vq must be positive definite") from None
-        diag_gap = float(np.max(np.abs(np.diag(np.linalg.inv(vq)) - np.diag(vq))))
+        vq.flags.writeable = False
+        object.__setattr__(self, "vq", vq)
+        diag_gap = float(np.max(np.abs(np.diag(self.vp) - np.diag(vq))))
         if diag_gap > tolerances.williamson_diag():
             raise ValueError(
                 f"Williamson diagonal conditions violated: |diag(vq^-1) - diag(vq)| "
                 f"= {diag_gap:.3e} exceeds {tolerances.williamson_diag():.3e}"
             )
-        vq.flags.writeable = False
-        object.__setattr__(self, "vq", vq)
 
     @cached_property
     def vp(self) -> np.ndarray:
-        """Momentum-correlation block V_P = V_Q^{-1}, symmetrized."""
+        """Momentum-correlation block V_P = V_Q^{-1}, symmetrized (diagonal bits unchanged)."""
         inverse = np.linalg.inv(self.vq)
         inverse = (inverse + inverse.T) / 2.0
         inverse.flags.writeable = False
@@ -196,7 +196,8 @@ def reconstruct_diagonal(
         InfeasibleError: if the iteration budget is exhausted; existence
             and uniqueness of the completed diagonal are not guaranteed
             for arbitrary off-diagonal data, so no solution is claimed
-            beyond the one found.
+            beyond the one found.  Caveat: it is also raised for valid standard
+            forms of strongly squeezed states (see the README).
     """
     offdiag = np.asarray(offdiag, dtype=float)
     expected = n_modes * (n_modes - 1) // 2

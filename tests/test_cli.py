@@ -351,6 +351,13 @@ class TestCliContract:
                 '{"n_modes": 3, "s": 1.5, "r": {"3": 1.2}, "b": [{"j": true, "i": 3, "t": 0.6}]}',
                 id="b-boolean-index",
             ),
+            *(
+                pytest.param(
+                    f'{{"n_modes": 3, "s": 1.5, "r": {{"{key}": 1.2}}, "b": [{{"j": 2, "i": 3, "t": 0.6}}]}}',
+                    id=f"r-key-{label}",
+                )
+                for key, label in ((" 3", "space"), ("+3", "plus"), ("3_0", "underscore"), ("\\u0663", "arabic-indic"))
+            ),
         ],
     )
     def test_malformed_recipe_exits_two(self, runner, tmp_path, text):

@@ -330,6 +330,13 @@ class TestRecipeJson:
         with pytest.raises(InputFormatError, match=message):
             Recipe.from_dict(doc)
 
+    @pytest.mark.parametrize("key", [" 3", "3 ", "+3", "-3", "3_0", "\u0663", "\uff13", "3.0", "", "0x3"])
+    def test_r_key_must_be_ascii_decimal_digits(self, key):
+        """int() would read all of these (but the last three) as mode numbers."""
+        doc = {"n_modes": 4, "s": 1.5, "r": {key: 1.1}, "b": []}
+        with pytest.raises(InputFormatError, match="not a decimal mode index"):
+            Recipe.from_dict(doc)
+
     def test_malformed_documents(self):
         with pytest.raises(InputFormatError):
             Recipe.from_dict({"s": 1.0})

@@ -15,11 +15,11 @@ from gaussforge.entanglement import (
     entropy_via_pairwise,
     full_report,
     log_negativity_pair,
-    pairwise_csv,
     schmidt_parameter,
 )
 from gaussforge.errors import NotPureError
 from gaussforge.standard_form import (
+    det_identity_residual,
     harmonic_ground_state,
     reconstruct_diagonal,
     ring_potential,
@@ -264,6 +264,24 @@ class TestFullReport:
         full_report(engineer_state(random_recipe(n, seed=n)))
         assert calls == {"is_pure": 1, "symplectic_eigenvalues": 0, "reduced_cm": 0}
 
+    def test_one_purity_product_per_state_across_helpers(self, monkeypatch):
+        """The state keeps its residual, so per-mode helpers share one product."""
+        calls = []
+        original = symplectic._purity_product
+
+        def counted(sigma):
+            calls.append(sigma.shape[0])
+            return original(sigma)
+
+        monkeypatch.setattr(symplectic, "_purity_product", counted)
+        cm = harmonic_ground_state(ring_potential(31, 0.5))
+        full_report(cm)
+        for k in range(1, 32):
+            entropy_one_vs_rest(cm, k)
+            det_identity_residual(cm, k)
+        to_standard_form(cm)
+        assert calls == [62]
+
     def test_rejects_out_of_range_schmidt_mode(self):
         with pytest.raises(ValueError, match="out of range"):
             full_report(vacuum_cm(2), schmidt_mode=3)
@@ -333,20 +351,3 @@ class TestMonotoneResponse:
             state = standard_form_to_cm(reconstruct_diagonal(off, 3))
             dets.append(abs(np.linalg.det(state.cross_block(1, 2))))
         assert all(b > a for a, b in zip(dets, dets[1:]))
-
-
-class TestCsvExport:
-    def test_headers_and_shape(self):
-        report = full_report(engineer_state(random_recipe(3, 4)))
-        text = pairwise_csv(report.pairwise_logneg)
-        lines = text.strip().split("\n")
-        assert lines[0] == "mode,1,2,3"
-        assert len(lines) == 4
-        assert lines[1].startswith("1,")
-
-    def test_values_round_trip(self):
-        report = full_report(engineer_state(random_recipe(3, 4)))
-        text = pairwise_csv(report.pairwise_logneg)
-        body = [row.split(",")[1:] for row in text.strip().split("\n")[1:]]
-        parsed = np.array([[float(cell) for cell in row] for row in body])
-        np.testing.assert_array_equal(parsed, report.pairwise_logneg)

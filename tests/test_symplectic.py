@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gaussforge.engineering import engineer_state, random_recipe
-from gaussforge.errors import InputFormatError
+from gaussforge.errors import InputFormatError, NotPureError
+from gaussforge.standard_form import harmonic_ground_state, ring_potential
 from gaussforge.symplectic import (
     CovarianceMatrix,
     SymplecticMatrix,
@@ -13,6 +14,7 @@ from gaussforge.symplectic import (
     is_bona_fide,
     is_pure,
     reduced_cm,
+    require_pure,
     squeezer,
     symplectic_eigenvalues,
     symplectic_form,
@@ -234,6 +236,26 @@ class TestBonaFide:
         assert not is_bona_fide(CovarianceMatrix(1, np.diag([1.0, -1.0])))
 
 
+def dense_purity_residual(cm):
+    """The purity residual as written, with the dense symplectic form."""
+    omega = symplectic_form(cm.n_modes)
+    residual = -omega @ cm.data @ omega @ cm.data - np.eye(2 * cm.n_modes)
+    return float(np.max(np.abs(residual)))
+
+
+def purity_oracle_states():
+    rng = np.random.default_rng(7)
+    states = [
+        engineer_state(random_recipe(n, seed=n, s_max=s_max))
+        for n in range(2, 17)
+        for s_max in (4.0, 30.0)
+    ]
+    states += [harmonic_ground_state(ring_potential(n, 0.5)) for n in (31, 64)]
+    states.append(apply_symplectic(states[5], random_local_symplectic(states[5].n_modes, rng)))
+    states.append(CovarianceMatrix(2, np.diag([2.0, 2.0, 3.0, 3.0])))
+    return states
+
+
 class TestPurity:
     def test_vacuum_residual_zero(self):
         result = is_pure(vacuum_cm(3))
@@ -252,6 +274,24 @@ class TestPurity:
         result = is_pure(cm)
         assert result.pure
         assert result.residual <= 1e-9 * (1.0 + cm.inf_norm() ** 2)
+
+    def test_bit_equal_to_dense_formula(self):
+        """Index swaps reproduce -Omega sigma Omega exactly, so only one product is left."""
+        for cm in purity_oracle_states():
+            assert is_pure(cm).residual == dense_purity_residual(cm)
+
+    def test_verdict_follows_tol_override_after_caching(self, monkeypatch):
+        """The residual is kept on the state; the tolerance is read at each check."""
+        monkeypatch.delenv("GF_TOL_OVERRIDE", raising=False)
+        cm = CovarianceMatrix(1, np.diag([1.0 + 1e-8, 1.0 + 1e-8]))
+        assert not is_pure(cm)
+        with pytest.raises(NotPureError):
+            require_pure(cm)
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "100")
+        assert is_pure(cm)
+        require_pure(cm)
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "1")
+        assert not is_pure(cm)
 
 
 class TestReducedCm:
