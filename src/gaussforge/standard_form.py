@@ -124,8 +124,7 @@ def _local_normalization(cm: CovarianceMatrix) -> CovarianceMatrix:
     for k in range(1, n + 1):
         block = rotated.mode_block(k)
         t = (block[1, 1] / block[0, 0]) ** 0.25
-        balance[2 * (k - 1), 2 * (k - 1)] = t
-        balance[2 * k - 1, 2 * k - 1] = 1.0 / t
+        balance[_mode_rows(k), _mode_rows(k)] = np.diag([t, 1.0 / t])
     return apply_symplectic(rotated, SymplecticMatrix(n, balance))
 
 
@@ -161,19 +160,24 @@ def extract_parameters(sf: StandardForm) -> np.ndarray:
     return sf.vq[rows, cols].copy()
 
 
+def _newton_system(vq: np.ndarray) -> tuple:
+    """Condition residual and its Jacobian at ``vq``, both read from one inverse."""
+    inverse = np.linalg.inv(vq)
+    return np.diag(inverse) - np.diag(vq), -(inverse**2) - np.eye(vq.shape[0])
+
+
 def reconstruction_jacobian(vq: np.ndarray) -> np.ndarray:
     """Jacobian of ``diag(V_Q^{-1}) - d`` with respect to the diagonal d.
 
     With W = V_Q^{-1}, perturbing d_j by e moves W by -e W e_j e_j^T W, so
     the (i, j) entry is ``-(W_ij)^2 - delta_ij``.
     """
-    inverse = np.linalg.inv(vq)
-    return -(inverse**2) - np.eye(vq.shape[0])
+    return _newton_system(vq)[1]
 
 
 def condition_residual(vq: np.ndarray) -> np.ndarray:
     """Williamson condition residual ``diag(V_Q^{-1}) - diag(V_Q)``."""
-    return np.diag(np.linalg.inv(vq)) - np.diag(vq)
+    return _newton_system(vq)[0]
 
 
 def reconstruct_diagonal(
@@ -182,23 +186,28 @@ def reconstruct_diagonal(
     """Complete a standard form from its off-diagonal correlations alone.
 
     Solves the N Williamson conditions ``(V_Q^{-1})_ii = d_i`` for the
-    diagonal d by a damped Newton iteration with the analytic Jacobian of
-    :func:`reconstruction_jacobian`, starting from the diagonally dominant
-    point ``d_i = 1 + sum_j |v_ij|`` and halving any step that leaves the
-    positive-definite cone.
+    diagonal d by a damped Newton iteration from the diagonally dominant
+    point ``d_i = 1 + sum_j |v_ij|``, halving any step that leaves the
+    positive-definite cone.  Each iterate is inverted once, and both its
+    residual and the Jacobian of :func:`reconstruction_jacobian` are read
+    from that one inverse.
 
     Args:
-        offdiag: the N(N-1)/2 strict upper-triangle entries, row-major.
-        n_modes: number of modes N.
+        offdiag: the N(N-1)/2 strict upper-triangle entries, row-major, finite.
+        n_modes: number of modes N, at least 1.
         max_iter: Newton iteration budget.
 
     Raises:
-        InfeasibleError: if the iteration budget is exhausted; existence
-            and uniqueness of the completed diagonal are not guaranteed
-            for arbitrary off-diagonal data, so no solution is claimed
-            beyond the one found.  Caveat: it is also raised for valid standard
-            forms of strongly squeezed states (see the README).
+        ValueError: for ``n_modes < 1``, or off-diagonals of the wrong count or not finite.
+        InfeasibleError: if the starting point cannot be inverted or the
+            iteration budget is exhausted; existence and uniqueness of the
+            completed diagonal are not guaranteed for arbitrary off-diagonal
+            data, so no solution is claimed beyond the one found.  Caveat: it
+            is also raised for valid standard forms of strongly squeezed
+            states (see the README).
     """
+    if n_modes < 1:
+        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     offdiag = np.asarray(offdiag, dtype=float)
     expected = n_modes * (n_modes - 1) // 2
     if offdiag.shape != (expected,):
@@ -206,42 +215,37 @@ def reconstruct_diagonal(
             f"expected {expected} off-diagonal values for {n_modes} modes, "
             f"got shape {offdiag.shape}"
         )
+    if not np.all(np.isfinite(offdiag)):
+        raise ValueError("off-diagonal values must be finite")
     coupling = np.zeros((n_modes, n_modes))
     rows, cols = np.triu_indices(n_modes, k=1)
     coupling[rows, cols] = offdiag
     coupling = coupling + coupling.T
 
-    def assemble(d: np.ndarray) -> np.ndarray:
-        return coupling + np.diag(d)
-
-    def is_pd(matrix: np.ndarray) -> bool:
-        try:
-            np.linalg.cholesky(matrix)
-            return True
-        except np.linalg.LinAlgError:
-            return False
-
     d = 1.0 + np.sum(np.abs(coupling), axis=1)
-    residual = condition_residual(assemble(d))
-    last_residual = float(np.max(np.abs(residual)))
+    vq = coupling + np.diag(d)
     for iteration in range(max_iter + 1):
+        try:
+            residual, jacobian = _newton_system(vq)
+        except np.linalg.LinAlgError:  # a start rounded to singular; later iterates pass Cholesky
+            raise InfeasibleError(float("inf"), iteration) from None
+        last_residual = float(np.max(np.abs(residual)))
         if last_residual <= tolerances.newton(float(np.max(np.abs(d)))):
-            vq = assemble(d)
-            return StandardForm(n_modes, (vq + vq.T) / 2.0)
+            return StandardForm(n_modes, vq)  # coupling + diag(d) is exactly symmetric
         if iteration == max_iter:
             break
-        step = np.linalg.solve(reconstruction_jacobian(assemble(d)), residual)
-        candidate = d - step
-        backtrack = 0
-        while not is_pd(assemble(candidate)):
-            backtrack += 1
-            if backtrack > tolerances.NEWTON_MAX_BACKTRACK:
-                raise InfeasibleError(last_residual, iteration)
-            step = step / 2.0
+        step = np.linalg.solve(jacobian, residual)
+        for _ in range(tolerances.NEWTON_MAX_BACKTRACK + 1):
             candidate = d - step
+            vq = coupling + np.diag(candidate)
+            try:
+                np.linalg.cholesky(vq)
+                break
+            except np.linalg.LinAlgError:
+                step = step / 2.0
+        else:
+            raise InfeasibleError(last_residual, iteration)
         d = candidate
-        residual = condition_residual(assemble(d))
-        last_residual = float(np.max(np.abs(residual)))
     raise InfeasibleError(last_residual, max_iter)
 
 
@@ -280,8 +284,8 @@ def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:
             times eps times its largest.
     """
     potential = np.asarray(potential, dtype=float)
-    if potential.ndim != 2 or potential.shape[0] != potential.shape[1]:
-        raise ValueError(f"potential must be square, got shape {potential.shape}")
+    if potential.ndim != 2 or not 0 < potential.shape[0] == potential.shape[1]:
+        raise ValueError(f"potential must be nonempty and square, got shape {potential.shape}")
     if not np.all(np.abs(potential) <= tolerances.MAX_ENTRY):
         raise ValueError(
             f"potential entries must be finite and at most {tolerances.MAX_ENTRY:g} in magnitude"

@@ -79,7 +79,7 @@ class CovarianceMatrix:
         data: 2N x 2N real symmetric matrix, interleaved ordering,
             vacuum variance 1, entries finite and at most
             ``tolerances.MAX_ENTRY`` in magnitude; read-only, as the object
-            caches its purity residual (re-enabling writes leaves it stale).
+            keeps its inf-norm and purity residual (re-enabling writes leaves both stale).
     """
 
     n_modes: int
@@ -95,7 +95,8 @@ class CovarianceMatrix:
                 f"expected a {dim}x{dim} matrix for {self.n_modes} modes, "
                 f"got shape {data.shape}"
             )
-        if not np.all(np.abs(data) <= tolerances.MAX_ENTRY):
+        norm = float(np.max(np.abs(data)))
+        if not norm <= tolerances.MAX_ENTRY:  # also refuses nan
             raise ValueError(
                 "covariance matrix entries must be finite and at most "
                 f"{tolerances.MAX_ENTRY:g} in magnitude"
@@ -104,10 +105,11 @@ class CovarianceMatrix:
             raise ValueError("covariance matrix must be symmetric")
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_inf_norm", norm)
 
     def inf_norm(self) -> float:
-        """Largest absolute entry."""
-        return float(np.max(np.abs(self.data)))
+        """Largest absolute entry, measured once, at construction."""
+        return self._inf_norm
 
     @cached_property
     def _purity_residual(self) -> float:
@@ -115,9 +117,7 @@ class CovarianceMatrix:
 
     def mode_block(self, mode_index: int) -> np.ndarray:
         """2x2 diagonal block of a single 1-based mode."""
-        _check_mode_index(mode_index, self.n_modes)
-        rows = _mode_rows(mode_index)
-        return np.array(self.data[rows, rows])
+        return self.cross_block(mode_index, mode_index)
 
     def cross_block(self, mode_i: int, mode_j: int) -> np.ndarray:
         """2x2 off-diagonal block coupling two 1-based modes."""
@@ -204,9 +204,10 @@ class SymplecticMatrix:
             )
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
+        object.__setattr__(self, "_inf_norm", norm)
 
     def inf_norm(self) -> float:
-        return float(np.max(np.abs(self.data)))
+        return self._inf_norm
 
     def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
         if self.n_modes != other.n_modes:
@@ -263,8 +264,7 @@ def squeezer(n_modes: int, mode_index: int, s: float) -> SymplecticMatrix:
     if not s > 0.0:
         raise ValueError(f"squeezing factor must be positive, got {s}")
     data = np.eye(2 * n_modes)
-    data[2 * (mode_index - 1), 2 * (mode_index - 1)] = s
-    data[2 * mode_index - 1, 2 * mode_index - 1] = 1.0 / s
+    data[_mode_rows(mode_index), _mode_rows(mode_index)] = np.diag([s, 1.0 / s])
     return SymplecticMatrix(n_modes, data)
 
 
@@ -290,15 +290,10 @@ def beam_splitter(
         raise ValueError(f"beam splitter needs two distinct modes, got {mode_i} twice")
     if not 0.0 < t < 1.0:
         raise ValueError(f"transmittivity must lie strictly in (0, 1), got {t}")
-    ct = np.sqrt(t)
-    st = np.sqrt(1.0 - t)
+    ct, st = np.sqrt(t), np.sqrt(1.0 - t)
     data = np.eye(2 * n_modes)
-    eye2 = np.eye(2)
-    ri, rj = _mode_rows(mode_i), _mode_rows(mode_j)
-    data[ri, ri] = ct * eye2
-    data[ri, rj] = st * eye2
-    data[rj, ri] = -st * eye2
-    data[rj, rj] = ct * eye2
+    rows = np.r_[_mode_rows(mode_i), _mode_rows(mode_j)]
+    data[np.ix_(rows, rows)] = np.kron([[ct, st], [-st, ct]], np.eye(2))
     return SymplecticMatrix(n_modes, data)
 
 

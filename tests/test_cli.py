@@ -1,15 +1,19 @@
 """End-to-end tests of the command-line surface."""
 
+import csv
+import io
 import json
 import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gaussforge import jsonio
 from gaussforge.cli import main
-from gaussforge.engineering import Recipe, random_recipe
+from gaussforge.engineering import Recipe, engineer_state, random_recipe
 from gaussforge.symplectic import CovarianceMatrix, vacuum_cm
 
 RECIPE_N3 = {
@@ -190,6 +194,18 @@ class TestStandardForm:
         result = runner.invoke(main, ["standard-form", "--cm", cm])
         assert result.exit_code == 1
         assert "not pure" in result.stderr
+
+    def test_singular_reconstruction_start_exits_one(self, runner):
+        """1 + sum |v_ij| rounds to |v_ij| here, so the Newton start cannot be inverted."""
+        doc = {"n_modes": 2, "vq": [[1, 1e149], [1e149, 1]]}
+        args = ["standard-form", "--vq", "-", "--reconstruct"]
+        result = runner.invoke(main, args, input=json.dumps(doc))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: diagonal reconstruction did not converge after 0 iterations "
+            "(last residual inf)\n"
+        )
 
     def test_requires_exactly_one_source(self, runner, tmp_path):
         result = runner.invoke(main, ["standard-form"])
@@ -434,3 +450,120 @@ class TestCliContract:
             main, ["gmps", "--n-min", "2", "--n-max", "3"], env={"GF_TOL_OVERRIDE": "wide"}
         )
         assert result.exit_code == 2
+
+
+# --- property: any bounded argument vector and stdin document keeps the exit-code contract
+
+_NUMBERS = st.one_of(
+    st.floats(width=64),  # includes nan and +-inf, which json.dumps writes as NaN/Infinity
+    st.integers(-(10**20), 10**20),
+    st.sampled_from([0.0, 1.0, -1.0, 0.5, 1e-300, 1e149, 1e150, 1e151, 1e300]),
+)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    ),
+    max_leaves=16,
+)
+_N_MODES = st.one_of(
+    st.integers(1, 5), st.integers(-1, 5), st.sampled_from([True, 1.5, "3", None])
+)
+
+
+@st.composite
+def _matrix(draw, n_modes, vq_block):
+    """A perturbed engineered state (its V_Q block if asked), or an arbitrary numeric array."""
+    if 1 <= n_modes <= 5 and draw(st.integers(0, 3)):
+        seed, s_max = draw(st.integers(0, 99)), draw(st.sampled_from([2.0, 30.0, 1e3]))
+        data = engineer_state(random_recipe(max(n_modes, 2), seed, s_max)).data
+        matrix = np.array(data[: 2 * n_modes, : 2 * n_modes])
+        if vq_block:
+            matrix = np.array(matrix[0::2, 0::2])
+        i, j = draw(st.integers(0, len(matrix) - 1)), draw(st.integers(0, len(matrix) - 1))
+        matrix[i, j] = matrix[j, i] = matrix[i, j] * draw(st.sampled_from([1.0, 2.0, -1.0]))
+        return matrix.tolist()
+    size = draw(st.integers(0, 4))
+    return draw(st.lists(st.lists(_NUMBERS, min_size=size, max_size=size), max_size=4))
+
+
+@st.composite
+def _document(draw, kind):
+    if kind == "recipe":
+        doc = random_recipe(draw(st.integers(2, 6)), draw(st.integers(0, 99))).to_dict()
+        if draw(st.booleans()):  # replace one field by arbitrary data
+            doc[draw(st.sampled_from(sorted(doc)))] = draw(
+                st.one_of(_N_MODES, _NUMBERS, st.lists(_JSON, max_size=3), _JSON))
+        return doc
+    if kind == "any":
+        return draw(_JSON)
+    n = draw(_N_MODES)
+    modes = n if isinstance(n, int) and not isinstance(n, bool) else 2
+    if kind == "cm":
+        return {"n_modes": n, "ordering": draw(st.sampled_from(["qpqp", "qpqp", "qqpp"])),
+                "data": draw(_matrix(modes, False))}
+    return {"n_modes": n, "vq": draw(_matrix(modes, True))}
+
+
+_INTS = st.one_of(st.integers(-3, 200), st.sampled_from([1001, 10**6 + 1, 10**30])).map(str)
+_PRECISION = st.one_of(
+    st.just([]), st.integers(1, 17).map(lambda p: ["--precision", str(p)]),
+    st.integers(-1, 18).map(lambda p: ["--precision", str(p)]),
+)
+
+
+@st.composite
+def _invocation(draw):
+    """An argument vector over the five subcommands, and the text fed to stdin."""
+    command = draw(st.sampled_from(["engineer", "analyze", "standard-form", "gmps", "ring"]))
+    kind = "any"
+    if command == "engineer":
+        args, kind = ["--recipe", "-"] + draw(st.sampled_from([[], ["--out", "-"]])), "recipe"
+    elif command == "analyze":
+        args, kind = ["--cm", "-"], "cm"
+    elif command == "standard-form":
+        args = draw(st.sampled_from([
+            ["--cm", "-"], ["--vq", "-", "--reconstruct"], ["--cm", "-"],
+            ["--vq", "-", "--reconstruct"], ["--vq", "-"], ["--cm", "-", "--reconstruct"], [],
+        ]))
+        kind = "vq" if "--vq" in args else "cm"
+    elif command == "gmps":
+        args = ["--n-min", draw(_INTS), "--n-max", draw(_INTS),
+                "--format", draw(st.sampled_from(["json", "csv", "xml"]))]
+    else:
+        coupling = st.one_of(st.floats(-1.0, 1e8).map(repr), st.sampled_from(["nan", "inf", "x"]))
+        args = ["--n", draw(st.one_of(st.integers(-1, 40).map(str), st.sampled_from(["1001"]))),
+                "--coupling", draw(coupling)]
+    args = args + draw(_PRECISION)
+    if args and draw(st.integers(0, 9)) == 0:  # drop one token, which may orphan an option
+        del args[draw(st.integers(0, len(args) - 1))]
+    branch = draw(st.integers(0, 9))  # mostly the command's own document type
+    if branch < 6:
+        text = json.dumps(draw(_document(kind)))
+    elif branch < 8:
+        text = json.dumps(draw(_document("any")))
+    else:
+        text = draw(st.one_of(st.text(max_size=20), st.just('{"n_modes": 1')))
+    return [command] + args, text
+
+
+class TestCliProperty:
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(_invocation())
+    def test_exit_code_and_output_contract(self, invocation):
+        args, text = invocation
+        result = CliRunner().invoke(main, args, input=text)
+        assert result.exit_code in (0, 1, 2), (result.exit_code, result.stderr)
+        assert result.exception is None or isinstance(result.exception, SystemExit), repr(
+            result.exception
+        )
+        assert "Traceback" not in result.stderr
+        if not result.stdout:
+            return
+        if args[0] == "gmps" and "csv" in args:
+            rows = list(csv.reader(io.StringIO(result.stdout)))
+            assert rows and all(len(row) == len(rows[0]) for row in rows)
+        else:
+            json.loads(result.stdout, parse_constant=pytest.fail)  # NaN, Infinity are not JSON

@@ -282,6 +282,22 @@ class TestFullReport:
         to_standard_form(cm)
         assert calls == [62]
 
+    def test_one_norm_per_state_across_helpers(self, monkeypatch):
+        """The inf-norm is measured once, at construction, so no helper rescans the matrix."""
+        cm = harmonic_ground_state(ring_potential(64, 0.5))
+        assert is_pure(cm)
+        norm = float(np.max(np.abs(cm.data)))
+        s = symplectic.squeezer(3, 2, 4.0)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("np.abs called after construction")
+
+        monkeypatch.setattr(np, "abs", refused)
+        assert cm.inf_norm() == norm and s.inf_norm() == 4.0
+        for k in range(1, 65):
+            entropy_one_vs_rest(cm, k)
+            det_identity_residual(cm, k)
+
     def test_rejects_out_of_range_schmidt_mode(self):
         with pytest.raises(ValueError, match="out of range"):
             full_report(vacuum_cm(2), schmidt_mode=3)

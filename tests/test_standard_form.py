@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gaussforge import standard_form, symplectic
+from gaussforge import standard_form, symplectic, tolerances
 from gaussforge.engineering import Recipe, engineer_state, random_recipe
 from gaussforge.errors import (
     InfeasibleError,
@@ -207,6 +207,51 @@ class TestReconstructDiagonal:
         with pytest.raises(InfeasibleError, match="did not converge"):
             reconstruct_diagonal([0.9, 0.8, 0.7], 3, max_iter=1)
 
+    @pytest.mark.parametrize(
+        "offdiag, n_modes, error, match",
+        [
+            ([], 0, ValueError, "n_modes must be >= 1, got 0"),
+            ([0.1], -1, ValueError, "n_modes must be >= 1, got -1"),
+            ([np.nan], 2, ValueError, "must be finite"),
+            ([np.inf], 2, ValueError, "must be finite"),
+            ([0.1, -np.inf, 0.2], 3, ValueError, "must be finite"),
+            # 1 + |v| rounds to |v|, so the starting point is singular
+            ([1e200], 2, InfeasibleError, "after 0 iterations"),
+            ([1e149], 2, InfeasibleError, "after 0 iterations"),
+        ],
+        ids=["zero-modes", "negative-modes", "nan", "inf", "minus-inf", "1e200", "1e149"],
+    )
+    def test_boundary_inputs_raise_named_errors(self, offdiag, n_modes, error, match):
+        with pytest.raises(error, match=match):
+            reconstruct_diagonal(offdiag, n_modes)
+
+    def test_one_inverse_per_iterate(self, monkeypatch):
+        """k Newton iterations invert k + 1 iterates, plus V_P in StandardForm."""
+        n = 8
+        params = extract_parameters(
+            to_standard_form(engineer_state(random_recipe(n, 3, s_max=8.0)))
+        )
+        # smallest converging budget; more iterations only extend the same path
+        low, high = 0, tolerances.NEWTON_MAX_ITER
+        while low < high:
+            middle = (low + high) // 2
+            try:
+                reconstruct_diagonal(params, n, max_iter=middle)
+                high = middle
+            except InfeasibleError:
+                low = middle + 1
+        assert low >= 3
+        calls = []
+        original = np.linalg.inv
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        reconstruct_diagonal(params, n)
+        assert len(calls) == low + 2
+
 
 class TestStandardFormToCm:
     def test_identity_gives_vacuum(self):
@@ -354,6 +399,10 @@ class TestHarmonicGroundState:
     def test_rejects_non_finite_or_huge_potential(self, value):
         with pytest.raises(ValueError, match="finite and at most 1e\\+150"):
             harmonic_ground_state(np.array([[2.0, value], [value, 2.0]]))
+
+    def test_rejects_empty_potential(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            harmonic_ground_state(np.zeros((0, 0)))
 
     def test_rejects_asymmetric_potential(self):
         with pytest.raises(ValueError, match="symmetric"):
