@@ -43,7 +43,7 @@ class StandardForm:
             the momentum block V_P = V_Q^{-1} is implied.
 
     The constructor enforces the Williamson diagonal conditions
-    ``(V_Q^{-1})_ii = (V_Q)_ii`` within tolerance.
+    ``(V_Q^{-1})_ii = (V_Q)_ii`` within ``tolerances.block`` of the larger block norm.
     """
 
     n_modes: int
@@ -65,11 +65,17 @@ class StandardForm:
             raise ValueError("vq must be positive definite") from None
         vq.flags.writeable = False
         object.__setattr__(self, "vq", vq)
+        norm = float(max(np.max(np.abs(vq)), np.max(np.abs(self.vp))))
+        if not norm <= tolerances.MAX_ENTRY:  # also refuses nan
+            raise ValueError(
+                "standard-form entries must be finite and at most "
+                f"{tolerances.MAX_ENTRY:g} in magnitude"
+            )
         diag_gap = float(np.max(np.abs(np.diag(self.vp) - np.diag(vq))))
-        if diag_gap > tolerances.williamson_diag():
+        if diag_gap > tolerances.block(norm):
             raise ValueError(
                 f"Williamson diagonal conditions violated: |diag(vq^-1) - diag(vq)| "
-                f"= {diag_gap:.3e} exceeds {tolerances.williamson_diag():.3e}"
+                f"= {diag_gap:.3e} exceeds {tolerances.block(norm):.3e}"
             )
 
     @cached_property
@@ -199,7 +205,7 @@ def reconstruct_diagonal(
 
     Raises:
         ValueError: for ``n_modes < 1``, or off-diagonals of the wrong count or not finite.
-        InfeasibleError: if the starting point cannot be inverted or the
+        InfeasibleError: if the starting point overflows or cannot be inverted, or the
             iteration budget is exhausted; existence and uniqueness of the
             completed diagonal are not guaranteed for arbitrary off-diagonal
             data, so no solution is claimed beyond the one found.  Caveat: it
@@ -222,7 +228,10 @@ def reconstruct_diagonal(
     coupling[rows, cols] = offdiag
     coupling = coupling + coupling.T
 
-    d = 1.0 + np.sum(np.abs(coupling), axis=1)
+    with np.errstate(over="ignore"):
+        d = 1.0 + np.sum(np.abs(coupling), axis=1)
+    if not np.all(np.isfinite(d)):  # row sums overflowed: no finite start
+        raise InfeasibleError(float("inf"), 0)
     vq = coupling + np.diag(d)
     for iteration in range(max_iter + 1):
         try:

@@ -31,11 +31,12 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    omega = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        omega[2 * k, 2 * k + 1] = 1.0
-        omega[2 * k + 1, 2 * k] = -1.0
-    return omega
+    return _omega(np.eye(2 * n_modes))
+
+
+def _omega(a: np.ndarray) -> np.ndarray:
+    """``Omega @ a`` as an exact signed row swap: row 2k takes row 2k+1, row 2k+1 takes -row 2k."""
+    return np.tile([1.0, -1.0], len(a) // 2)[:, None] * a[np.arange(len(a)) ^ 1]
 
 
 def _mode_rows(mode_index: int) -> slice:
@@ -311,40 +312,32 @@ def apply_symplectic(cm: CovarianceMatrix, s: SymplecticMatrix) -> CovarianceMat
     return CovarianceMatrix(cm.n_modes, (transformed + transformed.T) / 2.0)
 
 
-def _psd_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Symmetric square root of a symmetric positive-definite matrix."""
-    eigenvalues, eigenvectors = np.linalg.eigh(matrix)
-    if eigenvalues[0] <= 0.0:
-        raise ValueError(
-            f"matrix is not positive definite (min eigenvalue {eigenvalues[0]:.3e})"
-        )
-    root = (eigenvectors * np.sqrt(eigenvalues)) @ eigenvectors.T
-    return (root + root.T) / 2.0
-
-
 def symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Raw symplectic eigenvalues of a symmetric positive-definite matrix.
 
-    Computed as the positive square roots of the eigenvalues of the
-    symmetric matrix ``m^{1/2} Omega^T m Omega m^{1/2}``; the 2N roots come
-    in pairs that are averaged to absorb roundoff splitting.  No clamping
-    toward 1 is applied, so the result is meaningful for partially
-    transposed matrices as well as physical CMs.  Its absolute error grows
-    as eps * (nu_max / nu_min)^2, since the largest eigenvalue of core sets its error.
+    With one Cholesky factor ``m = L L^T``, the real antisymmetric matrix
+    ``L^T Omega L`` has eigenvalues +-i nu, so its singular values are the
+    symplectic eigenvalues, each twice; the pairs are averaged to absorb
+    roundoff splitting.  No clamping toward 1 is applied, so the result is
+    meaningful for partially transposed matrices as well as physical CMs.
+    Its relative error grows as eps * nu_max / nu_min.
 
     Returns:
         The N eigenvalues sorted descending.
+
+    Raises:
+        ValueError: if the matrix is not positive definite.
     """
     matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or matrix.shape[0] % 2:
+    if matrix.ndim != 2 or not 0 < matrix.shape[0] == matrix.shape[1] or matrix.shape[0] % 2:
         raise ValueError(f"expected a 2N x 2N matrix, got shape {matrix.shape}")
-    n_modes = matrix.shape[0] // 2
-    omega = symplectic_form(n_modes)
-    root = _psd_sqrt(matrix)
-    core = root @ omega.T @ matrix @ omega @ root
-    core = (core + core.T) / 2.0
-    squares = np.linalg.eigvalsh(core)
-    doubled = np.sqrt(np.maximum(squares, 0.0))[::-1]
+    try:
+        factor = np.linalg.cholesky(matrix)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            f"matrix is not positive definite (min eigenvalue {np.linalg.eigvalsh(matrix)[0]:.3e})"
+        ) from None
+    doubled = np.linalg.svd(factor.T @ _omega(factor), compute_uv=False)
     return (doubled[0::2] + doubled[1::2]) / 2.0
 
 
@@ -378,9 +371,8 @@ def is_bona_fide(cm: CovarianceMatrix) -> bool:
 
 
 def _purity_product(sigma: np.ndarray) -> float:
-    """Inf-norm of -Omega sigma Omega sigma - I; -Omega sigma Omega is a signed q-p swap."""
-    swap, signs = np.arange(len(sigma)) ^ 1, np.tile([1.0, -1.0], len(sigma) // 2)
-    residual = (np.outer(signs, signs) * sigma[np.ix_(swap, swap)]) @ sigma
+    """Inf-norm of -Omega sigma Omega sigma - I; -Omega sigma Omega is two exact signed swaps."""
+    residual = _omega(_omega(sigma).T) @ sigma
     residual[np.diag_indices_from(residual)] -= 1.0
     return float(np.max(np.abs(residual)))
 

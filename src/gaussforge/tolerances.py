@@ -11,9 +11,6 @@ import os
 # symplectic eigenvalues within RANK of 1 count as vacuum normal modes
 RANK = 1e-6
 
-# Williamson diagonal conditions on a standard form
-WILLIAMSON_DIAG = 1e-8
-
 # largest covariance entry whose products in the purity identity stay finite
 MAX_ENTRY = 1e150
 
@@ -55,7 +52,7 @@ def purity(sigma_norm: float) -> float:
 
 
 def block(sigma_norm: float) -> float:
-    """Tolerance on residual q-p blocks after local normalization."""
+    """Tolerance on residual q-p blocks and Williamson diagonal gaps after local normalization."""
     return 1e-8 * (1.0 + sigma_norm) * scale()
 
 
@@ -67,11 +64,6 @@ def symplectic(s_norm: float) -> float:
 def rank() -> float:
     """Threshold separating unit from non-unit symplectic eigenvalues."""
     return RANK * scale()
-
-
-def williamson_diag() -> float:
-    """Tolerance on the diagonal conditions of a standard form."""
-    return WILLIAMSON_DIAG * scale()
 
 
 def newton(d_norm: float) -> float:

@@ -147,6 +147,10 @@ class TestAnalyze:
         cm = write(tmp_path / "cm.json", doc)
         result = runner.invoke(main, ["analyze", "--cm", cm])
         assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: matrix is not positive definite (min eigenvalue -1.000e+00)\n"
+        )
 
     def test_wrong_ordering_exits_two(self, runner, tmp_path):
         doc = {"n_modes": 1, "ordering": "qqpp", "data": [[1.0, 0.0], [0.0, 1.0]]}
@@ -187,6 +191,14 @@ class TestStandardForm:
         assert second.exit_code == 0
         rebuilt = np.array(json.loads(second.stdout)["standard_form"]["vq"])
         np.testing.assert_allclose(np.diag(rebuilt), np.diag(sf_doc["vq"]), atol=1e-6)
+
+    def test_strongly_squeezed_state_normalizes(self, runner, tmp_path):
+        """Its Williamson diagonal gap, 1.4e-8, is within the norm-scaled tolerance."""
+        state = engineer_state(random_recipe(3, 3, s_max=100.0))
+        cm = write(tmp_path / "cm.json", state.to_dict())
+        result = runner.invoke(main, ["standard-form", "--cm", cm])
+        assert result.exit_code == 0
+        assert json.loads(result.stdout)["n_modes"] == 3
 
     def test_mixed_state_exits_one(self, runner, tmp_path):
         doc = {"n_modes": 1, "ordering": "qpqp", "data": [[2.0, 0.0], [0.0, 2.0]]}

@@ -88,6 +88,13 @@ class TestToStandardForm:
         diag_gap = np.max(np.abs(np.diag(sf.vp) - np.diag(sf.vq)))
         assert diag_gap <= 1e-8
 
+    def test_strongly_squeezed_state_meets_the_scaled_diagonal_tolerance(self):
+        """The Williamson diagonal gap grows with the norm, as the class check's residuals do."""
+        sf = to_standard_form(engineer_state(random_recipe(3, 3, s_max=100.0)))
+        diag_gap = np.max(np.abs(np.diag(sf.vp) - np.diag(sf.vq)))
+        norm = max(np.max(np.abs(sf.vq)), np.max(np.abs(sf.vp)))
+        assert 1e-8 < diag_gap <= tolerances.block(norm)
+
     def test_rejects_mixed_state(self):
         with pytest.raises(NotPureError):
             to_standard_form(CovarianceMatrix(1, np.diag([2.0, 2.0])))
@@ -218,8 +225,13 @@ class TestReconstructDiagonal:
             # 1 + |v| rounds to |v|, so the starting point is singular
             ([1e200], 2, InfeasibleError, "after 0 iterations"),
             ([1e149], 2, InfeasibleError, "after 0 iterations"),
+            # the row sums overflow, so there is no finite start
+            ([1e308] * 3, 3, InfeasibleError, r"after 0 iterations \(last residual inf\)"),
         ],
-        ids=["zero-modes", "negative-modes", "nan", "inf", "minus-inf", "1e200", "1e149"],
+        ids=[
+            "zero-modes", "negative-modes", "nan", "inf", "minus-inf", "1e200", "1e149",
+            "row-sum-overflow",
+        ],
     )
     def test_boundary_inputs_raise_named_errors(self, offdiag, n_modes, error, match):
         with pytest.raises(error, match=match):
@@ -462,6 +474,20 @@ class TestStandardFormType:
     def test_rejects_williamson_violation(self):
         with pytest.raises(ValueError, match="Williamson"):
             StandardForm(2, np.array([[2.0, 0.75], [0.75, 2.0]]))
+
+    def test_diagonal_gap_tolerance_scales_with_norm_and_override(self, monkeypatch):
+        """The two-mode squeezed form with its first diagonal raised by 1e-7 misses
+        the Williamson conditions by 2.6e-7, above 1e-8 * (1 + 1.25)."""
+        vq = np.array([[1.25 + 1e-7, 0.75], [0.75, 1.25]])
+        monkeypatch.delenv("GF_TOL_OVERRIDE", raising=False)
+        with pytest.raises(ValueError, match=r"= 2\.562e-07 exceeds 2\.250e-08"):
+            StandardForm(2, vq)
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "100")
+        StandardForm(2, vq)
+
+    def test_rejects_infinite_entries(self):
+        with pytest.raises(ValueError, match="finite"):
+            StandardForm(2, np.diag([np.inf, np.inf]))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1e160])
     def test_from_dict_rejects_non_finite_or_huge_as_input_error(self, value):

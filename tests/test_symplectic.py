@@ -211,8 +211,57 @@ class TestWilliamson:
 
     def test_rejects_non_positive_definite(self):
         cm = CovarianceMatrix(1, np.diag([1.0, -1.0]))
-        with pytest.raises(ValueError, match="positive definite"):
+        with pytest.raises(
+            ValueError, match=r"^matrix is not positive definite \(min eigenvalue -1\.000e\+00\)$"
+        ):
             williamson_spectrum(cm)
+
+    @pytest.mark.parametrize(
+        "nus, gates",
+        [
+            ((1e6, 1.0), [beam_splitter(2, 1, 2, 0.3)]),
+            ((1e6, 1.0), [squeezer(2, 2, 3.0), beam_splitter(2, 1, 2, 0.3)]),
+            ((1.0, 1e5), [squeezer(2, 1, 3.0), beam_splitter(2, 1, 2, 0.7)]),
+            (
+                (1e6, 3.0, 1.0),
+                [beam_splitter(3, 1, 2, 0.5), squeezer(3, 3, 10.0), beam_splitter(3, 2, 3, 0.2)],
+            ),
+            (
+                (1e5, 1e5, 2.0, 1.0),
+                [
+                    beam_splitter(4, 1, 3, 0.4),
+                    beam_splitter(4, 2, 4, 0.6),
+                    squeezer(4, 3, 5.0),
+                    beam_splitter(4, 3, 4, 0.5),
+                ],
+            ),
+        ],
+        ids=["split", "squeeze-split", "pure-mode-squeezed", "three-modes", "four-modes"],
+    )
+    def test_exact_spectrum_of_transformed_thermal_state(self, nus, gates):
+        """sigma = S^T (+)nu_k I_2 S has spectrum nu; each value is resolved to
+        eps * nu_max / nu_min, so a unit eigenvalue next to 1e6 stays bona fide."""
+        cm = CovarianceMatrix(len(nus), np.diag(np.repeat(nus, 2)))
+        for gate in gates:
+            cm = apply_symplectic(cm, gate)
+        values = symplectic_eigenvalues(cm.data)
+        np.testing.assert_allclose(values, sorted(nus, reverse=True), rtol=1e-8, atol=0.0)
+        assert is_bona_fide(cm)
+
+    def test_one_cholesky_and_one_svd(self, monkeypatch):
+        """An accepted matrix costs one factorization and one singular-value solve."""
+        data = engineer_state(random_recipe(5, seed=2)).data
+        calls = []
+        for name in ("cholesky", "svd", "eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        symplectic_eigenvalues(data)
+        assert calls == ["cholesky", "svd"]
 
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_pure_states_have_unit_spectrum(self, n):
