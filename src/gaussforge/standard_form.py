@@ -21,12 +21,11 @@ from . import tolerances
 from .errors import InfeasibleError, InputFormatError, NotInGenericClassError
 from .symplectic import (
     CovarianceMatrix,
-    SymplecticMatrix,
     _block_dets,
     _blocks,
     _check_mode_index,
     _from_blocks,
-    _mode_rows,
+    _local_symplectic,
     apply_symplectic,
     read_matrix,
     require_pure,
@@ -107,31 +106,22 @@ def read_vq_document(doc) -> tuple:
     return n_modes, read_matrix(doc["vq"], "vq", n_modes)
 
 
-def _local_rotation_angle(block: np.ndarray) -> float:
-    """Angle of the determinant-+1 rotation diagonalizing a 2x2 symmetric block."""
-    gamma = block[0, 1]
-    # already diagonal: never rotate, so exact zero q-p structure survives
-    if abs(gamma) <= tolerances.rotation(abs(block[0, 0]) + abs(block[1, 1])):
-        return 0.0
-    return 0.5 * np.arctan2(2.0 * gamma, block[0, 0] - block[1, 1])
-
-
 def _local_normalization(cm: CovarianceMatrix) -> CovarianceMatrix:
-    """Rotate and balance each mode so its 2x2 block becomes c_k * identity."""
-    n = cm.n_modes
-    rotation = np.eye(2 * n)
-    for k in range(1, n + 1):
-        theta = _local_rotation_angle(cm.mode_block(k))
-        c, s = np.cos(theta), np.sin(theta)
-        rotation[_mode_rows(k), _mode_rows(k)] = np.array([[c, -s], [s, c]])
-    rotated = apply_symplectic(cm, SymplecticMatrix(n, rotation))
+    """Rotate and balance each mode so its 2x2 block becomes c_k * identity.
 
-    balance = np.eye(2 * n)
-    for k in range(1, n + 1):
-        block = rotated.mode_block(k)
-        t = (block[1, 1] / block[0, 0]) ** 0.25
-        balance[_mode_rows(k), _mode_rows(k)] = np.diag([t, 1.0 / t])
-    return apply_symplectic(rotated, SymplecticMatrix(n, balance))
+    Reads every mode's (qq, pp, qp) at once from the block diagonals.  A block
+    with |qp| within ``tolerances.rotation`` is never rotated: exact zeros survive.
+    """
+    qq, pp, qp = (np.diag(block) for block in _blocks(cm.data))
+    still = np.abs(qp) <= tolerances.rotation(np.abs(qq) + np.abs(pp))
+    theta = np.where(still, 0.0, 0.5 * np.arctan2(2.0 * qp, qq - pp))
+    c, s = np.cos(theta), np.sin(theta)
+    rotated = apply_symplectic(cm, _local_symplectic(c, -s, s, c))
+    qq, pp, _ = (np.diag(block) for block in _blocks(rotated.data))
+    # scalar pow: numpy's SIMD ** 0.25 differs from libm's in the last bit on some inputs
+    t = np.array([ratio**0.25 for ratio in (pp / qq).tolist()])
+    zero = np.zeros_like(t)
+    return apply_symplectic(rotated, _local_symplectic(t, zero, zero, 1.0 / t))
 
 
 def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
@@ -299,9 +289,9 @@ def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:
         raise ValueError(
             f"potential entries must be finite and at most {tolerances.MAX_ENTRY:g} in magnitude"
         )
-    if not np.allclose(potential, potential.T):
+    if not np.array_equal(potential, potential.T):
         raise ValueError("potential must be symmetric")
-    eigenvalues, eigenvectors = np.linalg.eigh((potential + potential.T) / 2.0)
+    eigenvalues, eigenvectors = np.linalg.eigh(potential)
     lowest, largest = eigenvalues[0], max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
     resolution = tolerances.POTENTIAL_RESOLUTION * np.finfo(float).eps * largest
     if lowest < -resolution:

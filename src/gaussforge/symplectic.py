@@ -44,6 +44,14 @@ def _mode_rows(mode_index: int) -> slice:
     return slice(2 * (mode_index - 1), 2 * mode_index)
 
 
+def _local_symplectic(a, b, c, d) -> SymplecticMatrix:
+    """Direct sum over modes of the 2x2 matrices ((a_k, b_k), (c_k, d_k)), from length-N arrays."""
+    n = len(a)
+    data = np.zeros((n, 2, n, 2))
+    data[np.arange(n), :, np.arange(n), :] = np.stack([a, b, c, d], axis=1).reshape(n, 2, 2)
+    return SymplecticMatrix(n, data.reshape(2 * n, 2 * n))
+
+
 def _check_mode_index(mode_index: int, n_modes: int) -> None:
     if not 1 <= mode_index <= n_modes:
         raise ValueError(
@@ -196,7 +204,7 @@ class SymplecticMatrix:
                 f"got shape {data.shape}"
             )
         omega = symplectic_form(self.n_modes)
-        defect = float(np.max(np.abs(data.T @ omega @ data - omega)))
+        defect = float(np.max(np.abs(data.T @ _omega(data) - omega)))
         norm = float(np.max(np.abs(data)))
         if defect > tolerances.symplectic(norm):
             raise ValueError(

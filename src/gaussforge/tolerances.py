@@ -2,7 +2,7 @@
 
 All thresholds are stated in vacuum-normalized units (vacuum covariance
 matrix = identity).  The environment variable ``GF_TOL_OVERRIDE`` scales
-every residual tolerance by a positive factor, for exploratory use on
+every residual tolerance by a positive finite factor, for exploratory use on
 noisy inputs; when absent the defaults apply.
 """
 
@@ -43,6 +43,8 @@ def scale() -> float:
         ) from None
     if value <= 0.0:
         raise ValueError(f"GF_TOL_OVERRIDE must be positive, got {value}")
+    if not value < float("inf"):  # inf, and nan, which compares false
+        raise ValueError(f"GF_TOL_OVERRIDE must be positive and finite, got {raw!r}")
     return value
 
 

@@ -463,6 +463,19 @@ class TestCliContract:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("command", ["analyze", "standard-form"])
+    def test_non_finite_tol_override_exits_two(self, runner, tmp_path, raw, command):
+        """With an infinite scale the nu = 2 thermal state passed as pure, so refuse it."""
+        thermal = {"n_modes": 1, "ordering": "qpqp", "data": [[2.0, 0.0], [0.0, 2.0]]}
+        cm = write(tmp_path / "cm.json", thermal)
+        result = runner.invoke(main, [command, "--cm", cm], env={"GF_TOL_OVERRIDE": raw})
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        errors = [line for line in result.stderr.splitlines() if "GF_TOL_OVERRIDE" in line]
+        assert len(errors) == 1 and "GF_TOL_OVERRIDE must be positive" in errors[0]
+        assert "Traceback" not in result.stderr
+
 
 # --- property: any bounded argument vector and stdin document keeps the exit-code contract
 

@@ -54,6 +54,26 @@ def rotated_engineered_state() -> CovarianceMatrix:
     return apply_symplectic(engineer_state(random_recipe(4, seed=3)), SymplecticMatrix(4, rotation))
 
 
+def per_mode_normalization(cm: CovarianceMatrix) -> CovarianceMatrix:
+    """The former per-mode loop, kept as the bit-level reference for the one-pass step."""
+    n = cm.n_modes
+    rotation = np.eye(2 * n)
+    for k in range(n):
+        block = cm.data[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
+        theta = 0.0
+        if abs(block[0, 1]) > tolerances.rotation(abs(block[0, 0]) + abs(block[1, 1])):
+            theta = 0.5 * np.arctan2(2.0 * block[0, 1], block[0, 0] - block[1, 1])
+        c, s = np.cos(theta), np.sin(theta)
+        rotation[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = np.array([[c, -s], [s, c]])
+    rotated = apply_symplectic(cm, SymplecticMatrix(n, rotation))
+    balance = np.eye(2 * n)
+    for k in range(n):
+        block = rotated.data[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
+        t = (block[1, 1] / block[0, 0]) ** 0.25
+        balance[2 * k : 2 * k + 2, 2 * k : 2 * k + 2] = np.diag([t, 1.0 / t])
+    return apply_symplectic(rotated, SymplecticMatrix(n, balance))
+
+
 def normalized_row_dots(cm: CovarianceMatrix) -> np.ndarray:
     """Reference det identity by the former route, for every mode at once.
 
@@ -148,6 +168,59 @@ class TestToStandardForm:
                 before = symplectic_eigenvalues(reduced_cm(cm, [i, j]).data)
                 after = symplectic_eigenvalues(reduced_cm(rebuilt, [i, j]).data)
                 np.testing.assert_allclose(after, before, atol=1e-7)
+
+
+class TestLocalNormalization:
+    """The one-pass per-mode step keeps the bits of the former per-mode loop."""
+
+    @staticmethod
+    def assert_matches_per_mode_loop(cm):
+        assert np.array_equal(
+            standard_form._local_normalization(cm).data, per_mode_normalization(cm).data
+        )
+
+    def test_engineered_states(self):
+        """Engineered blocks have qp = 0 and qq - pp of a few ulp either way, so
+        arctan2 alone would turn some modes by pi/2; the never-rotate rule keeps them."""
+        swapped = 0
+        for n in range(2, 11):
+            for idx in range(0, 100, 10):
+                cm = engineer_state(random_recipe(n, seed=1000 * n + idx))
+                qq, pp, qp = (np.diag(block) for block in symplectic._blocks(cm.data))
+                swapped += int(np.sum((qq < pp) & (qp == 0.0)))
+                self.assert_matches_per_mode_loop(cm)
+        assert swapped > 0
+
+    @pytest.mark.parametrize("n", [3, 5, 9, 31, 64])
+    @pytest.mark.parametrize("coupling", [0.1, 2.0, 1e3, 1e6])
+    def test_rings(self, n, coupling):
+        self.assert_matches_per_mode_loop(harmonic_ground_state(ring_potential(n, coupling)))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 10, 20])
+    def test_random_local_frames(self, n):
+        """Frames tilt every block, so every mode takes the rotating branch."""
+        for seed in range(5):
+            cm = engineer_state(random_recipe(n, seed))
+            moved = apply_symplectic(cm, random_local_symplectic(n, np.random.default_rng(seed)))
+            self.assert_matches_per_mode_loop(moved)
+
+    @pytest.mark.parametrize("n", [2, 7, 16])
+    def test_block_views_only_and_two_congruences(self, n, monkeypatch):
+        """All modes are read from the block diagonals, not through the 2x2 accessors."""
+        calls = {"mode_block": 0, "cross_block": 0, "apply_symplectic": 0}
+        for name in calls:
+            owner = symplectic if name == "apply_symplectic" else CovarianceMatrix
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+            if owner is symplectic:
+                monkeypatch.setattr(standard_form, name, counted)
+        to_standard_form(engineer_state(random_recipe(n, seed=n)))
+        assert calls == {"mode_block": 0, "cross_block": 0, "apply_symplectic": 2}
 
 
 class TestExtractParameters:
@@ -419,6 +492,13 @@ class TestHarmonicGroundState:
     def test_rejects_asymmetric_potential(self):
         with pytest.raises(ValueError, match="symmetric"):
             harmonic_ground_state(np.array([[1.0, 0.2], [0.0, 1.0]]))
+
+    def test_rejects_any_asymmetry(self):
+        """Symmetry is exact, as for every other matrix input: no allclose slack."""
+        potential = ring_potential(4, 0.5)
+        potential[0, 1] += 1e-12
+        with pytest.raises(ValueError, match="potential must be symmetric"):
+            harmonic_ground_state(potential)
 
 
 class TestRingPotential:

@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
+from gaussforge import symplectic, tolerances
 from gaussforge.engineering import engineer_state, random_recipe
 from gaussforge.errors import InputFormatError, NotPureError
 from gaussforge.standard_form import harmonic_ground_state, ring_potential
 from gaussforge.symplectic import (
     CovarianceMatrix,
     SymplecticMatrix,
+    _local_symplectic,
     apply_symplectic,
     beam_splitter,
     is_bona_fide,
@@ -193,6 +195,14 @@ class TestSymplecticMatrixValidation:
             defect = np.max(np.abs(total.data.T @ omega @ total.data - omega))
             assert defect <= 1e-10 * max(1.0, total.inf_norm()) ** 2
 
+    def test_local_direct_sum(self):
+        """Mode k's 2x2 matrix fills rows and columns 2k-2, 2k-1; all else is zero."""
+        c, s = np.cos(0.3), np.sin(0.3)
+        local = _local_symplectic([2.0, c, 1.0], [0.0, -s, 0.0], [0.0, s, 0.0], [0.5, c, 1.0])
+        expected = squeezer(3, 1, 2.0).data.copy()
+        expected[2:4, 2:4] = [[c, -s], [s, c]]
+        np.testing.assert_array_equal(local.data, expected)
+
 
 class TestWilliamson:
     def test_squeezed_vacuum_stays_pure(self):
@@ -341,6 +351,15 @@ class TestPurity:
         require_pure(cm)
         monkeypatch.setenv("GF_TOL_OVERRIDE", "1")
         assert not is_pure(cm)
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_tol_override_is_refused(self, raw, monkeypatch):
+        """An infinite scale would call a thermal state pure, and nan would zero its rank."""
+        monkeypatch.setenv("GF_TOL_OVERRIDE", raw)
+        thermal = CovarianceMatrix(1, np.diag([2.0, 2.0]))
+        for check in (tolerances.scale, lambda: is_pure(thermal), lambda: williamson_spectrum(thermal)):
+            with pytest.raises(ValueError, match="GF_TOL_OVERRIDE must be positive"):
+                check()
 
 
 class TestReducedCm:
