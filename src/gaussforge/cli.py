@@ -92,7 +92,7 @@ def main():
     try:
         tolerances.scale()
     except ValueError as exc:
-        raise click.UsageError(str(exc))
+        _fail(str(exc), _EXIT_INPUT)
 
 
 @main.command("engineer")

@@ -19,8 +19,8 @@ from . import tolerances
 from .standard_form import StandardForm
 from .symplectic import (
     CovarianceMatrix,
-    _block_dets,
     _check_mode_index,
+    _pair_blocks,
     require_pure,
     symplectic_form,
 )
@@ -77,7 +77,7 @@ def bosonic_entropy(nu: float, nats: bool = False) -> float:
     return value * _LN2 if nats else value
 
 
-def _log_negativities(sigma: np.ndarray, i, j) -> np.ndarray:
+def _log_negativities(cm: CovarianceMatrix, i, j) -> np.ndarray:
     """Log-negativities in ebits of 0-based mode pairs (i[k], j[k]).
 
     Closed two-mode form (Adesso, Serafini and Illuminati, PRA 70, 022318):
@@ -87,13 +87,13 @@ def _log_negativities(sigma: np.ndarray, i, j) -> np.ndarray:
     where the two partially transposed eigenvalues meet.  Non-positive-definite
     pairs raise ValueError.
     """
-    rows = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=-1)
-    pairs = sigma[rows[:, :, None], rows[:, None, :]]
+    pairs = _pair_blocks(cm.data, i, j)
     try:
         np.linalg.cholesky(pairs)
     except np.linalg.LinAlgError:
         raise ValueError("a two-mode reduction is not positive definite") from None
-    a, b, c = _block_dets(sigma, i, i), _block_dets(sigma, j, j), _block_dets(sigma, i, j)
+    dets = cm._dets
+    a, b, c = dets[i, i], dets[j, j], dets[i, j]
     w, cross = symplectic_form(1), pairs[:, :2, 2:]
     twist = pairs[:, :2, :2] @ w @ cross @ w @ pairs[:, 2:, 2:] @ w @ cross.swapaxes(1, 2) @ w
     discriminant = (a - b) ** 2 - 4.0 * c * (a + b) + 4.0 * np.trace(twist, 0, 1, 2)
@@ -113,7 +113,7 @@ def schmidt_parameter(cm: CovarianceMatrix, mode_index: int) -> float:
     """
     require_pure(cm)
     _check_mode_index(mode_index, cm.n_modes)
-    return float(np.sqrt(_block_dets(cm.data, mode_index - 1, mode_index - 1)))
+    return float(np.sqrt(cm._dets[mode_index - 1, mode_index - 1]))
 
 
 def entropy_one_vs_rest(
@@ -129,17 +129,15 @@ def entropy_via_pairwise(
     """One-vs-rest entropy recovered from pairwise correlations alone.
 
     Uses ``det sigma_i = 1 - sum_{j != i} det eps_ij`` on the standard
-    form, where ``det eps_ij = vq_ij * vp_ij``.
+    form, where ``det eps_ij = vq_ij * vp_ij``; the sums of all modes are
+    kept by the standard form.
 
     Raises:
         ValueError: if the accumulated determinant turns out negative,
             which signals numerically inconsistent input.
     """
-    n = sf.n_modes
-    _check_mode_index(mode_index, n)
-    i = mode_index - 1
-    others = np.arange(n) != i
-    det_block = 1.0 - float(sf.vq[i, others] @ sf.vp[i, others])
+    _check_mode_index(mode_index, sf.n_modes)
+    det_block = 1.0 - float(sf._pairwise_sums[mode_index - 1])
     if det_block < 0.0:
         raise ValueError(
             f"pairwise accounting gave a negative determinant ({det_block:.3e}); "
@@ -160,7 +158,7 @@ def log_negativity_pair(
         raise ValueError(f"log negativity needs two distinct modes, got {mode_i} twice")
     _check_mode_index(mode_i, cm.n_modes)
     _check_mode_index(mode_j, cm.n_modes)
-    value = float(_log_negativities(cm.data, np.array([mode_i - 1]), np.array([mode_j - 1]))[0])
+    value = float(_log_negativities(cm, np.array([mode_i - 1]), np.array([mode_j - 1]))[0])
     return value * _LN2 if nats else value
 
 
@@ -176,11 +174,11 @@ def full_report(cm: CovarianceMatrix, schmidt_mode: int = 1) -> EntanglementRepo
     n = cm.n_modes
     _check_mode_index(schmidt_mode, n)
     modes = np.arange(n)
-    dets = _block_dets(cm.data, modes[:, None], modes)
+    dets = cm._dets
     schmidt = np.sqrt(np.diag(dets))
     rows, cols = np.triu_indices(n, k=1)
     logneg = np.zeros((n, n))
-    logneg[rows, cols] = logneg[cols, rows] = _log_negativities(cm.data, rows, cols)
+    logneg[rows, cols] = logneg[cols, rows] = _log_negativities(cm, rows, cols)
     return EntanglementReport(
         per_mode_entropy=tuple(bosonic_entropy(float(v)) for v in schmidt),
         schmidt_parameter=float(schmidt[schmidt_mode - 1]),

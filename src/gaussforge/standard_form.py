@@ -21,7 +21,6 @@ from . import tolerances
 from .errors import InfeasibleError, InputFormatError, NotInGenericClassError
 from .symplectic import (
     CovarianceMatrix,
-    _block_dets,
     _blocks,
     _check_mode_index,
     _from_blocks,
@@ -77,13 +76,29 @@ class StandardForm:
                 f"= {diag_gap:.3e} exceeds {tolerances.block(norm):.3e}"
             )
 
+    @classmethod
+    def _with_inverse(cls, n_modes: int, vq: np.ndarray, inverse: np.ndarray) -> "StandardForm":
+        """Construct with ``inverse``, already computed as ``np.linalg.inv(vq)``, as the source of vp."""
+        sf = cls.__new__(cls)
+        object.__setattr__(sf, "n_modes", n_modes)
+        object.__setattr__(sf, "vq", vq)
+        sf.__dict__["vp"] = _momentum_block(inverse)
+        sf.__post_init__()
+        return sf
+
     @cached_property
     def vp(self) -> np.ndarray:
         """Momentum-correlation block V_P = V_Q^{-1}, symmetrized (diagonal bits unchanged)."""
-        inverse = np.linalg.inv(self.vq)
-        inverse = (inverse + inverse.T) / 2.0
-        inverse.flags.writeable = False
-        return inverse
+        return _momentum_block(np.linalg.inv(self.vq))
+
+    @cached_property
+    def _pairwise_sums(self) -> np.ndarray:
+        """Read-only vector of each mode's ``sum_{j != i} vq_ij * vp_ij``."""
+        products = self.vq * self.vp
+        np.fill_diagonal(products, 0.0)
+        sums = products.sum(axis=1)
+        sums.flags.writeable = False
+        return sums
 
     def to_dict(self) -> dict:
         return {"n_modes": self.n_modes, "vq": self.vq.tolist()}
@@ -91,6 +106,13 @@ class StandardForm:
     @classmethod
     def from_dict(cls, doc: dict) -> "StandardForm":
         return cls(*read_vq_document(doc))
+
+
+def _momentum_block(inverse: np.ndarray) -> np.ndarray:
+    """V_P from an inverse of V_Q: symmetrized and read-only."""
+    vp = (inverse + inverse.T) / 2.0
+    vp.flags.writeable = False
+    return vp
 
 
 def read_vq_document(doc) -> tuple:
@@ -144,10 +166,11 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
     if cross > tol:
         raise NotInGenericClassError(cross, tol)
     vq = (q_block + q_block.T) / 2.0
-    gap = float(np.max(np.abs(p_block - np.linalg.inv(vq))))
+    inverse = np.linalg.inv(vq)
+    gap = float(np.max(np.abs(p_block - inverse)))
     if gap > tol:
         raise NotInGenericClassError(gap, tol)
-    return StandardForm(cm.n_modes, vq)
+    return StandardForm._with_inverse(cm.n_modes, vq, inverse)
 
 
 def extract_parameters(sf: StandardForm) -> np.ndarray:
@@ -157,9 +180,9 @@ def extract_parameters(sf: StandardForm) -> np.ndarray:
 
 
 def _newton_system(vq: np.ndarray) -> tuple:
-    """Condition residual and its Jacobian at ``vq``, both read from one inverse."""
+    """Condition residual and its Jacobian at ``vq``, both read from one inverse, and the inverse."""
     inverse = np.linalg.inv(vq)
-    return np.diag(inverse) - np.diag(vq), -(inverse**2) - np.eye(vq.shape[0])
+    return np.diag(inverse) - np.diag(vq), -(inverse**2) - np.eye(vq.shape[0]), inverse
 
 
 def reconstruction_jacobian(vq: np.ndarray) -> np.ndarray:
@@ -186,7 +209,7 @@ def reconstruct_diagonal(
     point ``d_i = 1 + sum_j |v_ij|``, halving any step that leaves the
     positive-definite cone.  Each iterate is inverted once, and both its
     residual and the Jacobian of :func:`reconstruction_jacobian` are read
-    from that one inverse.
+    from that one inverse; the converged iterate's inverse becomes ``vp``.
 
     Args:
         offdiag: the N(N-1)/2 strict upper-triangle entries, row-major, finite.
@@ -225,12 +248,13 @@ def reconstruct_diagonal(
     vq = coupling + np.diag(d)
     for iteration in range(max_iter + 1):
         try:
-            residual, jacobian = _newton_system(vq)
+            residual, jacobian, inverse = _newton_system(vq)
         except np.linalg.LinAlgError:  # a start rounded to singular; later iterates pass Cholesky
             raise InfeasibleError(float("inf"), iteration) from None
         last_residual = float(np.max(np.abs(residual)))
         if last_residual <= tolerances.newton(float(np.max(np.abs(d)))):
-            return StandardForm(n_modes, vq)  # coupling + diag(d) is exactly symmetric
+            # coupling + diag(d) is exactly symmetric
+            return StandardForm._with_inverse(n_modes, vq, inverse)
         if iteration == max_iter:
             break
         step = np.linalg.solve(jacobian, residual)
@@ -266,7 +290,7 @@ def det_identity_residual(cm: CovarianceMatrix, mode_index: int) -> float:
     """
     _check_mode_index(mode_index, cm.n_modes)
     require_pure(cm)
-    return float(np.sum(_block_dets(cm.data, mode_index - 1, np.arange(cm.n_modes))) - 1.0)
+    return float(np.sum(cm._dets[mode_index - 1]) - 1.0)
 
 
 def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:

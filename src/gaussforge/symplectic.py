@@ -79,6 +79,12 @@ def _block_dets(sigma: np.ndarray, i, j) -> np.ndarray:
     return sigma[q, p] * sigma[q + 1, p + 1] - sigma[q, p + 1] * sigma[q + 1, p]
 
 
+def _pair_blocks(sigma: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Stacked 4x4 reductions of sigma to the 0-based mode pairs (i[k], j[k])."""
+    rows = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=-1)
+    return sigma[rows[:, :, None], rows[:, None, :]]
+
+
 @dataclass(frozen=True, eq=False)
 class CovarianceMatrix:
     """Second moments of a zero-mean N-mode Gaussian state.
@@ -88,7 +94,8 @@ class CovarianceMatrix:
         data: 2N x 2N real symmetric matrix, interleaved ordering,
             vacuum variance 1, entries finite and at most
             ``tolerances.MAX_ENTRY`` in magnitude; read-only, as the object
-            keeps its inf-norm and purity residual (re-enabling writes leaves both stale).
+            keeps its inf-norm, purity residual and 2x2 block determinants
+            (re-enabling writes leaves them stale).
     """
 
     n_modes: int
@@ -123,6 +130,14 @@ class CovarianceMatrix:
     @cached_property
     def _purity_residual(self) -> float:
         return _purity_product(self.data)
+
+    @cached_property
+    def _dets(self) -> np.ndarray:
+        """Read-only N x N matrix of 2x2 block determinants: entry (i, j) is det of block (i, j)."""
+        modes = np.arange(self.n_modes)
+        dets = _block_dets(self.data, modes[:, None], modes)
+        dets.flags.writeable = False
+        return dets
 
     def mode_block(self, mode_index: int) -> np.ndarray:
         """2x2 diagonal block of a single 1-based mode."""

@@ -463,6 +463,17 @@ class TestCliContract:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("raw", ["wide", "nan", "inf"])
+    def test_invalid_tol_override_is_one_error_line(self, runner, raw):
+        """Refused like every other input error: one ``error:`` line, no usage text."""
+        result = runner.invoke(
+            main, ["gmps", "--n-min", "2", "--n-max", "3"], env={"GF_TOL_OVERRIDE": raw}
+        )
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: GF_TOL_OVERRIDE must be")
+
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
     @pytest.mark.parametrize("command", ["analyze", "standard-form"])
     def test_non_finite_tol_override_exits_two(self, runner, tmp_path, raw, command):

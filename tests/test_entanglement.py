@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussforge import entanglement, symplectic
+from gaussforge import entanglement, standard_form, symplectic
 from gaussforge.engineering import Recipe, engineer_state, random_recipe
 from gaussforge.entanglement import (
     bosonic_entropy,
@@ -282,6 +282,26 @@ class TestFullReport:
         to_standard_form(cm)
         assert calls == [62]
 
+    def test_one_block_determinant_pass_per_state_across_helpers(self, monkeypatch):
+        """The state keeps its 2x2 block determinants, so per-mode helpers share one pass."""
+        calls = []
+        original = symplectic._block_dets
+
+        def counted(sigma, i, j):
+            calls.append(np.shape(np.broadcast(i, j)))
+            return original(sigma, i, j)
+
+        # also on the helpers' modules, in case one imports it by name
+        for module in (symplectic, entanglement, standard_form):
+            monkeypatch.setattr(module, "_block_dets", counted, raising=False)
+        cm = harmonic_ground_state(ring_potential(31, 0.5))
+        full_report(cm)
+        for k in range(1, 32):
+            det_identity_residual(cm, k)
+            entropy_one_vs_rest(cm, k)
+        log_negativity_pair(cm, 1, 2)
+        assert calls == [(31, 31)]
+
     def test_one_norm_per_state_across_helpers(self, monkeypatch):
         """The inf-norm is measured once, at construction, so no helper rescans the matrix."""
         cm = harmonic_ground_state(ring_potential(64, 0.5))
@@ -307,6 +327,79 @@ class TestFullReport:
         np.testing.assert_array_equal(report.pairwise_logneg, report.pairwise_logneg.T)
         np.testing.assert_array_equal(np.diag(report.pairwise_logneg), np.zeros(4))
         np.testing.assert_array_equal(report.pairwise_detblocks, report.pairwise_detblocks.T)
+
+
+def per_call_schmidt(cm: CovarianceMatrix, mode_index: int) -> float:
+    """Reference Schmidt value by the former per-call route: one block determinant."""
+    k = mode_index - 1
+    return float(np.sqrt(symplectic._block_dets(cm.data, k, k)))
+
+
+def masked_dot_entropy(sf, mode_index: int) -> float:
+    """Reference pairwise entropy by the former per-call route: a masked row dot."""
+    i = mode_index - 1
+    others = np.arange(sf.n_modes) != i
+    return bosonic_entropy(math.sqrt(1.0 - float(sf.vq[i, others] @ sf.vp[i, others])))
+
+
+def determinant_states():
+    """Engineered states, squeezed up to 30, and rings up to strong coupling."""
+    states = [
+        engineer_state(random_recipe(n, seed, s_max))
+        for n in (2, 3, 5, 8, 16, 32)
+        for seed in range(3)
+        for s_max in (4.0, 30.0)
+    ]
+    states += [
+        harmonic_ground_state(ring_potential(n, coupling))
+        for n in (3, 31, 64)
+        for coupling in (0.1, 2.0, 1e3)
+    ]
+    return states
+
+
+class TestCachedDeterminants:
+    """The helpers read one cached pass over the state's (or standard form's) blocks
+    and give the per-call routes' bits (the pairwise sums up to summation order)."""
+
+    def test_schmidt_and_report_bits(self):
+        for cm in determinant_states():
+            n = cm.n_modes
+            reference = [per_call_schmidt(cm, k) for k in range(1, n + 1)]
+            assert [schmidt_parameter(cm, k) for k in range(1, n + 1)] == reference
+            report = full_report(CovarianceMatrix(n, cm.data), schmidt_mode=n)
+            assert report.schmidt_parameter == reference[-1]
+            assert report.per_mode_entropy == tuple(bosonic_entropy(v) for v in reference)
+
+    def test_schmidt_bits_in_local_frames(self, rng):
+        for n in (2, 5, 9):
+            cm = engineer_state(random_recipe(n, seed=80 + n))
+            for _ in range(3):
+                moved = apply_symplectic(cm, random_local_symplectic(n, rng))
+                for k in range(1, n + 1):
+                    assert schmidt_parameter(moved, k) == per_call_schmidt(moved, k)
+
+    def test_log_negativity_pair_reads_the_report_bits(self):
+        for cm in determinant_states()[::3]:
+            logneg = full_report(cm).pairwise_logneg
+            n = cm.n_modes
+            for i, j in {(1, 2), (1, n), (2, n)} - {(2, 2)}:
+                assert log_negativity_pair(cm, i, j) == logneg[i - 1, j - 1]
+
+    def test_pairwise_entropy_matches_masked_dot(self):
+        for cm in determinant_states():
+            sf = to_standard_form(cm)
+            for k in range(1, cm.n_modes + 1):
+                assert entropy_via_pairwise(sf, k) == pytest.approx(
+                    masked_dot_entropy(sf, k), rel=1e-12, abs=1e-12
+                )
+
+    def test_cached_determinants_are_read_only(self):
+        cm = engineer_state(random_recipe(4, seed=5))
+        full_report(cm)
+        assert not cm._dets.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            cm._dets[0, 0] = 1.0
 
 
 @pytest.fixture(scope="module")

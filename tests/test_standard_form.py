@@ -223,6 +223,46 @@ class TestLocalNormalization:
         assert calls == {"mode_block": 0, "cross_block": 0, "apply_symplectic": 2}
 
 
+class TestOneInverse:
+    """V_Q is inverted once per standard form: the inverse the class check or the
+    Newton solve has just computed becomes vp, with the constructor's bits."""
+
+    @pytest.mark.parametrize("n", [2, 5, 16])
+    def test_to_standard_form_inverts_once(self, n, monkeypatch):
+        cm = engineer_state(random_recipe(n, seed=n))
+        calls = []
+        original = np.linalg.inv
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        sf = to_standard_form(cm)
+        sf.vp  # read inside the count, so a lazily computed inverse would show
+        assert calls == [(n, n)]
+        monkeypatch.undo()
+        np.testing.assert_array_equal(sf.vp, StandardForm(n, sf.vq).vp)
+
+    @pytest.mark.parametrize("n, coupling", [(5, 0.1), (31, 2.0)])
+    def test_ring_vp_has_the_constructors_bits(self, n, coupling):
+        sf = to_standard_form(harmonic_ground_state(ring_potential(n, coupling)))
+        np.testing.assert_array_equal(sf.vp, StandardForm(n, sf.vq).vp)
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_reconstructed_vp_has_the_constructors_bits(self, n):
+        sf = to_standard_form(engineer_state(random_recipe(n, seed=40 + n)))
+        rebuilt = reconstruct_diagonal(extract_parameters(sf), n)
+        np.testing.assert_array_equal(rebuilt.vp, StandardForm(n, rebuilt.vq).vp)
+
+    def test_cached_arrays_are_read_only(self):
+        sf = to_standard_form(engineer_state(random_recipe(4, seed=2)))
+        for array in (sf.vq, sf.vp, sf._pairwise_sums):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+
 class TestExtractParameters:
     def test_two_mode_squeezed(self):
         sf = to_standard_form(engineer_state(TMS))
@@ -311,7 +351,7 @@ class TestReconstructDiagonal:
             reconstruct_diagonal(offdiag, n_modes)
 
     def test_one_inverse_per_iterate(self, monkeypatch):
-        """k Newton iterations invert k + 1 iterates, plus V_P in StandardForm."""
+        """k Newton iterations invert k + 1 iterates; the last inverse becomes V_P."""
         n = 8
         params = extract_parameters(
             to_standard_form(engineer_state(random_recipe(n, 3, s_max=8.0)))
@@ -335,7 +375,7 @@ class TestReconstructDiagonal:
 
         monkeypatch.setattr(np.linalg, "inv", counted)
         reconstruct_diagonal(params, n)
-        assert len(calls) == low + 2
+        assert len(calls) == low + 1
 
 
 class TestStandardFormToCm:
@@ -354,6 +394,13 @@ class TestStandardFormToCm:
         cm = standard_form_to_cm(sf)
         result = is_pure(cm)
         assert result.pure and result.residual <= 1e-9
+
+
+def block_det_row_residual(cm: CovarianceMatrix, mode_index: int) -> float:
+    """Reference det identity by the former per-call route: gather the mode's row of
+    block determinants, sum it, subtract 1."""
+    row = symplectic._block_dets(cm.data, mode_index - 1, np.arange(cm.n_modes))
+    return float(np.sum(row) - 1.0)
 
 
 class TestDetIdentity:
@@ -403,6 +450,29 @@ class TestDetIdentity:
         moved = apply_symplectic(cm, random_local_symplectic(6, rng))
         for k in range(1, 7):
             assert abs(det_identity_residual(moved, k)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 32])
+    def test_bits_match_per_call_route_on_engineered_states(self, n):
+        for seed in range(3):
+            for s_max in (4.0, 30.0):
+                cm = engineer_state(random_recipe(n, seed, s_max))
+                for k in range(1, n + 1):
+                    assert det_identity_residual(cm, k) == block_det_row_residual(cm, k)
+
+    @pytest.mark.parametrize("n", [3, 31, 64])
+    @pytest.mark.parametrize("coupling", [0.1, 2.0, 1e3])
+    def test_bits_match_per_call_route_on_rings(self, n, coupling):
+        cm = harmonic_ground_state(ring_potential(n, coupling))
+        for k in range(1, n + 1):
+            assert det_identity_residual(cm, k) == block_det_row_residual(cm, k)
+
+    @pytest.mark.parametrize("n", [2, 5, 9])
+    def test_bits_match_per_call_route_in_local_frames(self, n, rng):
+        cm = engineer_state(random_recipe(n, seed=70 + n))
+        for _ in range(3):
+            moved = apply_symplectic(cm, random_local_symplectic(n, rng))
+            for k in range(1, n + 1):
+                assert det_identity_residual(moved, k) == block_det_row_residual(moved, k)
 
     @pytest.mark.parametrize("n", [2, 7, 16])
     def test_one_purity_check_and_no_normalization(self, n, monkeypatch):
