@@ -153,12 +153,14 @@ def log_negativity_pair(
 
     Evaluates ``max(0, -log2 nu_min)`` from the smallest symplectic
     eigenvalue of the partially transposed (i, j) reduction, in closed form.
+    Both orders give the bits of :func:`full_report`, which takes i < j.
     """
     if mode_i == mode_j:
         raise ValueError(f"log negativity needs two distinct modes, got {mode_i} twice")
     _check_mode_index(mode_i, cm.n_modes)
     _check_mode_index(mode_j, cm.n_modes)
-    value = float(_log_negativities(cm, np.array([mode_i - 1]), np.array([mode_j - 1]))[0])
+    low, high = sorted((mode_i - 1, mode_j - 1))
+    value = float(_log_negativities(cm, np.array([low]), np.array([high]))[0])
     return value * _LN2 if nats else value
 
 

@@ -8,7 +8,11 @@ count drops to the number of distinct pairwise distances
 ``theta(N) = (N - N mod 2)/2`` and the bound becomes
 ``M(2M+1) >= theta(N)``.  theta is larger for even N, which raises the
 even-ring threshold and underlies nearest-neighbor entanglement
-frustration in odd rings.  All searches are exact integer arithmetic.
+frustration in odd rings.
+
+The two bounds coincide for every N >= 2: 2M(2M+1) is even, so it is at
+least N - 1 iff M(2M+1) >= ceil((N - 1)/2) = floor(N/2) = theta(N).  Both
+are one exact integer search on theta(N).
 """
 
 from __future__ import annotations
@@ -49,20 +53,19 @@ class BondAnalysis:
         }
 
 
-def min_bonds_general(n_modes: int) -> int:
-    """Smallest integer M >= 1 with 2M(2M+1) >= N - 1.
+def _min_bonds(target: int) -> int:
+    """Smallest integer M >= 1 with M(2M+1) >= target, searched up from an isqrt seed."""
+    m = max(1, (math.isqrt(8 * target + 1) - 1) // 4)  # never above the answer
+    while m * (2 * m + 1) < target:
+        m += 1
+    return m
 
-    Seeded by an integer square root, then corrected by direct search, so
-    exact-threshold sizes resolve unambiguously without floating point.
-    """
+
+def min_bonds_general(n_modes: int) -> int:
+    """Smallest integer M >= 1 with 2M(2M+1) >= N - 1, exact search."""
     if n_modes < 2:
         raise ValueError(f"n_modes must be >= 2, got {n_modes}")
-    m = max(1, (math.isqrt(4 * n_modes - 3) - 1) // 4)
-    while 2 * m * (2 * m + 1) < n_modes - 1:
-        m += 1
-    while m > 1 and 2 * (m - 1) * (2 * m - 1) >= n_modes - 1:
-        m -= 1
-    return m
+    return _min_bonds(theta(n_modes))
 
 
 def theta(n_modes: int) -> int:
@@ -76,13 +79,7 @@ def min_bonds_invariant(n_modes: int) -> int:
     """Smallest integer M >= 1 with M(2M+1) >= theta(N), exact search."""
     if n_modes < 2:
         raise ValueError(f"n_modes must be >= 2, got {n_modes}")
-    target = theta(n_modes)
-    m = max(1, (math.isqrt(8 * target + 1) - 1) // 4)
-    while m * (2 * m + 1) < target:
-        m += 1
-    while m > 1 and (m - 1) * (2 * m - 1) >= target:
-        m -= 1
-    return m
+    return _min_bonds(theta(n_modes))
 
 
 def parity_table(n_min: int, n_max: int) -> list:
@@ -98,15 +95,16 @@ def parity_table(n_min: int, n_max: int) -> list:
         raise ValueError(f"n_max ({n_max}) must be >= n_min ({n_min})")
     rows = []
     for n in range(n_min, n_max + 1):
-        general = min_bonds_general(n)
+        target = theta(n)
+        bonds = _min_bonds(target)  # both bounds, by the identity in the module docstring
         rows.append(
             BondAnalysis(
                 n_modes=n,
-                theta=theta(n),
-                min_bonds_general=general,
-                min_bonds_invariant=min_bonds_invariant(n),
+                theta=target,
+                min_bonds_general=bonds,
+                min_bonds_invariant=bonds,
                 parity_note="odd" if n % 2 else "even",
-                scaling_ratio=general / math.sqrt(n),
+                scaling_ratio=bonds / math.sqrt(n),
             )
         )
     return rows

@@ -205,9 +205,13 @@ def reconstruct_diagonal(
     """Complete a standard form from its off-diagonal correlations alone.
 
     Solves the N Williamson conditions ``(V_Q^{-1})_ii = d_i`` for the
-    diagonal d by a damped Newton iteration from the diagonally dominant
-    point ``d_i = 1 + sum_j |v_ij|``, halving any step that leaves the
-    positive-definite cone.  Each iterate is inverted once, and both its
+    diagonal d.  They are the stationarity conditions of the strictly
+    concave ``log det(C + diag d) - |d|^2 / 2`` (C the off-diagonal part),
+    which tends to minus infinity at the edge of its positive-definite
+    domain and at infinity, so the completed diagonal exists and is unique
+    for every symmetric off-diagonal input.  It is found by a damped Newton
+    iteration from the diagonally dominant point ``d_i = 1 + sum_j |v_ij|``,
+    halving any step that leaves the positive-definite cone.  Each iterate is inverted once, and both its
     residual and the Jacobian of :func:`reconstruction_jacobian` are read
     from that one inverse; the converged iterate's inverse becomes ``vp``.
 
@@ -219,11 +223,9 @@ def reconstruct_diagonal(
     Raises:
         ValueError: for ``n_modes < 1``, or off-diagonals of the wrong count or not finite.
         InfeasibleError: if the starting point overflows or cannot be inverted, or the
-            iteration budget is exhausted; existence and uniqueness of the
-            completed diagonal are not guaranteed for arbitrary off-diagonal
-            data, so no solution is claimed beyond the one found.  Caveat: it
-            is also raised for valid standard forms of strongly squeezed
-            states (see the README).
+            iteration budget is exhausted.  This is a failure of the solver,
+            not of the data: it is raised for valid standard forms of
+            strongly squeezed states (see the README).
     """
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")

@@ -379,12 +379,21 @@ class TestCachedDeterminants:
                 for k in range(1, n + 1):
                     assert schmidt_parameter(moved, k) == per_call_schmidt(moved, k)
 
-    def test_log_negativity_pair_reads_the_report_bits(self):
-        for cm in determinant_states()[::3]:
+    def test_log_negativity_pair_reads_the_report_bits(self, rng):
+        """Both orders of a pair give the report's bits, also in random local frames."""
+        states = determinant_states()[::3]
+        states += [
+            apply_symplectic(cm, random_local_symplectic(n, rng))
+            for n in (3, 5, 9)
+            for cm in [engineer_state(random_recipe(n, seed=90 + n))] * 2
+        ]
+        states.append(engineer_state(random_recipe(3, 0, 4.0)))  # (3, 1) once missed a bit
+        for cm in states:
             logneg = full_report(cm).pairwise_logneg
             n = cm.n_modes
             for i, j in {(1, 2), (1, n), (2, n)} - {(2, 2)}:
                 assert log_negativity_pair(cm, i, j) == logneg[i - 1, j - 1]
+                assert log_negativity_pair(cm, j, i) == logneg[i - 1, j - 1]
 
     def test_pairwise_entropy_matches_masked_dot(self):
         for cm in determinant_states():

@@ -75,6 +75,26 @@ class TestMinBondsInvariant:
             assert m == 1 or (m - 1) * (2 * m - 1) < theta(n)
 
 
+class TestBoundsCoincide:
+    def test_general_and_invariant_bounds_are_one_search(self):
+        """2M(2M+1) is even, so 2M(2M+1) >= N - 1 iff M(2M+1) >= floor(N/2) = theta(N).
+
+        Checked against two independent threshold tables, then on the public names.
+        """
+        sizes = np.concatenate([np.arange(2, 10**5 + 1), np.arange(10**6 - 10, 10**6 + 1)])
+        bonds = np.arange(1, 1001, dtype=np.int64)
+        general = np.searchsorted(2 * bonds * (2 * bonds + 1), sizes - 1, side="left") + 1
+        invariant = np.searchsorted(bonds * (2 * bonds + 1), sizes // 2, side="left") + 1
+        np.testing.assert_array_equal(general, invariant)
+        for n, m in zip(sizes.tolist(), general.tolist()):
+            assert min_bonds_general(n) == min_bonds_invariant(n) == m
+
+    def test_table_rows_carry_both_bounds(self):
+        for row in parity_table(2, 3000):
+            assert row.min_bonds_general == min_bonds_general(row.n_modes)
+            assert row.min_bonds_invariant == min_bonds_invariant(row.n_modes)
+
+
 class TestParityTable:
     def test_small_range_thresholds(self):
         rows = parity_table(2, 9)
