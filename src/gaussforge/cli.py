@@ -31,7 +31,7 @@ from .standard_form import (
     standard_form_to_cm,
     to_standard_form,
 )
-from .symplectic import CovarianceMatrix, is_pure, williamson_spectrum
+from .symplectic import CovarianceMatrix, _check_symmetric, is_pure, williamson_spectrum
 
 _EXIT_DOMAIN = 1
 _EXIT_INPUT = 2
@@ -46,11 +46,17 @@ def _fail(message: str, code: int):
 
 
 class _Group(click.Group):
-    """Prints every refusal as one ``error:`` line with its exit code."""
+    """Prints every refusal, click's parse errors of the group's own options too, as one ``error:`` line."""
 
-    def invoke(self, ctx):  # click also parses the subcommand's options in here
+    def main(self, *args, **kwargs):
         try:
-            return super().invoke(ctx)
+            return super().main(*args, standalone_mode=False, **kwargs)
+        except click.exceptions.NoArgsIsHelpError as exc:  # a bare ``gaussforge`` shows its help
+            exc.show()
+            sys.exit(exc.exit_code)
+        except click.Abort:  # Ctrl-C, reported as click reports it
+            click.echo("Aborted!", err=True)
+            sys.exit(1)
         except click.UsageError as exc:
             _fail(exc.format_message(), _EXIT_INPUT)
         except InputFormatError as exc:
@@ -154,8 +160,7 @@ def cmd_standard_form(cm_path, vq_path, reconstruct, precision):
     if not reconstruct:
         raise click.UsageError("--vq input requires --reconstruct")
     n_modes, vq = read_vq_document(_read_json(vq_path))
-    if not np.array_equal(vq, vq.T):
-        raise ValueError("vq must be symmetric")
+    _check_symmetric("vq", vq)
     rows, cols = np.triu_indices(n_modes, k=1)
     sf = reconstruct_diagonal(vq[rows, cols], n_modes)
     out = {"standard_form": sf.to_dict(), "cm": standard_form_to_cm(sf).to_dict()}

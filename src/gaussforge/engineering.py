@@ -22,14 +22,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tolerances
-from .errors import InputFormatError, RecipeError
+from .errors import InputFormatError, RecipeError, _integer
+from .jsonio import _read_header
 from .symplectic import CovarianceMatrix, _from_blocks
 
 
 def parameter_count(n_modes: int) -> int:
     """Number of free parameters for an N-mode state: N(N-1)/2, exactly."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    n_modes = _integer(n_modes, "n_modes", 1)
     return n_modes * (n_modes - 1) // 2
 
 
@@ -65,14 +65,7 @@ class Recipe:
     @classmethod
     def from_dict(cls, doc: dict) -> "Recipe":
         """Parse the recipe document, validating the schema (not the physics)."""
-        if not isinstance(doc, dict):
-            raise InputFormatError("recipe document must be a JSON object")
-        for key in ("n_modes", "s"):
-            if key not in doc:
-                raise InputFormatError(f"recipe document missing key {key!r}")
-        n_modes = doc["n_modes"]
-        if not isinstance(n_modes, int) or n_modes < 2:
-            raise InputFormatError("n_modes must be an integer >= 2")
+        n_modes = _read_header(doc, "recipe", ("n_modes", "s"), minimum=2)
         s = _number(doc["s"], "s")
         if not isinstance(doc.get("r", {}), dict):
             raise InputFormatError("r must be an object keyed by mode index")
@@ -144,10 +137,10 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
     """
     errors = []
     warnings = []
-    n = recipe.n_modes
-    if n < 2:
-        errors.append(f"n_modes must be >= 2, got {n}")
-        return RecipeValidation(tuple(errors), tuple(warnings))
+    try:
+        n = _integer(recipe.n_modes, "n_modes", 2)
+    except ValueError as exc:
+        return RecipeValidation((str(exc),), ())
     if not recipe.s > 0.0:
         errors.append(f"seed squeezing s must be positive, got {recipe.s}")
 
@@ -283,8 +276,7 @@ def random_recipe(n_modes: int, seed: int, s_max: float = 4.0) -> Recipe:
         seed: RNG seed; equal seeds give identical recipes.
         s_max: upper squeezing bound, strictly greater than 1.
     """
-    if n_modes < 2:
-        raise ValueError(f"n_modes must be >= 2, got {n_modes}")
+    n_modes = _integer(n_modes, "n_modes", 2)
     if not s_max > 1.0:
         raise ValueError(f"s_max must exceed 1, got {s_max}")
     rng = np.random.default_rng(seed)

@@ -19,7 +19,7 @@ from . import tolerances
 from .standard_form import StandardForm
 from .symplectic import (
     CovarianceMatrix,
-    _check_mode_index,
+    _check_mode_indices,
     _pair_blocks,
     require_pure,
     symplectic_form,
@@ -112,7 +112,7 @@ def schmidt_parameter(cm: CovarianceMatrix, mode_index: int) -> float:
         NotPureError: for mixed inputs.
     """
     require_pure(cm)
-    _check_mode_index(mode_index, cm.n_modes)
+    _check_mode_indices(cm.n_modes, mode_index)
     return float(np.sqrt(cm._dets[mode_index - 1, mode_index - 1]))
 
 
@@ -136,7 +136,7 @@ def entropy_via_pairwise(
         ValueError: if the accumulated determinant turns out negative,
             which signals numerically inconsistent input.
     """
-    _check_mode_index(mode_index, sf.n_modes)
+    _check_mode_indices(sf.n_modes, mode_index)
     det_block = 1.0 - float(sf._pairwise_sums[mode_index - 1])
     if det_block < 0.0:
         raise ValueError(
@@ -157,8 +157,7 @@ def log_negativity_pair(
     """
     if mode_i == mode_j:
         raise ValueError(f"log negativity needs two distinct modes, got {mode_i} twice")
-    _check_mode_index(mode_i, cm.n_modes)
-    _check_mode_index(mode_j, cm.n_modes)
+    _check_mode_indices(cm.n_modes, mode_i, mode_j)
     low, high = sorted((mode_i - 1, mode_j - 1))
     value = float(_log_negativities(cm, np.array([low]), np.array([high]))[0])
     return value * _LN2 if nats else value
@@ -174,7 +173,7 @@ def full_report(cm: CovarianceMatrix, schmidt_mode: int = 1) -> EntanglementRepo
     """
     require_pure(cm)
     n = cm.n_modes
-    _check_mode_index(schmidt_mode, n)
+    _check_mode_indices(n, schmidt_mode)
     modes = np.arange(n)
     dets = cm._dets
     schmidt = np.sqrt(np.diag(dets))

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer rule for mode counts and indices."""
+
+import operator
+
+
+def _integer(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as an ``int`` >= ``minimum``; numpy integers pass, bools and non-integers do not."""
+    try:
+        number = operator.index(None if isinstance(value, bool) else value)  # bools are not counts
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {number}")
+    return number
 
 
 class GaussForgeError(Exception):
@@ -30,8 +43,9 @@ class NotInGenericClassError(GaussForgeError):
     """Local normalization left residual position-momentum correlations.
 
     The class-membership test is heuristic (per-mode rotation plus
-    scaling): a failure proves only that this normalization did not reach
-    the block-diagonal form, not that no local-unitary route exists.
+    scaling): it refuses states of the class in a generic local frame at
+    every N >= 2, as a leftover rotation of a mode whose block is c *
+    identity is invisible to it.  See ROADMAP.md, item 1.
     """
 
     def __init__(self, residual: float, tolerance: float):

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import _integer
+
 
 @dataclass(frozen=True)
 class BondAnalysis:
@@ -63,23 +65,17 @@ def _min_bonds(target: int) -> int:
 
 def min_bonds_general(n_modes: int) -> int:
     """Smallest integer M >= 1 with 2M(2M+1) >= N - 1, exact search."""
-    if n_modes < 2:
-        raise ValueError(f"n_modes must be >= 2, got {n_modes}")
-    return _min_bonds(theta(n_modes))
+    return _min_bonds(theta(_integer(n_modes, "n_modes", 2)))
 
 
 def theta(n_modes: int) -> int:
     """Distinct pairwise distances on an N-site ring: (N - N mod 2)/2."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    return (n_modes - n_modes % 2) // 2
+    return _integer(n_modes, "n_modes", 1) // 2  # N - N mod 2 is even
 
 
 def min_bonds_invariant(n_modes: int) -> int:
     """Smallest integer M >= 1 with M(2M+1) >= theta(N), exact search."""
-    if n_modes < 2:
-        raise ValueError(f"n_modes must be >= 2, got {n_modes}")
-    return _min_bonds(theta(n_modes))
+    return _min_bonds(theta(_integer(n_modes, "n_modes", 2)))
 
 
 def parity_table(n_min: int, n_max: int) -> list:
@@ -89,8 +85,8 @@ def parity_table(n_min: int, n_max: int) -> list:
         n_min: smallest size, at least 2.
         n_max: largest size, at least n_min.
     """
-    if n_min < 2:
-        raise ValueError(f"n_min must be >= 2, got {n_min}")
+    n_min = _integer(n_min, "n_min", 2)
+    n_max = _integer(n_max, "n_max")
     if n_max < n_min:
         raise ValueError(f"n_max ({n_max}) must be >= n_min ({n_min})")
     rows = []

@@ -3,10 +3,30 @@
 Writers emit decimal floats with 17 significant digits by default, which
 round-trips every finite double exactly; the digit count can be lowered
 for human-readable output.  The text is the ``json.dumps(..., indent=2)``
-layout, written in one recursive pass.
+layout, written in one recursive pass.  Readers share one prelude that
+checks a document's shape and its mode count.
 """
 
 from json.encoder import encode_basestring_ascii as _string
+
+from .errors import InputFormatError, _integer
+
+
+def _read_header(doc, kind: str, keys: tuple, minimum: int = 1, **fixed) -> int:
+    """``n_modes`` of an object with ``keys`` and ``fixed`` values; InputFormatError at the first miss."""
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"{kind} document must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise InputFormatError(f"{kind} document missing key {key!r}")
+    for key, expected in fixed.items():
+        if doc[key] != expected:
+            raise InputFormatError(f"unsupported {key} {doc[key]!r}; expected {expected!r}")
+    try:
+        return _integer(doc["n_modes"], "n_modes", minimum)
+    except ValueError:
+        wanted = "a positive integer" if minimum == 1 else f"an integer >= {minimum}"
+        raise InputFormatError(f"n_modes must be {wanted}") from None
 
 
 def dumps(doc, digits: int = 17) -> str:

@@ -18,11 +18,14 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances
-from .errors import InfeasibleError, InputFormatError, NotInGenericClassError
+from .errors import InfeasibleError, NotInGenericClassError, _integer
+from .jsonio import _read_header
 from .symplectic import (
     CovarianceMatrix,
     _blocks,
-    _check_mode_index,
+    _bounded_norm,
+    _check_mode_indices,
+    _check_symmetric,
     _from_blocks,
     _local_symplectic,
     apply_symplectic,
@@ -48,27 +51,19 @@ class StandardForm:
     vq: np.ndarray
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
+        n = _integer(self.n_modes, "n_modes", 1)
+        object.__setattr__(self, "n_modes", n)
         vq = np.array(self.vq, dtype=float)
-        if vq.shape != (self.n_modes, self.n_modes):
-            raise ValueError(
-                f"expected a {self.n_modes}x{self.n_modes} matrix, got {vq.shape}"
-            )
-        if not np.array_equal(vq, vq.T):
-            raise ValueError("vq must be symmetric")
+        if vq.shape != (n, n):
+            raise ValueError(f"expected a {n}x{n} matrix, got {vq.shape}")
+        _check_symmetric("vq", vq)
         try:
             np.linalg.cholesky(vq)
         except np.linalg.LinAlgError:
             raise ValueError("vq must be positive definite") from None
         vq.flags.writeable = False
         object.__setattr__(self, "vq", vq)
-        norm = float(max(np.max(np.abs(vq)), np.max(np.abs(self.vp))))
-        if not norm <= tolerances.MAX_ENTRY:  # also refuses nan
-            raise ValueError(
-                "standard-form entries must be finite and at most "
-                f"{tolerances.MAX_ENTRY:g} in magnitude"
-            )
+        norm = _bounded_norm("standard-form", vq, self.vp)
         diag_gap = float(np.max(np.abs(np.diag(self.vp) - np.diag(vq))))
         if diag_gap > tolerances.block(norm):
             raise ValueError(
@@ -117,14 +112,7 @@ def _momentum_block(inverse: np.ndarray) -> np.ndarray:
 
 def read_vq_document(doc) -> tuple:
     """Schema-check a ``{"n_modes", "vq"}`` document; return ``(n_modes, vq)``."""
-    if not isinstance(doc, dict):
-        raise InputFormatError("standard-form document must be a JSON object")
-    for key in ("n_modes", "vq"):
-        if key not in doc:
-            raise InputFormatError(f"standard-form document missing key {key!r}")
-    n_modes = doc["n_modes"]
-    if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
-        raise InputFormatError("n_modes must be a positive integer")
+    n_modes = _read_header(doc, "standard-form", ("n_modes", "vq"))
     return n_modes, read_matrix(doc["vq"], "vq", n_modes)
 
 
@@ -155,8 +143,9 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
     Raises:
         NotPureError: for mixed inputs.
         NotInGenericClassError: if local normalization cannot reach the
-            block-diagonal form (possible for some pure states of 4 or
-            more modes; the check is heuristic).
+            block-diagonal form.  The check is heuristic: it refuses states
+            of the class in a generic local frame at every N >= 2 (see
+            ROADMAP.md, item 1).
     """
     require_pure(cm)
     normalized = _local_normalization(cm)
@@ -221,14 +210,13 @@ def reconstruct_diagonal(
         max_iter: Newton iteration budget.
 
     Raises:
-        ValueError: for ``n_modes < 1``, or off-diagonals of the wrong count or not finite.
+        ValueError: for ``n_modes`` not an integer >= 1, or off-diagonals of the wrong count or not finite.
         InfeasibleError: if the starting point overflows or cannot be inverted, or the
             iteration budget is exhausted.  This is a failure of the solver,
             not of the data: it is raised for valid standard forms of
             strongly squeezed states (see the README).
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
+    n_modes = _integer(n_modes, "n_modes", 1)
     offdiag = np.asarray(offdiag, dtype=float)
     expected = n_modes * (n_modes - 1) // 2
     if offdiag.shape != (expected,):
@@ -290,7 +278,7 @@ def det_identity_residual(cm: CovarianceMatrix, mode_index: int) -> float:
     Raises:
         NotPureError: for mixed inputs.
     """
-    _check_mode_index(mode_index, cm.n_modes)
+    _check_mode_indices(cm.n_modes, mode_index)
     require_pure(cm)
     return float(np.sum(cm._dets[mode_index - 1]) - 1.0)
 
@@ -311,12 +299,8 @@ def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:
     potential = np.asarray(potential, dtype=float)
     if potential.ndim != 2 or not 0 < potential.shape[0] == potential.shape[1]:
         raise ValueError(f"potential must be nonempty and square, got shape {potential.shape}")
-    if not np.all(np.abs(potential) <= tolerances.MAX_ENTRY):
-        raise ValueError(
-            f"potential entries must be finite and at most {tolerances.MAX_ENTRY:g} in magnitude"
-        )
-    if not np.array_equal(potential, potential.T):
-        raise ValueError("potential must be symmetric")
+    _bounded_norm("potential", potential)
+    _check_symmetric("potential", potential)
     eigenvalues, eigenvectors = np.linalg.eigh(potential)
     lowest, largest = eigenvalues[0], max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
     resolution = tolerances.POTENTIAL_RESOLUTION * np.finfo(float).eps * largest
@@ -344,7 +328,7 @@ def ring_potential(n_modes: int, coupling: float) -> np.ndarray:
         n_modes: ring length, at least 2.
         coupling: spring constant, finite and nonnegative.
     """
-    if n_modes < 2:
+    if _integer(n_modes, "n_modes") < 2:
         raise ValueError(f"ring needs at least 2 modes, got {n_modes}")
     if not np.isfinite(coupling):
         raise ValueError(f"coupling must be finite, got {coupling}")

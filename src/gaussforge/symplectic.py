@@ -15,7 +15,8 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances
-from .errors import InputFormatError, NotPureError
+from .errors import InputFormatError, NotPureError, _integer
+from .jsonio import _read_header
 
 ORDERING = "qpqp"
 
@@ -29,9 +30,7 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     Returns:
         The antisymmetric matrix Omega with Omega @ Omega = -identity.
     """
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    return _omega(np.eye(2 * n_modes))
+    return _omega(np.eye(2 * _integer(n_modes, "n_modes", 1)))
 
 
 def _omega(a: np.ndarray) -> np.ndarray:
@@ -52,11 +51,26 @@ def _local_symplectic(a, b, c, d) -> SymplecticMatrix:
     return SymplecticMatrix(n, data.reshape(2 * n, 2 * n))
 
 
-def _check_mode_index(mode_index: int, n_modes: int) -> None:
-    if not 1 <= mode_index <= n_modes:
+def _check_mode_indices(n_modes: int, *indices) -> None:
+    """Refuse, in order, each index that is not an integer in 1..n_modes."""
+    for mode_index in indices:
+        if not 1 <= _integer(mode_index, "mode index") <= n_modes:
+            raise ValueError(f"mode index {mode_index} out of range for {n_modes} modes")
+
+
+def _bounded_norm(what: str, *matrices) -> float:
+    """Largest absolute entry of the matrices, refused unless finite and at most ``tolerances.MAX_ENTRY``."""
+    norm = max(float(np.max(np.abs(matrix))) for matrix in matrices)
+    if not norm <= tolerances.MAX_ENTRY:  # also refuses nan
         raise ValueError(
-            f"mode index {mode_index} out of range for {n_modes} modes"
+            f"{what} entries must be finite and at most {tolerances.MAX_ENTRY:g} in magnitude"
         )
+    return norm
+
+
+def _check_symmetric(what: str, matrix: np.ndarray) -> None:
+    if not np.array_equal(matrix, matrix.T):
+        raise ValueError(f"{what} must be symmetric")
 
 
 def _blocks(sigma: np.ndarray) -> tuple:
@@ -102,23 +116,9 @@ class CovarianceMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        data = np.array(self.data, dtype=float)
-        dim = 2 * self.n_modes
-        if data.shape != (dim, dim):
-            raise ValueError(
-                f"expected a {dim}x{dim} matrix for {self.n_modes} modes, "
-                f"got shape {data.shape}"
-            )
-        norm = float(np.max(np.abs(data)))
-        if not norm <= tolerances.MAX_ENTRY:  # also refuses nan
-            raise ValueError(
-                "covariance matrix entries must be finite and at most "
-                f"{tolerances.MAX_ENTRY:g} in magnitude"
-            )
-        if not np.array_equal(data, data.T):
-            raise ValueError("covariance matrix must be symmetric")
+        data = _dense_data(self)
+        norm = _bounded_norm("covariance matrix", data)
+        _check_symmetric("covariance matrix", data)
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "_inf_norm", norm)
@@ -145,8 +145,7 @@ class CovarianceMatrix:
 
     def cross_block(self, mode_i: int, mode_j: int) -> np.ndarray:
         """2x2 off-diagonal block coupling two 1-based modes."""
-        _check_mode_index(mode_i, self.n_modes)
-        _check_mode_index(mode_j, self.n_modes)
+        _check_mode_indices(self.n_modes, mode_i, mode_j)
         return np.array(self.data[_mode_rows(mode_i), _mode_rows(mode_j)])
 
     def to_dict(self) -> dict:
@@ -160,19 +159,21 @@ class CovarianceMatrix:
     @classmethod
     def from_dict(cls, doc: dict) -> "CovarianceMatrix":
         """Build from a matrix-exchange document, validating the schema."""
-        if not isinstance(doc, dict):
-            raise InputFormatError("covariance document must be a JSON object")
-        for key in ("n_modes", "ordering", "data"):
-            if key not in doc:
-                raise InputFormatError(f"covariance document missing key {key!r}")
-        if doc["ordering"] != ORDERING:
-            raise InputFormatError(
-                f"unsupported ordering {doc['ordering']!r}; expected {ORDERING!r}"
-            )
-        n_modes = doc["n_modes"]
-        if not isinstance(n_modes, int) or isinstance(n_modes, bool) or n_modes < 1:
-            raise InputFormatError("n_modes must be a positive integer")
+        n_modes = _read_header(doc, "covariance", ("n_modes", "ordering", "data"), ordering=ORDERING)
         return cls(n_modes, read_matrix(doc["data"], "data", 2 * n_modes))
+
+
+def _dense_data(owner) -> np.ndarray:
+    """Store ``owner.n_modes`` as an ``int`` and return ``owner.data`` as a float 2N x 2N copy."""
+    n_modes = _integer(owner.n_modes, "n_modes", 1)
+    object.__setattr__(owner, "n_modes", n_modes)
+    data = np.array(owner.data, dtype=float)
+    dim = 2 * n_modes
+    if data.shape != (dim, dim):
+        raise ValueError(
+            f"expected a {dim}x{dim} matrix for {n_modes} modes, got shape {data.shape}"
+        )
+    return data
 
 
 def read_matrix(value, name: str, dim: int) -> np.ndarray:
@@ -189,11 +190,10 @@ def read_matrix(value, name: str, dim: int) -> np.ndarray:
         raise InputFormatError(f"{name} is not a numeric matrix: {exc}") from None
     if matrix.shape != (dim, dim):
         raise InputFormatError(f"{name} must be a {dim}x{dim} row-major array")
-    if not np.all(np.abs(matrix) <= tolerances.MAX_ENTRY):
-        raise InputFormatError(
-            f"{name} entries must be finite and at most "
-            f"{tolerances.MAX_ENTRY:g} in magnitude"
-        )
+    try:
+        _bounded_norm(name, matrix)
+    except ValueError as exc:
+        raise InputFormatError(str(exc)) from None
     return matrix
 
 
@@ -209,15 +209,7 @@ class SymplecticMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        if self.n_modes < 1:
-            raise ValueError(f"n_modes must be >= 1, got {self.n_modes}")
-        data = np.array(self.data, dtype=float)
-        dim = 2 * self.n_modes
-        if data.shape != (dim, dim):
-            raise ValueError(
-                f"expected a {dim}x{dim} matrix for {self.n_modes} modes, "
-                f"got shape {data.shape}"
-            )
+        data = _dense_data(self)
         omega = symplectic_form(self.n_modes)
         defect = float(np.max(np.abs(data.T @ _omega(data) - omega)))
         norm = float(np.max(np.abs(data)))
@@ -268,9 +260,7 @@ class PurityResult:
 
 def vacuum_cm(n_modes: int) -> CovarianceMatrix:
     """Covariance matrix of the N-mode vacuum (the 2N x 2N identity)."""
-    if n_modes < 1:
-        raise ValueError(f"n_modes must be >= 1, got {n_modes}")
-    return CovarianceMatrix(n_modes, np.eye(2 * n_modes))
+    return CovarianceMatrix(n_modes, np.eye(2 * _integer(n_modes, "n_modes", 1)))
 
 
 def squeezer(n_modes: int, mode_index: int, s: float) -> SymplecticMatrix:
@@ -284,7 +274,7 @@ def squeezer(n_modes: int, mode_index: int, s: float) -> SymplecticMatrix:
         mode_index: 1-based mode to squeeze.
         s: squeezing factor, strictly positive.
     """
-    _check_mode_index(mode_index, n_modes)
+    _check_mode_indices(n_modes, mode_index)
     if not s > 0.0:
         raise ValueError(f"squeezing factor must be positive, got {s}")
     data = np.eye(2 * n_modes)
@@ -308,8 +298,7 @@ def beam_splitter(
         mode_j: second 1-based mode, different from ``mode_i``.
         t: transmittivity, strictly inside (0, 1); 1/2 is balanced.
     """
-    _check_mode_index(mode_i, n_modes)
-    _check_mode_index(mode_j, n_modes)
+    _check_mode_indices(n_modes, mode_i, mode_j)
     if mode_i == mode_j:
         raise ValueError(f"beam splitter needs two distinct modes, got {mode_i} twice")
     if not 0.0 < t < 1.0:
@@ -431,7 +420,6 @@ def reduced_cm(cm: CovarianceMatrix, mode_subset) -> CovarianceMatrix:
         raise ValueError("mode subset must be nonempty")
     if len(set(modes)) != len(modes):
         raise ValueError(f"mode subset has repeated entries: {modes}")
-    for mode in modes:
-        _check_mode_index(mode, cm.n_modes)
+    _check_mode_indices(cm.n_modes, *modes)
     rows = np.concatenate([[2 * (m - 1), 2 * m - 1] for m in modes])
     return CovarianceMatrix(len(modes), cm.data[np.ix_(rows, rows)])

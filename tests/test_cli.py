@@ -473,6 +473,7 @@ class TestCliContract:
             ["engineer"],
             ["engineer", "--recipe", "-", "--precision", "0"],
             ["no-such-command"],
+            ["--bogus", "gmps"],
         ],
         ids=" ".join,
     )
@@ -484,6 +485,17 @@ class TestCliContract:
         assert "Traceback" not in result.stderr
         lines = result.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), result.stderr
+
+    @pytest.mark.parametrize("args", [["--help"], ["gmps", "--help"], ["--help", "gmps"]])
+    def test_help_exits_zero(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0
+        assert result.stdout.startswith("Usage: ") and result.stderr == ""
+
+    def test_bare_command_prints_its_help_and_exits_two(self, runner):
+        result = runner.invoke(main, [])
+        assert result.exit_code == 2 and result.stdout == ""
+        assert result.stderr.startswith("Usage: ") and "Commands:" in result.stderr
 
     def test_invalid_tol_override_exits_two(self, runner):
         result = runner.invoke(

@@ -154,6 +154,19 @@ class TestToStandardForm:
         with pytest.raises(NotInGenericClassError, match="local unitaries"):
             to_standard_form(rotated)
 
+    @pytest.mark.xfail(strict=True, raises=NotInGenericClassError)
+    def test_exact_local_unitary_normalisation_of_two_modes(self):
+        """ROADMAP.md item 1: every generic local frame is refused today, already at two modes.
+
+        The comparison is modulo the residual gauge (a sign per mode and the
+        V_Q <-> V_P swap), which in two modes only flips the off-diagonal's sign.
+        """
+        cm = engineer_state(random_recipe(2, 0))
+        moved = apply_symplectic(cm, random_local_symplectic(2, np.random.default_rng(0)))
+        np.testing.assert_allclose(
+            np.abs(to_standard_form(moved).vq), np.abs(to_standard_form(cm).vq), atol=1e-8
+        )
+
     @pytest.mark.parametrize("n", [2, 4, 6])
     def test_round_trip_preserves_reduction_spectra(self, n):
         """cm -> sf -> cm agrees with the original up to local symplectics."""
