@@ -10,13 +10,17 @@ the register.  A final, fully determined balancing squeeze on every mode
 leaves all single-mode blocks proportional to the identity.  Each mode is
 squeezed while still vacuum, so the squeezers act first: squeezed vacua
 enter one orthogonal N x N beam-splitter network, and since no gate mixes
-q with p the state is two N x N blocks, V_Q and V_P = V_Q^-1.
+q with p the state is two N x N blocks, V_Q and V_P = V_Q^-1.  The network
+is built one new mode at a time: that mode's whole splitter chain is one
+linear recurrence, solved in closed form by a running product and a running
+sum, with the product rescaled in segments so it never leaves the float range.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,13 +55,16 @@ class Recipe:
     b: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """JSON-ready document with string keys for ``r`` and a pair list for ``b``."""
+        """JSON-ready document with string keys for ``r`` and a pair list for ``b``.
+
+        Mode counts and indices are written as Python ``int``s, so numpy integers serialise.
+        """
         return {
-            "n_modes": self.n_modes,
+            "n_modes": operator.index(self.n_modes),
             "s": float(self.s),
             "r": {str(i): float(v) for i, v in sorted(self.r.items())},
             "b": [
-                {"j": j, "i": i, "t": float(t)}
+                {"j": operator.index(j), "i": operator.index(i), "t": float(t)}
                 for (j, i), t in sorted(self.b.items(), key=lambda kv: (kv[0][1], kv[0][0]))
             ],
         }
@@ -216,6 +223,39 @@ def _schedule(recipe: Recipe):
             yield j, i, recipe.b[(j, i)], True
 
 
+def _mix_new_mode(network: np.ndarray, i: int, c: np.ndarray, s: np.ndarray) -> None:
+    """Apply mode i's splitters (j, i), j = 2..i-1, to M in place, in one recurrence.
+
+    With c = sqrt(t) and s = sqrt(1 - t), splitter k (j = k + 1) sets
+    M_k <- c_k M_k - s_k b_{k-1} and passes row i on as
+    b_k = c_k b_{k-1} + s_k M_k, from b_0 = e_i; mode i is fresh, so only the
+    first i columns are nonzero.  With P_k = c_1 ... c_k this solves to
+    b_k = P_k (b_0 + sum_{l<=k} (s_l / P_l) M_l): one running product and one
+    running sum.  The product restarts from the current b once it falls below
+    ``tolerances.CHAIN_FLOOR``, so neither P nor s / P leaves the float range;
+    a single factor cannot, as c >= sqrt(5e-324).
+    """
+    rows = network[1 : i - 1, :i]  # M_k, the rows of modes 2..i-1
+    b = network[i - 1, :i]  # b_0 = e_i
+    start = 0
+    while start < i - 2:
+        p = np.multiply.accumulate(c[start:])  # nonincreasing, as every c <= 1
+        stop = i - 2
+        if p[-1] < tolerances.CHAIN_FLOOR:  # restart after the last P above the floor
+            stop = start + max(1, int(np.count_nonzero(p >= tolerances.CHAIN_FLOOR)))
+            p = p[: stop - start]
+        seg = slice(start, stop)
+        walk = np.empty((stop - start + 1, i))  # b_{start}, ..., b_{stop}
+        walk[0] = b
+        np.multiply((s[seg] / p)[:, None], rows[seg], out=walk[1:])
+        np.add.accumulate(walk, axis=0, out=walk)
+        walk[1:] *= p[:, None]
+        rows[seg] *= c[seg, None]
+        rows[seg] -= s[seg, None] * walk[:-1]
+        b, start = walk[-1], stop
+    network[i - 1, :i] = b
+
+
 def engineer_state(recipe: Recipe) -> CovarianceMatrix:
     """Build the pure N-mode state described by a recipe.
 
@@ -229,17 +269,19 @@ def engineer_state(recipe: Recipe) -> CovarianceMatrix:
     check = validate_recipe(recipe)
     if not check:
         raise RecipeError("; ".join(check.errors))
-    q = np.ones(recipe.n_modes)  # squared squeezings of the normal modes
-    network = np.eye(recipe.n_modes)  # orthogonal matrix M of the beam-splitter chain
+    n = recipe.n_modes
+    # transmittivities in schedule order: mode 3's chain, then mode 4's, ...
+    transmittivity = np.array([recipe.b[(j, i)] for i in range(3, n + 1) for j in range(2, i)])
+    cos, sin = np.sqrt(transmittivity), np.sqrt(1.0 - transmittivity)
+    network = np.eye(n)  # orthogonal matrix M of the beam-splitter network
+    half = math.sqrt(0.5)  # the 50:50 seed splitter on modes 1 and 2
+    network[:2, :2] = [[half, -half], [half, half]]
+    for i in range(3, n + 1):  # each chain stays in range (see _mix_new_mode)
+        first = (i - 3) * (i - 2) // 2
+        _mix_new_mode(network, i, cos[first : first + i - 2], sin[first : first + i - 2])
     with np.errstate(all="ignore"):  # extreme squeezing overflows; checked below
-        for mode, partner, value, _ in _schedule(recipe):
-            i = mode - 1
-            if partner is None:  # the mode is still vacuum, so its squeezer acts first
-                q[i] = value * value
-            else:  # rotate rows (mode, partner) of M
-                c, s = math.sqrt(value), math.sqrt(1.0 - value)
-                a, b = network[i], network[partner - 1]
-                network[i], network[partner - 1] = c * a - s * b, s * a + c * b
+        # squared squeezings of the normal modes: each mode is squeezed while still vacuum
+        q = np.array([recipe.s, 1.0 / recipe.s] + [recipe.r[i] for i in range(3, n + 1)]) ** 2
         # V_Q = M diag(q) M^T and V_P = M diag(1/q) M^T = V_Q^-1
         blocks = np.stack([(network * q) @ network.T, (network / q) @ network.T])
         # balance: per-mode squeezes fixed by the state itself, making every

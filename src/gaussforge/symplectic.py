@@ -201,7 +201,8 @@ def read_matrix(value, name: str, dim: int) -> np.ndarray:
 class SymplecticMatrix:
     """Phase-space action of a Gaussian unitary.
 
-    The constructor enforces the symplectic condition up to roundoff:
+    The constructor refuses non-finite entries and enforces the symplectic
+    condition up to roundoff:
     ``|S^T Omega S - Omega|_inf <= 1e-10 * max(1, |S|_inf)^2``.
     """
 
@@ -211,9 +212,11 @@ class SymplecticMatrix:
     def __post_init__(self):
         data = _dense_data(self)
         omega = symplectic_form(self.n_modes)
-        defect = float(np.max(np.abs(data.T @ _omega(data) - omega)))
         norm = float(np.max(np.abs(data)))
-        if defect > tolerances.symplectic(norm):
+        if not norm < np.inf:  # also refuses nan
+            raise ValueError("symplectic matrix entries must be finite")
+        defect = float(np.max(np.abs(data.T @ _omega(data) - omega)))
+        if not defect <= tolerances.symplectic(norm):  # a nan defect is refused too
             raise ValueError(
                 f"matrix is not symplectic: defect {defect:.3e} exceeds "
                 f"{tolerances.symplectic(norm):.3e}"

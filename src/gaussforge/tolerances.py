@@ -21,6 +21,12 @@ MAX_ENTRY = 1e150
 # ~3e-9; a conditioning limit, not a residual, so GF_TOL_OVERRIDE does not scale it
 POTENTIAL_RESOLUTION = 1e8
 
+# engineering restarts the running product of a splitter chain's cos factors
+# once it falls below this, so the product and sin / product stay far inside
+# the float range (a tiny product underflows, and its reciprocal overflows);
+# a range limit, not a residual, so GF_TOL_OVERRIDE does not scale it
+CHAIN_FLOOR = 1e-100
+
 # transmittivities this close to 0 or 1 draw a recipe warning; a physical
 # margin, not a residual, so GF_TOL_OVERRIDE does not scale it
 DEGENERACY_MARGIN = 1e-3

@@ -1,10 +1,13 @@
 """Tests for the state-engineering pipeline."""
 
+import json
+import math
 import warnings
 
 import numpy as np
 import pytest
 
+from gaussforge import jsonio
 from gaussforge.engineering import (
     Recipe,
     _schedule,
@@ -45,6 +48,39 @@ def dense_engineer(recipe):
         block = cm.mode_block(k)
         cm = apply_symplectic(cm, squeezer(n, k, (block[1, 1] / block[0, 0]) ** 0.25))
     return cm
+
+
+def rotation_engineer(recipe):
+    """Reference pipeline: one row rotation of the N x N network M per beam splitter.
+
+    Squeezed vacua enter M, so V_Q = M diag(q) M^T and V_P = M diag(1/q) M^T,
+    then every mode is balanced.  Cheap enough for N = 500, where
+    :func:`dense_engineer` is not, and written gate by gate like it.
+    """
+    n = recipe.n_modes
+    q = np.array([recipe.s, 1.0 / recipe.s] + [recipe.r[i] for i in range(3, n + 1)]) ** 2
+    network = np.eye(n)
+
+    def rotate(j, i, t):  # splitter (j, i) mixes rows j and i of M
+        c, s, a, b = math.sqrt(t), math.sqrt(1.0 - t), network[j - 1], network[i - 1]
+        network[j - 1], network[i - 1] = c * a - s * b, s * a + c * b
+
+    rotate(1, 2, 0.5)
+    for i in range(3, n + 1):
+        for j in range(2, i):
+            rotate(j, i, recipe.b[(j, i)])
+    vq, vp = (network * q) @ network.T, (network / q) @ network.T
+    t = (np.diag(vp) / np.diag(vq)) ** 0.25
+    data = np.zeros((2 * n, 2 * n))
+    data[0::2, 0::2] = vq * np.outer(t, t)
+    data[1::2, 1::2] = vp / np.outer(t, t)
+    return (data + data.T) / 2.0
+
+
+def flat_recipe(n, t):
+    """Every transmittivity equal to t, with fixed moderate squeezings."""
+    b = {(j, i): t for i in range(3, n + 1) for j in range(2, i)}
+    return Recipe(n, 1.3, {i: 1.1 + 0.01 * i for i in range(3, n + 1)}, b)
 
 
 class TestParameterCount:
@@ -276,6 +312,15 @@ class TestRecipeJson:
         clone = Recipe.from_dict(recipe.to_dict())
         assert clone == recipe
 
+    def test_numpy_integers_round_trip_through_json(self):
+        """Mode counts and pair indices are written as Python ints, which JSON can carry."""
+        three, two = np.int64(3), np.int64(2)
+        recipe = Recipe(three, 1.5, {three: 1.2}, {(two, three): 0.6})
+        doc = recipe.to_dict()
+        assert type(doc["n_modes"]) is int
+        assert all(type(entry[k]) is int for entry in doc["b"] for k in ("j", "i"))
+        assert Recipe.from_dict(json.loads(jsonio.dumps(doc))) == Recipe(3, 1.5, {3: 1.2}, {(2, 3): 0.6})
+
     def test_document_shape(self):
         doc = Recipe(3, 1.5, {3: 1.2}, {(2, 3): 0.6}).to_dict()
         assert doc == {
@@ -344,3 +389,31 @@ class TestRecipeJson:
             Recipe.from_dict({"n_modes": 3, "s": "wide"})
         with pytest.raises(InputFormatError):
             Recipe.from_dict({"n_modes": 3, "s": 1.0, "r": {"x": 1.0}})
+
+
+class TestRowRotationOracle:
+    """The closed-form splitter chains against one row rotation per splitter."""
+
+    @staticmethod
+    def assert_matches(recipe):
+        got = engineer_state(recipe).data
+        want = rotation_engineer(recipe)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 10, 48, 100])
+    def test_random_recipes(self, n):
+        """N = 2 has no chain after the seed splitter, N = 3 a single splitter."""
+        for seed in range(10):
+            self.assert_matches(random_recipe(n, 7 * n + seed))
+
+    @pytest.mark.parametrize("n, t", [(6, 1e-200), (9, 1e-100), (40, 1e-30), (7, 5e-324)])
+    def test_tiny_transmittivity(self, n, t):
+        """The running product of sqrt(t) underflows here unless it is restarted."""
+        recipe = flat_recipe(n, t)
+        assert validate_recipe(recipe).warnings
+        self.assert_matches(recipe)
+
+    @pytest.mark.parametrize("t", [0.05, 0.95])
+    def test_long_chains(self, t):
+        """At N = 500 and t = 0.05 the product of a chain falls below 1e-300."""
+        self.assert_matches(flat_recipe(500, t))

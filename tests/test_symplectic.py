@@ -181,6 +181,16 @@ class TestSymplecticMatrixValidation:
         with pytest.raises(ValueError, match="not symplectic"):
             SymplecticMatrix(1, np.diag([2.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        """A nan defect compares false with any tolerance, so it must not pass as small."""
+        with pytest.raises(ValueError, match="must be finite"):
+            SymplecticMatrix(1, [[bad, 0.0], [0.0, 1.0]])
+        data = np.eye(4)
+        data[0, 3] = bad
+        with pytest.raises(ValueError, match="must be finite"):
+            SymplecticMatrix(2, data)
+
     def test_products_of_primitives_stay_symplectic(self, rng):
         """Defect stays below 1e-10 relative for long primitive products."""
         n = 4
