@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -71,7 +72,11 @@ class Recipe:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Recipe":
-        """Parse the recipe document, validating the schema (not the physics)."""
+        """Parse the recipe document, validating the schema (not the physics).
+
+        Each entry is read once, so the cost follows the recipe's entries;
+        the first bad entry decides the message.
+        """
         n_modes = _read_header(doc, "recipe", ("n_modes", "s"), minimum=2)
         s = _number(doc["s"], "s")
         if not isinstance(doc.get("r", {}), dict):
@@ -85,17 +90,21 @@ class Recipe:
             index = int(key)
             if index in r:
                 raise InputFormatError(f"duplicate mode squeezing r[{index}]")
-            r[index] = _number(value, f"r[{key!r}]")
+            r[index] = value if type(value) is float else _number(value, f"r[{key!r}]")
         b = {}
+        shape = 'each b entry must be an object with keys "j", "i", "t"'
         for entry in doc.get("b", []):
-            if not isinstance(entry, dict) or not {"j", "i", "t"} <= set(entry):
-                raise InputFormatError(
-                    'each b entry must be an object with keys "j", "i", "t"'
-                )
-            j, i = entry["j"], entry["i"]
-            if not all(isinstance(k, int) and not isinstance(k, bool) for k in (j, i)):
-                raise InputFormatError("b indices j, i must be integers")
-            t = _number(entry["t"], "b transmittivity t")
+            if not isinstance(entry, dict):
+                raise InputFormatError(shape)
+            try:
+                j, i, t = entry["j"], entry["i"], entry["t"]
+            except KeyError:
+                raise InputFormatError(shape) from None
+            if type(j) is not int or type(i) is not int:  # JSON integers are exactly int
+                if not all(isinstance(k, int) and not isinstance(k, bool) for k in (j, i)):
+                    raise InputFormatError("b indices j, i must be integers")
+            if type(t) is not float:
+                t = _number(t, "b transmittivity t")
             if (j, i) in b:
                 raise InputFormatError(f"duplicate beam-splitter pair ({j}, {i})")
             b[(j, i)] = t
@@ -135,24 +144,40 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
     """Check counts, ranges, and pair coverage of a recipe.
 
     Every pair (j, i) with 2 <= j < i <= N must appear exactly once, all
-    squeezings must be positive, and transmittivities must lie strictly
-    inside (0, 1).  Transmittivities within ``tolerances.DEGENERACY_MARGIN`` of the
+    squeezings must be positive numbers, and transmittivities must be numbers
+    strictly inside (0, 1).  Transmittivities within ``tolerances.DEGENERACY_MARGIN`` of the
     boundary only produce warnings: the state then degenerates toward a
-    product across that link but remains valid.  Of each kind of missing or
-    unexpected entry the first five are named and the rest only counted, so
-    the cost and the message size follow the recipe's entries, not N.
+    product across that link but remains valid.  Of each kind of missing,
+    unexpected or malformed entry the first five are named and the rest only
+    counted.  Each entry is read once and missing pairs are looked for only
+    when some are missing, so the cost and the message size follow the
+    recipe's entries, not N.
     """
-    errors = []
-    warnings = []
+    return _checked(recipe)[0]
+
+
+def _checked(recipe: Recipe):
+    """:func:`validate_recipe`'s outcome and, without errors, the transmittivities in schedule order."""
     try:
         n = _integer(recipe.n_modes, "n_modes", 2)
     except ValueError as exc:
-        return RecipeValidation((str(exc),), ())
-    if not recipe.s > 0.0:
+        return RecipeValidation((str(exc),), ()), None
+    errors = []
+    warnings = []
+    if _real(recipe.s) is None:
+        errors.append(f"seed squeezing s must be a number, got {recipe.s!r}")
+    elif not recipe.s > 0.0:
         errors.append(f"seed squeezing s must be positive, got {recipe.s}")
 
-    known_r = sorted(k for k in recipe.r if 3 <= k <= n)
-    extra_r = sorted(k for k in recipe.r if not 3 <= k <= n)
+    known_r, extra_r, malformed_r = [], [], []
+    for key in recipe.r:
+        index = _index(key)
+        if index is None:
+            malformed_r.append(key)
+        else:
+            (known_r if 3 <= index <= n else extra_r).append((index, key))
+    known_r.sort()
+    extra_r.sort()
     missing_r = (k for k in range(3, n + 1) if k not in recipe.r)
     errors += _itemized(
         (f"missing mode squeezing r[{k}]" for k in missing_r),
@@ -160,42 +185,144 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
         "missing mode squeezings",
     )
     errors += _itemized(
-        (f"unexpected mode squeezing r[{k}] for {n} modes" for k in extra_r),
+        (f"unexpected mode squeezing r[{k}] for {n} modes" for _, k in extra_r),
         len(extra_r),
         "unexpected mode squeezings",
     )
-    for index in known_r:
-        if not recipe.r[index] > 0.0:
-            errors.append(f"r[{index}] must be positive, got {recipe.r[index]}")
-
-    def schedule_order(pair):
-        return pair[1], pair[0]
-
-    known_b = sorted((p for p in recipe.b if 2 <= p[0] < p[1] <= n), key=schedule_order)
-    extra_b = sorted((p for p in recipe.b if not 2 <= p[0] < p[1] <= n), key=schedule_order)
-    missing_b = ((j, i) for i in range(3, n + 1) for j in range(2, i) if (j, i) not in recipe.b)
     errors += _itemized(
-        (f"missing pair ({j}, {i})" for j, i in missing_b),
-        (n - 1) * (n - 2) // 2 - len(known_b),
+        (f"r key {k!r} is not an integer mode index" for k in malformed_r),
+        len(malformed_r),
+        "malformed mode squeezing keys",
+    )
+    for _, key in known_r:
+        value = recipe.r[key]
+        if _real(value) is None:
+            errors.append(f"r[{key}] must be a number, got {value!r}")
+        elif not value > 0.0:
+            errors.append(f"r[{key}] must be positive, got {value}")
+
+    keys, values = list(recipe.b), list(recipe.b.values())
+    slots = _slots(keys, n)
+    try:
+        slots = np.fromiter(slots, np.int64, len(slots))
+    except OverflowError:  # slots of registers beyond ~4e9 modes
+        slots = np.array(slots, dtype=object)
+    present = np.flatnonzero(slots >= 0)
+    present = present[np.argsort(slots[present])]  # schedule order
+    missing = (n - 1) * (n - 2) // 2 - len(present)
+    errors += _itemized(
+        (f"missing pair ({j}, {i})" for j, i in _missing_pairs(slots[present], missing)),
+        missing,
         "missing pairs",
     )
-    errors += _itemized(
-        (f"unexpected pair ({j}, {i}) for {n} modes" for j, i in extra_b),
-        len(extra_b),
-        "unexpected pairs",
-    )
-    for j, i in known_b:
-        t = recipe.b[(j, i)]
-        if not 0.0 < t < 1.0:
-            errors.append(
-                f"transmittivity b[({j}, {i})] must lie strictly in (0, 1), got {t}"
-            )
-        elif t < tolerances.DEGENERACY_MARGIN or t > 1.0 - tolerances.DEGENERACY_MARGIN:
+    if len(present) < len(keys):
+        extra_b = sorted(
+            (keys[k] for k in np.flatnonzero(slots == _UNEXPECTED)),
+            key=lambda pair: (_index(pair[1]), _index(pair[0])),
+        )
+        errors += _itemized(
+            (f"unexpected pair ({j}, {i}) for {n} modes" for j, i in extra_b),
+            len(extra_b),
+            "unexpected pairs",
+        )
+        malformed_b = [keys[k] for k in np.flatnonzero(slots == _MALFORMED)]
+        errors += _itemized(
+            (f"pair key {key!r} is not two integer mode indices" for key in malformed_b),
+            len(malformed_b),
+            "malformed pair keys",
+        )
+
+    t = _reals(values)[present]  # nan where not a number
+    margin = tolerances.DEGENERACY_MARGIN
+    for k in np.flatnonzero(~((t >= margin) & (t <= 1.0 - margin))):  # errors and warnings
+        (j, i), value = keys[present[k]], values[present[k]]
+        if _real(value) is None:
+            errors.append(f"transmittivity b[({j}, {i})] must be a number, got {value!r}")
+        elif not 0.0 < t[k] < 1.0:
+            errors.append(f"transmittivity b[({j}, {i})] must lie strictly in (0, 1), got {value}")
+        else:
             warnings.append(
-                f"b[({j}, {i})] = {t} is within {tolerances.DEGENERACY_MARGIN} of the boundary; "
+                f"b[({j}, {i})] = {value} is within {margin} of the boundary; "
                 "the state degenerates toward a product across this link"
             )
-    return RecipeValidation(tuple(errors), tuple(warnings))
+    return RecipeValidation(tuple(errors), tuple(warnings)), None if errors else t
+
+
+# slot codes of pair keys that are not in the schedule
+_UNEXPECTED, _MALFORMED = -1, -2
+
+
+def _index(value):
+    """An integral real number as an ``int``, else None; ``2.0`` and numpy integers are indices."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, numbers.Real):
+        return None
+    try:
+        index = int(value)
+    except (OverflowError, ValueError):  # inf, nan
+        return None
+    return index if index == value else None
+
+
+def _slot(key, n: int) -> int:
+    """Schedule slot (i-3)(i-2)/2 + (j-2) of a pair key (j, i) with 2 <= j < i <= n, else a code."""
+    if not (isinstance(key, tuple) and len(key) == 2):
+        return _MALFORMED
+    j, i = map(_index, key)
+    if j is None or i is None:
+        return _MALFORMED
+    return (i - 3) * (i - 2) // 2 + j - 2 if 2 <= j < i <= n else _UNEXPECTED
+
+
+def _slots(keys: list, n: int) -> list:
+    """:func:`_slot` of every key; pairs of plain ints, as documents give, are read inline."""
+    if set(map(type, keys)) <= {tuple}:
+        try:
+            return [
+                ((i - 3) * (i - 2) // 2 + j - 2 if 2 <= j < i <= n else _UNEXPECTED)
+                if type(j) is int and type(i) is int
+                else _slot((j, i), n)
+                for j, i in keys
+            ]
+        except ValueError:  # a tuple of another length
+            pass
+    return [_slot(key, n) for key in keys]
+
+
+def _missing_pairs(slots: np.ndarray, count: int):
+    """Lazily, the pairs (j, i) in schedule order whose slots are not among the present ``slots``."""
+    if count <= 0:
+        return
+    present = set(slots.tolist())
+    slot = 0
+    for i in itertools.count(3):
+        for j in range(2, i):
+            if slot not in present:
+                yield j, i
+                count -= 1
+                if not count:
+                    return
+            slot += 1
+
+
+def _real(value):
+    """A real number as a float (beyond the float range: +-inf), else None; bools are 0 and 1."""
+    if type(value) is float:
+        return value
+    if not isinstance(value, numbers.Real):
+        return None
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _reals(values: list) -> np.ndarray:
+    """``values`` as a float array, nan where a value is not a real number."""
+    if set(map(type, values)) <= {float}:
+        return np.fromiter(values, float, len(values))
+    return np.array([math.nan if real is None else real for real in map(_real, values)], dtype=float)
 
 
 def _itemized(messages, count: int, kind: str) -> list:
@@ -266,12 +393,10 @@ def engineer_state(recipe: Recipe) -> CovarianceMatrix:
         RecipeError: if :func:`validate_recipe` reports errors, or if the
             squeezing is too extreme for the state to be represented.
     """
-    check = validate_recipe(recipe)
+    check, transmittivity = _checked(recipe)
     if not check:
         raise RecipeError("; ".join(check.errors))
     n = recipe.n_modes
-    # transmittivities in schedule order: mode 3's chain, then mode 4's, ...
-    transmittivity = np.array([recipe.b[(j, i)] for i in range(3, n + 1) for j in range(2, i)])
     cos, sin = np.sqrt(transmittivity), np.sqrt(1.0 - transmittivity)
     network = np.eye(n)  # orthogonal matrix M of the beam-splitter network
     half = math.sqrt(0.5)  # the 50:50 seed splitter on modes 1 and 2

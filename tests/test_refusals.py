@@ -155,6 +155,28 @@ GOLDEN = [
          InputFormatError, "n_modes must be an integer >= 2")
         for value in (True, 1, 2.0, "3", [])
     ),
+    # recipes built in Python: entries that are not numbers or not pairs of integers
+    ("recipe-t-string", lambda: engineer_state(Recipe(3, 1.5, {3: 1.2}, {(2, 3): "0.5"})), RecipeError,
+     "transmittivity b[(2, 3)] must be a number, got '0.5'"),
+    ("recipe-t-none", lambda: engineer_state(Recipe(3, 1.5, {3: 1.2}, {(2, 3): None})), RecipeError,
+     "transmittivity b[(2, 3)] must be a number, got None"),
+    ("recipe-s-string", lambda: engineer_state(Recipe(3, "1.5", {3: 1.2}, {(2, 3): 0.5})), RecipeError,
+     "seed squeezing s must be a number, got '1.5'"),
+    ("recipe-r-string", lambda: engineer_state(Recipe(3, 1.5, {3: "1.2"}, {(2, 3): 0.5})), RecipeError,
+     "r[3] must be a number, got '1.2'"),
+    ("recipe-s-r-t-in-order", lambda: engineer_state(Recipe(3, "1.5", {3: "1.2"}, {(2, 3): None})), RecipeError,
+     "seed squeezing s must be a number, got '1.5'; r[3] must be a number, got '1.2'; "
+     "transmittivity b[(2, 3)] must be a number, got None"),
+    ("recipe-pair-string", lambda: engineer_state(Recipe(3, 1.5, {3: 1.2}, {("2", 3): 0.5})), RecipeError,
+     "missing pair (2, 3); pair key ('2', 3) is not two integer mode indices"),
+    ("recipe-pair-fraction", lambda: engineer_state(Recipe(3, 1.5, {3: 1.2}, {(2.5, 3): 0.5})), RecipeError,
+     "missing pair (2, 3); pair key (2.5, 3) is not two integer mode indices"),
+    ("recipe-pair-not-a-pair", lambda: engineer_state(Recipe(3, 1.5, {3: 1.2}, {3: 0.5, (2, 3, 4): 0.5})),
+     RecipeError,
+     "missing pair (2, 3); pair key 3 is not two integer mode indices; "
+     "pair key (2, 3, 4) is not two integer mode indices"),
+    ("recipe-r-key-string", lambda: engineer_state(Recipe(3, 1.5, {"3": 1.2}, {(2, 3): 0.5})), RecipeError,
+     "missing mode squeezing r[3]; r key '3' is not an integer mode index"),
     ("vq-doc-object", lambda: read_vq_document(None), InputFormatError,
      "standard-form document must be a JSON object"),
     ("vq-doc-key", lambda: StandardForm.from_dict({"n_modes": 1}), InputFormatError,
