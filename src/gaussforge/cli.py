@@ -19,7 +19,7 @@ import click
 import numpy as np
 
 from . import jsonio, tolerances
-from .engineering import Recipe, engineer_state, free_parameter_audit, validate_recipe
+from .engineering import Recipe, _engineer, free_parameter_audit, validate_recipe
 from .entanglement import full_report
 from .errors import GaussForgeError, InputFormatError
 from .gmps import parity_table, table_csv
@@ -61,7 +61,7 @@ class _Group(click.Group):
             _fail(exc.format_message(), _EXIT_INPUT)
         except InputFormatError as exc:
             _fail(str(exc), _EXIT_INPUT)
-        except (GaussForgeError, ValueError, np.linalg.LinAlgError) as exc:
+        except (GaussForgeError, ValueError) as exc:  # numpy's LinAlgError is a ValueError
             _fail(str(exc), _EXIT_DOMAIN)
 
 
@@ -111,9 +111,10 @@ def main():
 def cmd_engineer(recipe_path, out_path, precision):
     """Build a pure state from a recipe and emit its covariance matrix."""
     recipe = Recipe.from_dict(_read_json(recipe_path))
-    for warning in validate_recipe(recipe).warnings:
+    check = validate_recipe(recipe)
+    for warning in check.warnings:
         click.echo(f"warning: {warning}", err=True)
-    cm = engineer_state(recipe)
+    cm = _engineer(recipe, check)
     click.echo(f"{free_parameter_audit(recipe)} parameters", err=True)
     click.echo(f"purity residual {is_pure(cm).residual:.3e}", err=True)
     _emit(jsonio.dumps(cm.to_dict(), precision) + "\n", out_path)

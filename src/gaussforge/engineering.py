@@ -48,6 +48,10 @@ class Recipe:
         r: squeezing factor per mode, keyed by mode index 3..N.
         b: transmittivity per beam-splitter pair, keyed by (j, i) with
             2 <= j < i <= N; applied in ascending i, then ascending j.
+
+    Unlike mode counts, the ``r`` and ``b`` keys are read as any integral
+    real numbers: ``(2.0, 3)`` is the pair (2, 3), and ``(True, 3)`` the
+    pair (1, 3), which :func:`validate_recipe` reports as unexpected.
     """
 
     n_modes: int
@@ -90,7 +94,7 @@ class Recipe:
             index = int(key)
             if index in r:
                 raise InputFormatError(f"duplicate mode squeezing r[{index}]")
-            r[index] = value if type(value) is float else _number(value, f"r[{key!r}]")
+            r[index] = _number(value, f"r[{key!r}]")
         b = {}
         shape = 'each b entry must be an object with keys "j", "i", "t"'
         for entry in doc.get("b", []):
@@ -121,16 +125,20 @@ def _number(value, name: str) -> float:
         raise InputFormatError(f"{name} is beyond the float range") from None
 
 
-# missing or unexpected recipe entries named one by one; the rest are counted
+# missing, unexpected or malformed recipe entries named one by one; the rest are counted
 _LISTED = 5
 
 
 @dataclass(frozen=True)
 class RecipeValidation:
-    """Validation outcome; truthy iff there are no errors (warnings allowed)."""
+    """Validation outcome; truthy iff there are no errors (warnings allowed).
+
+    Without errors it keeps the schedule-ordered transmittivities the state is built from.
+    """
 
     errors: tuple
     warnings: tuple
+    _transmittivity: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def ok(self) -> bool:
@@ -141,27 +149,24 @@ class RecipeValidation:
 
 
 def validate_recipe(recipe: Recipe) -> RecipeValidation:
-    """Check counts, ranges, and pair coverage of a recipe.
+    """Check counts, ranges, and coverage of a recipe: the package's only recipe check.
 
-    Every pair (j, i) with 2 <= j < i <= N must appear exactly once, all
-    squeezings must be positive numbers, and transmittivities must be numbers
-    strictly inside (0, 1).  Transmittivities within ``tolerances.DEGENERACY_MARGIN`` of the
-    boundary only produce warnings: the state then degenerates toward a
-    product across that link but remains valid.  Of each kind of missing,
-    unexpected or malformed entry the first five are named and the rest only
-    counted.  Each entry is read once and missing pairs are looked for only
+    Every mode 3..N needs one squeezing and every pair (j, i) with
+    2 <= j < i <= N one transmittivity.  Squeezings must be positive numbers
+    and transmittivities numbers strictly inside (0, 1); those within
+    ``tolerances.DEGENERACY_MARGIN`` of the boundary only produce warnings:
+    the state then degenerates toward a product across that link but remains
+    valid.  Of each kind of missing, unexpected or malformed entry the first
+    five are named and the rest only counted.  Squeezings and pairs share one
+    coverage pass, which reads each entry once and looks for missing ones only
     when some are missing, so the cost and the message size follow the
-    recipe's entries, not N.
+    recipe's entries, not N.  :func:`engineer_state` and ``gaussforge
+    engineer`` run this check once per recipe and build from its outcome.
     """
-    return _checked(recipe)[0]
-
-
-def _checked(recipe: Recipe):
-    """:func:`validate_recipe`'s outcome and, without errors, the transmittivities in schedule order."""
     try:
         n = _integer(recipe.n_modes, "n_modes", 2)
     except ValueError as exc:
-        return RecipeValidation((str(exc),), ()), None
+        return RecipeValidation((str(exc),), ())
     errors = []
     warnings = []
     if _real(recipe.s) is None:
@@ -169,73 +174,20 @@ def _checked(recipe: Recipe):
     elif not recipe.s > 0.0:
         errors.append(f"seed squeezing s must be positive, got {recipe.s}")
 
-    known_r, extra_r, malformed_r = [], [], []
-    for key in recipe.r:
-        index = _index(key)
-        if index is None:
-            malformed_r.append(key)
-        else:
-            (known_r if 3 <= index <= n else extra_r).append((index, key))
-    known_r.sort()
-    extra_r.sort()
-    missing_r = (k for k in range(3, n + 1) if k not in recipe.r)
-    errors += _itemized(
-        (f"missing mode squeezing r[{k}]" for k in missing_r),
-        n - 2 - len(known_r),
-        "missing mode squeezings",
-    )
-    errors += _itemized(
-        (f"unexpected mode squeezing r[{k}] for {n} modes" for _, k in extra_r),
-        len(extra_r),
-        "unexpected mode squeezings",
-    )
-    errors += _itemized(
-        (f"r key {k!r} is not an integer mode index" for k in malformed_r),
-        len(malformed_r),
-        "malformed mode squeezing keys",
-    )
-    for _, key in known_r:
-        value = recipe.r[key]
-        if _real(value) is None:
-            errors.append(f"r[{key}] must be a number, got {value!r}")
-        elif not value > 0.0:
-            errors.append(f"r[{key}] must be positive, got {value}")
+    keys, values = list(recipe.r), list(recipe.r.values())
+    order = _coverage(keys, [_mode_slot(key, n) for key in keys], n - 2, n, _SQUEEZINGS, errors)
+    for k in order[~(_reals(values)[order] > 0.0)]:  # nan where not a number
+        if _real(values[k]) is None:
+            errors.append(f"r[{keys[k]}] must be a number, got {values[k]!r}")
+        elif not values[k] > 0.0:
+            errors.append(f"r[{keys[k]}] must be positive, got {values[k]}")
 
     keys, values = list(recipe.b), list(recipe.b.values())
-    slots = _slots(keys, n)
-    try:
-        slots = np.fromiter(slots, np.int64, len(slots))
-    except OverflowError:  # slots of registers beyond ~4e9 modes
-        slots = np.array(slots, dtype=object)
-    present = np.flatnonzero(slots >= 0)
-    present = present[np.argsort(slots[present])]  # schedule order
-    missing = (n - 1) * (n - 2) // 2 - len(present)
-    errors += _itemized(
-        (f"missing pair ({j}, {i})" for j, i in _missing_pairs(slots[present], missing)),
-        missing,
-        "missing pairs",
-    )
-    if len(present) < len(keys):
-        extra_b = sorted(
-            (keys[k] for k in np.flatnonzero(slots == _UNEXPECTED)),
-            key=lambda pair: (_index(pair[1]), _index(pair[0])),
-        )
-        errors += _itemized(
-            (f"unexpected pair ({j}, {i}) for {n} modes" for j, i in extra_b),
-            len(extra_b),
-            "unexpected pairs",
-        )
-        malformed_b = [keys[k] for k in np.flatnonzero(slots == _MALFORMED)]
-        errors += _itemized(
-            (f"pair key {key!r} is not two integer mode indices" for key in malformed_b),
-            len(malformed_b),
-            "malformed pair keys",
-        )
-
-    t = _reals(values)[present]  # nan where not a number
+    order = _coverage(keys, _slots(keys, n), (n - 1) * (n - 2) // 2, n, _PAIRS, errors)
+    t = _reals(values)[order]  # nan where not a number
     margin = tolerances.DEGENERACY_MARGIN
     for k in np.flatnonzero(~((t >= margin) & (t <= 1.0 - margin))):  # errors and warnings
-        (j, i), value = keys[present[k]], values[present[k]]
+        (j, i), value = keys[order[k]], values[order[k]]
         if _real(value) is None:
             errors.append(f"transmittivity b[({j}, {i})] must be a number, got {value!r}")
         elif not 0.0 < t[k] < 1.0:
@@ -245,17 +197,47 @@ def _checked(recipe: Recipe):
                 f"b[({j}, {i})] = {value} is within {margin} of the boundary; "
                 "the state degenerates toward a product across this link"
             )
-    return RecipeValidation(tuple(errors), tuple(warnings)), None if errors else t
+    return RecipeValidation(tuple(errors), tuple(warnings), None if errors else t)
 
 
-# slot codes of pair keys that are not in the schedule
-_UNEXPECTED, _MALFORMED = -1, -2
+def _coverage(keys: list, slots: list, size: int, n: int, kind: tuple, errors: list) -> np.ndarray:
+    """Positions of the scheduled ``keys`` in schedule order; the others are named in ``errors``.
+
+    ``slots`` holds each key's slot in 0..size-1, or a code; ``kind`` is ``_SQUEEZINGS`` or
+    ``_PAIRS``.  Each key is read once; missing slots are looked for only if some are missing.
+    """
+    noun, name, slot_key, schedule_order, malformed = kind
+    try:
+        slots = np.fromiter(slots, np.int64, len(slots))
+    except OverflowError:  # slots of registers beyond ~4e9 modes
+        slots = np.array(slots, dtype=object)
+    order = np.flatnonzero(slots >= 0)
+    order = order[np.argsort(slots[order])]
+    missing = size - len(order)
+    taken = set(slots[order].tolist()) if missing else ()
+    gaps = itertools.filterfalse(taken.__contains__, itertools.count())
+    gaps = itertools.islice(gaps, min(missing, _LISTED))  # lazily, the missing slots to name
+    extra = sorted((keys[k] for k in np.flatnonzero(slots == _UNEXPECTED)), key=schedule_order)
+    bad = [keys[k] for k in np.flatnonzero(slots == _MALFORMED)]
+    named = (f"missing {noun} {name(slot_key(k))}" for k in gaps)
+    errors += _itemized(named, missing, f"missing {noun}s")
+    named = (f"unexpected {noun} {name(key)} for {n} modes" for key in extra)
+    errors += _itemized(named, len(extra), f"unexpected {noun}s")
+    errors += _itemized(map(malformed.format, bad), len(bad), f"malformed {noun} keys")
+    return order
+
+
+_UNEXPECTED, _MALFORMED = -1, -2  # slot codes of keys that are not in the schedule
+
+
+def _pair(slot: int) -> tuple:
+    """The pair (j, i) of schedule slot (i-3)(i-2)/2 + (j-2), in closed form."""
+    m = (1 + math.isqrt(1 + 8 * slot)) // 2  # i - 2: the m with m(m-1)/2 <= slot < m(m+1)/2
+    return slot - m * (m - 1) // 2 + 2, m + 2
 
 
 def _index(value):
     """An integral real number as an ``int``, else None; ``2.0`` and numpy integers are indices."""
-    if type(value) is int:
-        return value
     if not isinstance(value, numbers.Real):
         return None
     try:
@@ -263,6 +245,14 @@ def _index(value):
     except (OverflowError, ValueError):  # inf, nan
         return None
     return index if index == value else None
+
+
+def _mode_slot(key, n: int) -> int:
+    """Schedule slot index - 3 of a squeezing key with 3 <= index <= n, else a code."""
+    index = _index(key)
+    if index is None:
+        return _MALFORMED
+    return index - 3 if 3 <= index <= n else _UNEXPECTED
 
 
 def _slot(key, n: int) -> int:
@@ -290,26 +280,26 @@ def _slots(keys: list, n: int) -> list:
     return [_slot(key, n) for key in keys]
 
 
-def _missing_pairs(slots: np.ndarray, count: int):
-    """Lazily, the pairs (j, i) in schedule order whose slots are not among the present ``slots``."""
-    if count <= 0:
-        return
-    present = set(slots.tolist())
-    slot = 0
-    for i in itertools.count(3):
-        for j in range(2, i):
-            if slot not in present:
-                yield j, i
-                count -= 1
-                if not count:
-                    return
-            slot += 1
+# how messages name each kind of entry: its noun, a key, the key of a schedule slot,
+# the schedule order of unexpected keys, and the text of a malformed key
+_SQUEEZINGS = (
+    "mode squeezing",
+    "r[{}]".format,
+    lambda slot: slot + 3,
+    _index,
+    "r key {!r} is not an integer mode index",
+)
+_PAIRS = (
+    "pair",
+    lambda pair: "({}, {})".format(*pair),
+    _pair,
+    lambda pair: (_index(pair[1]), _index(pair[0])),
+    "pair key {!r} is not two integer mode indices",
+)
 
 
 def _real(value):
     """A real number as a float (beyond the float range: +-inf), else None; bools are 0 and 1."""
-    if type(value) is float:
-        return value
     if not isinstance(value, numbers.Real):
         return None
     try:
@@ -322,7 +312,7 @@ def _reals(values: list) -> np.ndarray:
     """``values`` as a float array, nan where a value is not a real number."""
     if set(map(type, values)) <= {float}:
         return np.fromiter(values, float, len(values))
-    return np.array([math.nan if real is None else real for real in map(_real, values)], dtype=float)
+    return np.array(list(map(_real, values)), dtype=float)  # None becomes nan
 
 
 def _itemized(messages, count: int, kind: str) -> list:
@@ -387,17 +377,23 @@ def engineer_state(recipe: Recipe) -> CovarianceMatrix:
     """Build the pure N-mode state described by a recipe.
 
     The output is q-p block diagonal (all position-momentum covariances
-    vanish) with every single-mode block proportional to the identity.
+    vanish) with every single-mode block proportional to the identity.  The
+    recipe is checked once, by :func:`validate_recipe`, and the state is built
+    from the schedule-ordered transmittivities that check keeps.
 
     Raises:
         RecipeError: if :func:`validate_recipe` reports errors, or if the
             squeezing is too extreme for the state to be represented.
     """
-    check, transmittivity = _checked(recipe)
+    return _engineer(recipe, validate_recipe(recipe))
+
+
+def _engineer(recipe: Recipe, check: RecipeValidation) -> CovarianceMatrix:
+    """:func:`engineer_state` of a recipe already checked: ``check`` is its :func:`validate_recipe`."""
     if not check:
         raise RecipeError("; ".join(check.errors))
     n = recipe.n_modes
-    cos, sin = np.sqrt(transmittivity), np.sqrt(1.0 - transmittivity)
+    cos, sin = np.sqrt(check._transmittivity), np.sqrt(1.0 - check._transmittivity)
     network = np.eye(n)  # orthogonal matrix M of the beam-splitter network
     half = math.sqrt(0.5)  # the 50:50 seed splitter on modes 1 and 2
     network[:2, :2] = [[half, -half], [half, half]]

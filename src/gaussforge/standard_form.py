@@ -334,8 +334,5 @@ def ring_potential(n_modes: int, coupling: float) -> np.ndarray:
         raise ValueError(f"coupling must be finite, got {coupling}")
     if coupling < 0.0:
         raise ValueError(f"coupling must be nonnegative, got {coupling}")
-    potential = np.diag(np.full(n_modes, 1.0 + 2.0 * coupling))
-    for k in range(n_modes):
-        potential[k, (k + 1) % n_modes] -= coupling
-        potential[(k + 1) % n_modes, k] -= coupling
-    return potential
+    shift = np.roll(np.eye(n_modes), 1, axis=1)  # ones at (k, k + 1 mod N)
+    return np.diag(np.full(n_modes, 1.0 + 2.0 * coupling)) - coupling * (shift + shift.T)

@@ -13,10 +13,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gaussforge import tolerances
+from click.testing import CliRunner
+
+from gaussforge import cli, engineering, jsonio, tolerances
 from gaussforge.engineering import (
     Recipe,
     _mix_new_mode,
+    _pair,
     engineer_state,
     random_recipe,
     validate_recipe,
@@ -258,3 +261,56 @@ def test_header_only_huge_recipe_is_checked_in_little_memory():
     assert (check.errors, check.warnings) == want
     assert str(info.value) == "; ".join(want[0])
     assert peak < 2**20
+
+
+def test_slot_to_pair_map_inverts_the_schedule_slot():
+    slot = 0
+    for i in range(3, 2001):
+        for j in range(2, i):
+            assert _pair(slot) == (j, i)
+            slot += 1
+    for i in (2**39 - 1, 2**39, 2**39 + 1, 2**62, 2**70 + 5):  # slots beyond int64
+        for j in (2, 3, i // 2, i - 2, i - 1):
+            assert _pair((i - 3) * (i - 2) // 2 + j - 2) == (j, i)
+
+
+def counted_checks(monkeypatch):
+    """Count calls of validate_recipe, under the name of every module that uses it."""
+    calls = []
+    original = engineering.validate_recipe
+
+    def counted(recipe):
+        calls.append(recipe.n_modes)
+        return original(recipe)
+
+    monkeypatch.setattr(engineering, "validate_recipe", counted)
+    monkeypatch.setattr(cli, "validate_recipe", counted)
+    return calls
+
+
+@pytest.mark.parametrize("t", [0.5, 0.9995])
+def test_engineer_state_checks_once(monkeypatch, t):
+    calls = counted_checks(monkeypatch)
+    engineer_state(Recipe(4, 1.5, {3: 1.1, 4: 0.9}, {(j, i): t for i in (3, 4) for j in range(2, i)}))
+    assert calls == [4]
+
+
+@pytest.mark.parametrize("t", [0.5, 0.9995])
+def test_cli_engineer_checks_once(monkeypatch, t):
+    calls = counted_checks(monkeypatch)
+    doc = Recipe(4, 1.5, {3: 1.1, 4: 0.9}, {(j, i): t for i in (3, 4) for j in range(2, i)}).to_dict()
+    result = CliRunner().invoke(cli.main, ["engineer", "--recipe", "-"], input=jsonio.dumps(doc))
+    assert result.exit_code == 0
+    assert result.stderr.count("warning: ") == (0 if t == 0.5 else 3)
+    assert calls == [4]
+
+
+def test_kept_transmittivities_are_private_to_the_outcome():
+    """The schedule-ordered array the state is built from takes no part in repr or equality."""
+    recipe = shuffled(random_recipe(5, 2), 1)
+    check = validate_recipe(recipe)
+    want = [recipe.b[(j, i)] for i in range(3, 6) for j in range(2, i)]
+    assert np.array_equal(check._transmittivity, want)
+    assert check == engineering.RecipeValidation((), ())
+    assert repr(check) == "RecipeValidation(errors=(), warnings=())"
+    assert validate_recipe(Recipe(5, 1.5))._transmittivity is None

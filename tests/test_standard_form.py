@@ -615,6 +615,18 @@ class TestRingPotential:
         with pytest.raises(ValueError, match="nonnegative"):
             ring_potential(4, -0.1)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 31, 64, 1000])
+    def test_matches_the_per_mode_loop_bit_for_bit(self, n):
+        for coupling in [0.0, 1 / 3, 0.1, 0.5, 1.0, 2.0, 1e3, 1e6, 1e308]:
+            with np.errstate(over="ignore"):  # two modes at 1e308: both reach -inf off the diagonal
+                loop = np.diag(np.full(n, 1.0 + 2.0 * coupling))  # the earlier per-mode construction
+                for k in range(n):
+                    loop[k, (k + 1) % n] -= coupling
+                    loop[(k + 1) % n, k] -= coupling
+                potential = ring_potential(n, coupling)
+            assert np.array_equal(potential, loop), coupling
+            assert not np.signbit(potential[loop == 0.0]).any(), coupling
+
     def test_largest_coupling_forms_no_inf_times_zero(self):
         potential = ring_potential(4, 1e308)  # RuntimeWarnings are errors in this suite
         assert np.isinf(potential[0, 0]) and potential[0, 2] == 0.0
