@@ -288,18 +288,22 @@ def counted_checks(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("t", [0.5, 0.9995])
-def test_engineer_state_checks_once(monkeypatch, t):
+def four_mode_recipe(t):
+    return Recipe(4, 1.5, {3: 1.1, 4: 0.9}, {(j, i): t for i in (3, 4) for j in range(2, i)})
+
+
+def test_engineer_state_checks_once(monkeypatch):
     calls = counted_checks(monkeypatch)
-    engineer_state(Recipe(4, 1.5, {3: 1.1, 4: 0.9}, {(j, i): t for i in (3, 4) for j in range(2, i)}))
+    engineer_state(four_mode_recipe(0.5))
     assert calls == [4]
 
 
 @pytest.mark.parametrize("t", [0.5, 0.9995])
 def test_cli_engineer_checks_once(monkeypatch, t):
+    """The one check also gives the warnings: three near-boundary pairs, three lines."""
     calls = counted_checks(monkeypatch)
-    doc = Recipe(4, 1.5, {3: 1.1, 4: 0.9}, {(j, i): t for i in (3, 4) for j in range(2, i)}).to_dict()
-    result = CliRunner().invoke(cli.main, ["engineer", "--recipe", "-"], input=jsonio.dumps(doc))
+    doc = jsonio.dumps(four_mode_recipe(t).to_dict())
+    result = CliRunner().invoke(cli.main, ["engineer", "--recipe", "-"], input=doc)
     assert result.exit_code == 0
     assert result.stderr.count("warning: ") == (0 if t == 0.5 else 3)
     assert calls == [4]
