@@ -3,114 +3,93 @@
 Engineer states from minimal linear-optics recipes, reduce them to the
 block-diagonal standard form, quantify their entanglement, and compute
 exact EPR-bond lower bounds for matrix product representations.
+
+Submodules load on first use: ``import gaussforge`` imports none of them
+(numpy included), and the first access to a public name imports its home
+module and caches the name here, so later lookups are plain attribute reads.
 """
 
-from .engineering import (
-    Recipe,
-    RecipeValidation,
-    engineer_state,
-    free_parameter_audit,
-    parameter_count,
-    random_recipe,
-    validate_recipe,
-)
-from .entanglement import (
-    EntanglementReport,
-    bosonic_entropy,
-    entropy_one_vs_rest,
-    entropy_via_pairwise,
-    full_report,
-    log_negativity_pair,
-    schmidt_parameter,
-)
-from .errors import (
-    GaussForgeError,
-    InfeasibleError,
-    InputFormatError,
-    NotInGenericClassError,
-    NotPureError,
-    RecipeError,
-)
-from .gmps import (
-    BondAnalysis,
-    min_bonds_general,
-    min_bonds_invariant,
-    parity_table,
-    theta,
-)
-from .standard_form import (
-    StandardForm,
-    det_identity_residual,
-    extract_parameters,
-    harmonic_ground_state,
-    reconstruct_diagonal,
-    ring_potential,
-    standard_form_to_cm,
-    to_standard_form,
-)
-from .symplectic import (
-    CovarianceMatrix,
-    PurityResult,
-    SymplecticMatrix,
-    SymplecticSpectrum,
-    apply_symplectic,
-    beam_splitter,
-    is_bona_fide,
-    is_pure,
-    reduced_cm,
-    squeezer,
-    symplectic_form,
-    vacuum_cm,
-    williamson_spectrum,
-)
+import importlib
 
-__all__ = [
-    "BondAnalysis",
-    "CovarianceMatrix",
-    "EntanglementReport",
-    "GaussForgeError",
-    "InfeasibleError",
-    "InputFormatError",
-    "NotInGenericClassError",
-    "NotPureError",
-    "PurityResult",
-    "Recipe",
-    "RecipeError",
-    "RecipeValidation",
-    "StandardForm",
-    "SymplecticMatrix",
-    "SymplecticSpectrum",
-    "apply_symplectic",
-    "beam_splitter",
-    "bosonic_entropy",
-    "det_identity_residual",
-    "engineer_state",
-    "entropy_one_vs_rest",
-    "entropy_via_pairwise",
-    "extract_parameters",
-    "free_parameter_audit",
-    "full_report",
-    "harmonic_ground_state",
-    "is_bona_fide",
-    "is_pure",
-    "log_negativity_pair",
-    "min_bonds_general",
-    "min_bonds_invariant",
-    "parameter_count",
-    "parity_table",
-    "random_recipe",
-    "reconstruct_diagonal",
-    "reduced_cm",
-    "ring_potential",
-    "schmidt_parameter",
-    "squeezer",
-    "standard_form_to_cm",
-    "symplectic_form",
-    "theta",
-    "to_standard_form",
-    "vacuum_cm",
-    "validate_recipe",
-    "williamson_spectrum",
-]
+_HOMES = {
+    "engineering": (
+        "Recipe",
+        "RecipeValidation",
+        "engineer_state",
+        "free_parameter_audit",
+        "parameter_count",
+        "random_recipe",
+        "validate_recipe",
+    ),
+    "entanglement": (
+        "EntanglementReport",
+        "bosonic_entropy",
+        "entropy_one_vs_rest",
+        "entropy_via_pairwise",
+        "full_report",
+        "log_negativity_pair",
+        "schmidt_parameter",
+    ),
+    "errors": (
+        "GaussForgeError",
+        "InfeasibleError",
+        "InputFormatError",
+        "NotInGenericClassError",
+        "NotPureError",
+        "RecipeError",
+    ),
+    "gmps": (
+        "BondAnalysis",
+        "min_bonds_general",
+        "min_bonds_invariant",
+        "parity_table",
+        "theta",
+    ),
+    "standard_form": (
+        "StandardForm",
+        "det_identity_residual",
+        "extract_parameters",
+        "harmonic_ground_state",
+        "reconstruct_diagonal",
+        "ring_potential",
+        "standard_form_to_cm",
+        "to_standard_form",
+    ),
+    "symplectic": (
+        "CovarianceMatrix",
+        "PurityResult",
+        "SymplecticMatrix",
+        "SymplecticSpectrum",
+        "apply_symplectic",
+        "beam_splitter",
+        "is_bona_fide",
+        "is_pure",
+        "reduced_cm",
+        "squeezer",
+        "symplectic_form",
+        "vacuum_cm",
+        "williamson_spectrum",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
+# the modules behind the public names, and the two they share, are attributes too
+_SUBMODULES = (*_HOMES, "jsonio", "tolerances")
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:  # importing a submodule binds it here
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"

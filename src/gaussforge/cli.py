@@ -16,22 +16,12 @@ import pathlib
 import sys
 
 import click
-import numpy as np
 
+# numerical modules (numpy with them) load inside the commands that run them,
+# so ``--help`` and ``gmps`` start without numpy
 from . import jsonio, tolerances
-from .engineering import Recipe, _engineer, free_parameter_audit, validate_recipe
-from .entanglement import full_report
 from .errors import GaussForgeError, InputFormatError
 from .gmps import parity_table, table_csv
-from .standard_form import (
-    harmonic_ground_state,
-    read_vq_document,
-    reconstruct_diagonal,
-    ring_potential,
-    standard_form_to_cm,
-    to_standard_form,
-)
-from .symplectic import CovarianceMatrix, _check_symmetric, is_pure, williamson_spectrum
 
 _EXIT_DOMAIN = 1
 _EXIT_INPUT = 2
@@ -110,6 +100,9 @@ def main():
 @_precision_option
 def cmd_engineer(recipe_path, out_path, precision):
     """Build a pure state from a recipe and emit its covariance matrix."""
+    from .engineering import Recipe, _engineer, free_parameter_audit, validate_recipe
+    from .symplectic import is_pure
+
     recipe = Recipe.from_dict(_read_json(recipe_path))
     check = validate_recipe(recipe)
     for warning in check.warnings:
@@ -125,6 +118,9 @@ def cmd_engineer(recipe_path, out_path, precision):
 @_precision_option
 def cmd_analyze(cm_path, precision):
     """Report spectrum, rank, purity, and entanglement of a state."""
+    from .entanglement import full_report
+    from .symplectic import CovarianceMatrix, is_pure, williamson_spectrum
+
     cm = CovarianceMatrix.from_dict(_read_json(cm_path))
     spectrum = williamson_spectrum(cm)
     purity = is_pure(cm)
@@ -150,6 +146,16 @@ def cmd_analyze(cm_path, precision):
 @_precision_option
 def cmd_standard_form(cm_path, vq_path, reconstruct, precision):
     """Convert a state to standard form, or rebuild one from correlations."""
+    import numpy as np
+
+    from .standard_form import (
+        read_vq_document,
+        reconstruct_diagonal,
+        standard_form_to_cm,
+        to_standard_form,
+    )
+    from .symplectic import CovarianceMatrix, _check_symmetric
+
     if (cm_path is None) == (vq_path is None):
         raise click.UsageError("provide exactly one of --cm or --vq")
     if cm_path is not None:
@@ -209,6 +215,9 @@ def cmd_gmps(n_min, n_max, fmt, precision):
 @_precision_option
 def cmd_ring(n_modes, coupling, precision):
     """Ground state of a spring-coupled ring, with entanglement summary."""
+    from .entanglement import full_report
+    from .standard_form import harmonic_ground_state, ring_potential
+
     if not (math.isfinite(coupling) and coupling >= 0.0):
         raise click.UsageError(f"coupling must be finite and nonnegative, got {coupling}")
     cm = harmonic_ground_state(ring_potential(n_modes, coupling))

@@ -45,7 +45,7 @@ class NotInGenericClassError(GaussForgeError):
     The class-membership test is heuristic (per-mode rotation plus
     scaling): it refuses states of the class in a generic local frame at
     every N >= 2, as a leftover rotation of a mode whose block is c *
-    identity is invisible to it.  See ROADMAP.md, item 1.
+    identity is invisible to it.  See ROADMAP.md, item 2.
     """
 
     def __init__(self, residual: float, tolerance: float):

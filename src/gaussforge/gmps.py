@@ -90,9 +90,11 @@ def parity_table(n_min: int, n_max: int) -> list:
     if n_max < n_min:
         raise ValueError(f"n_max ({n_max}) must be >= n_min ({n_min})")
     rows = []
+    bonds = _min_bonds(n_min // 2)  # both bounds, by the identity in the module docstring
     for n in range(n_min, n_max + 1):
-        target = theta(n)
-        bonds = _min_bonds(target)  # both bounds, by the identity in the module docstring
+        target = n // 2  # theta(n); it never falls as n grows, so the bound only climbs
+        while bonds * (2 * bonds + 1) < target:
+            bonds += 1
         rows.append(
             BondAnalysis(
                 n_modes=n,

@@ -145,7 +145,7 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
         NotInGenericClassError: if local normalization cannot reach the
             block-diagonal form.  The check is heuristic: it refuses states
             of the class in a generic local frame at every N >= 2 (see
-            ROADMAP.md, item 1).
+            ROADMAP.md, item 2).
     """
     require_pure(cm)
     normalized = _local_normalization(cm)
@@ -334,5 +334,9 @@ def ring_potential(n_modes: int, coupling: float) -> np.ndarray:
         raise ValueError(f"coupling must be finite, got {coupling}")
     if coupling < 0.0:
         raise ValueError(f"coupling must be nonnegative, got {coupling}")
-    shift = np.roll(np.eye(n_modes), 1, axis=1)  # ones at (k, k + 1 mod N)
-    return np.diag(np.full(n_modes, 1.0 + 2.0 * coupling)) - coupling * (shift + shift.T)
+    here = np.arange(n_modes)
+    after = (here + 1) % n_modes
+    potential = np.diag(np.full(n_modes, 1.0 + 2.0 * coupling))
+    # unbuffered, so the two N = 2 wraps onto one entry both land
+    np.subtract.at(potential, (np.r_[here, after], np.r_[after, here]), coupling)
+    return potential
