@@ -27,8 +27,6 @@ from .symplectic import (
     _check_mode_indices,
     _check_symmetric,
     _from_blocks,
-    _local_symplectic,
-    apply_symplectic,
     read_matrix,
     require_pure,
 )
@@ -116,29 +114,39 @@ def read_vq_document(doc) -> tuple:
     return n_modes, read_matrix(doc["vq"], "vq", n_modes)
 
 
-def _local_normalization(cm: CovarianceMatrix) -> CovarianceMatrix:
+def _local_normalization(cm: CovarianceMatrix) -> tuple:
     """Rotate and balance each mode so its 2x2 block becomes c_k * identity.
 
-    Reads every mode's (qq, pp, qp) at once from the block diagonals.  A block
-    with |qp| within ``tolerances.rotation`` is never rotated: exact zeros survive.
+    Works on the N x N blocks, with no 2N x 2N product.  A block with |qp| within
+    ``tolerances.rotation`` is never rotated (exact zeros survive); only turned
+    modes' rows, then columns, are mixed, and the balancing squeeze diag(t_k, 1/t_k)
+    scales entry (i, j) as ``(t_i * entry) * t_j``.  Each stage is symmetrized as in
+    ``symplectic.apply_symplectic``, so where no mode turns the bits are those of
+    the dense congruences.  Returns the normalized V_Q, V_P and q-p block X.
     """
-    qq, pp, qp = (np.diag(block) for block in _blocks(cm.data))
+    # contiguous copies; + 0.0 turns -0 into +0, as the dense identity congruence does
+    q, p, x, y = (block + 0.0 for block in (*_blocks(cm.data), cm.data[1::2, 0::2]))
+    qq, pp, qp = np.diag(q), np.diag(p), np.diag(x)
     still = np.abs(qp) <= tolerances.rotation(np.abs(qq) + np.abs(pp))
-    theta = np.where(still, 0.0, 0.5 * np.arctan2(2.0 * qp, qq - pp))
-    c, s = np.cos(theta), np.sin(theta)
-    rotated = apply_symplectic(cm, _local_symplectic(c, -s, s, c))
-    qq, pp, _ = (np.diag(block) for block in _blocks(rotated.data))
+    turned = np.flatnonzero(~still)
+    theta = 0.5 * np.arctan2(2.0 * qp[turned], qq[turned] - pp[turned])
+    c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    for a, b in ((q, y), (x, p), (q.T, x.T), (y.T, p.T)):  # rows of turned modes, then columns
+        a[turned], b[turned] = c * a[turned] + s * b[turned], c * b[turned] - s * a[turned]
+    q, p, x = (q + q.T) / 2.0, (p + p.T) / 2.0, (x + y.T) / 2.0
     # scalar pow: numpy's SIMD ** 0.25 differs from libm's in the last bit on some inputs
-    t = np.array([ratio**0.25 for ratio in (pp / qq).tolist()])
-    zero = np.zeros_like(t)
-    return apply_symplectic(rotated, _local_symplectic(t, zero, zero, 1.0 / t))
+    t = np.array([ratio**0.25 for ratio in (np.diag(p) / np.diag(q)).tolist()])
+    u = 1.0 / t
+    q, p = t[:, None] * q * t, u[:, None] * p * u
+    return (q + q.T) / 2.0, (p + p.T) / 2.0, (t[:, None] * x * u + x * u * t[:, None]) / 2.0
 
 
 def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
     """Reduce a pure state to its block-diagonal standard form.
 
-    Performs per-mode Williamson normalization, checks that the q-p block
-    vanishes, and verifies the momentum block against V_Q^{-1}.
+    Performs per-mode Williamson normalization on the N x N blocks (O(N^2)),
+    checks that the q-p block vanishes, and verifies the momentum block
+    against V_Q^{-1} (one N x N inverse).
 
     Raises:
         NotPureError: for mixed inputs.
@@ -146,15 +154,14 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
             block-diagonal form.  The check is heuristic: it refuses states
             of the class in a generic local frame at every N >= 2 (see
             ROADMAP.md, item 2).
+        ValueError: if a normalized entry exceeds ``tolerances.MAX_ENTRY``.
     """
     require_pure(cm)
-    normalized = _local_normalization(cm)
-    q_block, p_block, cross_block = _blocks(normalized.data)
-    tol = tolerances.block(normalized.inf_norm())
+    vq, p_block, cross_block = _local_normalization(cm)
+    tol = tolerances.block(_bounded_norm("covariance matrix", vq, p_block, cross_block))
     cross = float(np.max(np.abs(cross_block)))
     if cross > tol:
         raise NotInGenericClassError(cross, tol)
-    vq = (q_block + q_block.T) / 2.0
     inverse = np.linalg.inv(vq)
     gap = float(np.max(np.abs(p_block - inverse)))
     if gap > tol:

@@ -43,14 +43,6 @@ def _mode_rows(mode_index: int) -> slice:
     return slice(2 * (mode_index - 1), 2 * mode_index)
 
 
-def _local_symplectic(a, b, c, d) -> SymplecticMatrix:
-    """Direct sum over modes of the 2x2 matrices ((a_k, b_k), (c_k, d_k)), from length-N arrays."""
-    n = len(a)
-    data = np.zeros((n, 2, n, 2))
-    data[np.arange(n), :, np.arange(n), :] = np.stack([a, b, c, d], axis=1).reshape(n, 2, 2)
-    return SymplecticMatrix(n, data.reshape(2 * n, 2 * n))
-
-
 def _check_mode_indices(n_modes: int, *indices) -> None:
     """Refuse, in order, each index that is not an integer in 1..n_modes."""
     for mode_index in indices:

@@ -77,16 +77,13 @@ def per_mode_normalization(cm: CovarianceMatrix) -> CovarianceMatrix:
 def normalized_row_dots(cm: CovarianceMatrix) -> np.ndarray:
     """Reference det identity by the former route, for every mode at once.
 
-    Normalize each mode locally, regroup to (q1..qN, p1..pN), and take
-    ``sum_j vq_ij vp_ij - 1`` as the dot product of row i of V_Q with row i
-    of V_P.  Only meaningful for states in the class.
+    Normalize each mode locally and take ``sum_j vq_ij vp_ij - 1`` as the dot
+    product of row i of the normalized V_Q with row i of the normalized V_P.
+    Only meaningful for states in the class.
     """
-    n = cm.n_modes
-    data = standard_form._local_normalization(cm).data
-    perm = np.concatenate([np.arange(0, 2 * n, 2), np.arange(1, 2 * n, 2)])
-    grouped = data[np.ix_(perm, perm)]
-    assert np.max(np.abs(grouped[:n, n:])) <= 1e-8 * (1.0 + np.max(np.abs(data)))
-    return np.einsum("ij,ij->i", grouped[:n, :n], grouped[n:, n:]) - 1.0
+    vq, vp, cross = standard_form._local_normalization(cm)
+    assert np.max(np.abs(cross)) <= 1e-8 * (1.0 + max(np.max(np.abs(b)) for b in (vq, vp, cross)))
+    return np.einsum("ij,ij->i", vq, vp) - 1.0
 
 
 class TestToStandardForm:
@@ -184,13 +181,13 @@ class TestToStandardForm:
 
 
 class TestLocalNormalization:
-    """The one-pass per-mode step keeps the bits of the former per-mode loop."""
+    """The block-space per-mode step keeps the bits of the former dense per-mode loop."""
 
     @staticmethod
     def assert_matches_per_mode_loop(cm):
-        assert np.array_equal(
-            standard_form._local_normalization(cm).data, per_mode_normalization(cm).data
-        )
+        blocks = standard_form._local_normalization(cm)
+        dense = symplectic._blocks(per_mode_normalization(cm).data)
+        assert all(np.array_equal(block, ref) for block, ref in zip(blocks, dense))
 
     def test_engineered_states(self):
         """Engineered blocks have qp = 0 and qq - pp of a few ulp either way, so
@@ -211,18 +208,74 @@ class TestLocalNormalization:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 6, 10, 20])
     def test_random_local_frames(self, n):
-        """Frames tilt every block, so every mode takes the rotating branch."""
+        """Frames tilt every block, so every mode takes the rotating branch.  The dense
+        loop's BLAS sums in an order of its own, so the blocks agree to a few ulp of the
+        largest entry, and the class verdict is the same."""
+        eps = np.finfo(float).eps
         for seed in range(5):
             cm = engineer_state(random_recipe(n, seed))
             moved = apply_symplectic(cm, random_local_symplectic(n, np.random.default_rng(seed)))
-            self.assert_matches_per_mode_loop(moved)
+            dense = per_mode_normalization(moved)
+            blocks = standard_form._local_normalization(moved)
+            for block, ref in zip(blocks, symplectic._blocks(dense.data)):
+                assert np.max(np.abs(block - ref)) <= 16 * eps * dense.inf_norm()
+            q_block, p_block, cross_block = symplectic._blocks(dense.data)
+            tol = tolerances.block(dense.inf_norm())
+            gap = np.max(np.abs(p_block - np.linalg.inv(q_block)))
+            refused = np.max(np.abs(cross_block)) > tol or gap > tol
+            try:
+                to_standard_form(moved)
+            except NotInGenericClassError:
+                assert refused
+            else:
+                assert not refused
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: harmonic_ground_state(ring_potential(101, 0.5)),
+            lambda: harmonic_ground_state(ring_potential(160, 2.0)),
+            lambda: engineer_state(random_recipe(48, seed=48)),
+            lambda: engineer_state(random_recipe(80, seed=80)),
+            lambda: harmonic_ground_state(ring_potential(64, 0.5) + np.diag(np.linspace(0.0, 3.0, 64))),
+            lambda: vacuum_cm(3),
+            lambda: CovarianceMatrix(3, np.where(np.eye(6) == 1.0, 1.0, -0.0)),
+            lambda: harmonic_ground_state(ring_potential(9, 0.0)),
+            lambda: harmonic_ground_state(np.diag([1.0, 4.0, 0.25, 9.0])),
+        ],
+        ids=[
+            "ring-101",
+            "ring-160",
+            "engineered-48",
+            "engineered-80",
+            "disordered-64",
+            "vacuum-3",
+            "vacuum-3-negative-zeros",
+            "ring-uncoupled",
+            "product",
+        ],
+    )
+    def test_standard_form_bits_at_lattice_sizes(self, make):
+        """vq, vp and the normalized momentum block byte for byte, signed zeros included."""
+        cm = make()
+        q_block, p_block, _ = symplectic._blocks(per_mode_normalization(cm).data)
+        vq = (q_block + q_block.T) / 2.0
+        inverse = np.linalg.inv(vq)
+        sf = to_standard_form(cm)
+        assert sf.vq.tobytes() == vq.tobytes()
+        assert sf.vp.tobytes() == ((inverse + inverse.T) / 2.0).tobytes()
+        normalized_p = standard_form._local_normalization(cm)[1]
+        assert normalized_p.tobytes() == ((p_block + p_block.T) / 2.0).tobytes()
 
     @pytest.mark.parametrize("n", [2, 7, 16])
-    def test_block_views_only_and_two_congruences(self, n, monkeypatch):
-        """All modes are read from the block diagonals, not through the 2x2 accessors."""
-        calls = {"mode_block": 0, "cross_block": 0, "apply_symplectic": 0}
+    def test_block_views_only_and_no_dense_congruence(self, n, monkeypatch):
+        """All modes are read from the block diagonals, not through the 2x2 accessors,
+        and no symplectic matrix is built or applied."""
+        calls = {"mode_block": 0, "cross_block": 0, "apply_symplectic": 0, "__post_init__": 0}
         for name in calls:
-            owner = symplectic if name == "apply_symplectic" else CovarianceMatrix
+            owner = {"apply_symplectic": symplectic, "__post_init__": SymplecticMatrix}.get(
+                name, CovarianceMatrix
+            )
             original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original, **kwargs):
@@ -231,9 +284,11 @@ class TestLocalNormalization:
 
             monkeypatch.setattr(owner, name, counted)
             if owner is symplectic:
-                monkeypatch.setattr(standard_form, name, counted)
-        to_standard_form(engineer_state(random_recipe(n, seed=n)))
-        assert calls == {"mode_block": 0, "cross_block": 0, "apply_symplectic": 2}
+                monkeypatch.setattr(standard_form, name, counted, raising=False)
+        cm = engineer_state(random_recipe(n, seed=n))
+        calls["__post_init__"] = 0  # count from the finished state on
+        to_standard_form(cm)
+        assert calls == {"mode_block": 0, "cross_block": 0, "apply_symplectic": 0, "__post_init__": 0}
 
 
 class TestOneInverse:

@@ -10,7 +10,6 @@ from gaussforge.standard_form import harmonic_ground_state, ring_potential
 from gaussforge.symplectic import (
     CovarianceMatrix,
     SymplecticMatrix,
-    _local_symplectic,
     apply_symplectic,
     beam_splitter,
     is_bona_fide,
@@ -204,14 +203,6 @@ class TestSymplecticMatrixValidation:
                 total = total @ beam_splitter(n, int(i), int(j), float(rng.uniform(0.05, 0.95)))
             defect = np.max(np.abs(total.data.T @ omega @ total.data - omega))
             assert defect <= 1e-10 * max(1.0, total.inf_norm()) ** 2
-
-    def test_local_direct_sum(self):
-        """Mode k's 2x2 matrix fills rows and columns 2k-2, 2k-1; all else is zero."""
-        c, s = np.cos(0.3), np.sin(0.3)
-        local = _local_symplectic([2.0, c, 1.0], [0.0, -s, 0.0], [0.0, s, 0.0], [0.5, c, 1.0])
-        expected = squeezer(3, 1, 2.0).data.copy()
-        expected[2:4, 2:4] = [[c, -s], [s, c]]
-        np.testing.assert_array_equal(local.data, expected)
 
 
 class TestWilliamson:
