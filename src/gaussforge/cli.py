@@ -203,7 +203,7 @@ def cmd_gmps(n_min, n_max, fmt, precision):
     type=click.IntRange(3, RING_MAX_MODES),
     required=True,
     help=f"Ring size, 3 to {RING_MAX_MODES}. At {RING_MAX_MODES} modes a run writes "
-    "91 MB of JSON and takes about 6-8 s and 0.5 GB of memory (2-core x86 host).",
+    "91 MB of JSON and takes about 6 s and 0.5 GB of memory (2-core x86 host).",
 )
 @click.option(
     "--coupling",

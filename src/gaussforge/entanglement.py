@@ -19,6 +19,7 @@ from . import tolerances
 from .standard_form import StandardForm
 from .symplectic import (
     CovarianceMatrix,
+    _blocks,
     _check_mode_indices,
     _pair_blocks,
     require_pure,
@@ -82,10 +83,37 @@ def _log_negativities(cm: CovarianceMatrix, i, j) -> np.ndarray:
 
     Closed two-mode form (Adesso, Serafini and Illuminati, PRA 70, 022318):
     ``nu^2 = 2 det / (D + sqrt(D^2 - 4 det))`` with ``D = det A + det B -
-    2 det C``.  The discriminant is expanded as ``(det A - det B)^2 - 4 det C
-    (det A + det B) + 4 tr(A w C w B w C^T w)``, which keeps its accuracy
+    2 det C``.  The discriminant is expanded so that it keeps its accuracy
     where the two partially transposed eigenvalues meet.  Non-positive-definite
     pairs raise ValueError.
+    """
+    nu2 = (_block_nu2 if cm._qp_free else _dense_nu2)(cm, i, j)
+    return np.where(nu2 < 1.0, -0.5 * np.log2(nu2), 0.0)
+
+
+def _block_nu2(cm: CovarianceMatrix, i, j) -> np.ndarray:
+    """nu^2 of pairs of a q-p-free state, elementwise on the V_Q and V_P entries.
+
+    With (a, b, c) = V_Q's (ii, jj, ij) and (a', b', c') = V_P's, the pair's
+    determinant is (ab - c^2)(a'b' - c'^2) and the discriminant is
+    ``(a a' - b b')^2 + 4 (c b' - a c')(c a' - b c')``.
+    """
+    vq, vp = _blocks(cm.data)[:2]
+    a, b, c = vq[i, i], vq[j, j], vq[i, j]
+    a_, b_, c_ = vp[i, i], vp[j, j], vp[i, j]
+    det_q, det_p = a * b - c * c, a_ * b_ - c_ * c_
+    if not (np.all(a > 0.0) and np.all(det_q > 0.0) and np.all(a_ > 0.0) and np.all(det_p > 0.0)):
+        raise ValueError("a two-mode reduction is not positive definite")
+    discriminant = (a * a_ - b * b_) ** 2 + 4.0 * (c * b_ - a * c_) * (c * a_ - b * c_)
+    gap = np.sqrt(np.maximum(discriminant, 0.0))
+    return 2.0 * det_q * det_p / (a * a_ + b * b_ - 2.0 * c * c_ + gap)
+
+
+def _dense_nu2(cm: CovarianceMatrix, i, j) -> np.ndarray:
+    """nu^2 of pairs of any state, from the stacked 4x4 reductions.
+
+    The discriminant is ``(det A - det B)^2 - 4 det C (det A + det B) +
+    4 tr(A w C w B w C^T w)``.
     """
     pairs = _pair_blocks(cm.data, i, j)
     try:
@@ -98,8 +126,7 @@ def _log_negativities(cm: CovarianceMatrix, i, j) -> np.ndarray:
     twist = pairs[:, :2, :2] @ w @ cross @ w @ pairs[:, 2:, 2:] @ w @ cross.swapaxes(1, 2) @ w
     discriminant = (a - b) ** 2 - 4.0 * c * (a + b) + 4.0 * np.trace(twist, 0, 1, 2)
     gap = np.sqrt(np.maximum(discriminant, 0.0))
-    nu2 = 2.0 * np.linalg.det(pairs) / (a + b - 2.0 * c + gap)
-    return np.where(nu2 < 1.0, -0.5 * np.log2(nu2), 0.0)
+    return 2.0 * np.linalg.det(pairs) / (a + b - 2.0 * c + gap)
 
 
 def schmidt_parameter(cm: CovarianceMatrix, mode_index: int) -> float:

@@ -1,10 +1,14 @@
-"""Dense phase-space linear algebra for N-mode Gaussian states.
+"""Phase-space linear algebra for N-mode Gaussian states.
 
 Covariance matrices (CMs) are 2N x 2N real symmetric matrices over the
 mode-interleaved quadrature ordering (q1, p1, ..., qN, pN), normalized so
 that the vacuum CM is the identity.  Gaussian unitaries act on CMs by
 congruence with symplectic matrices, i.e. matrices S with S^T Omega S =
 Omega for the antisymmetric form Omega.
+
+A CM whose q-p block is exactly zero is V_Q (+) V_P, and its purity
+residual and Williamson spectrum are computed on those two N x N blocks;
+every other CM is handled as the dense 2N x 2N matrix.
 """
 
 from __future__ import annotations
@@ -100,8 +104,9 @@ class CovarianceMatrix:
         data: 2N x 2N real symmetric matrix, interleaved ordering,
             vacuum variance 1, entries finite and at most
             ``tolerances.MAX_ENTRY`` in magnitude; read-only, as the object
-            keeps its inf-norm, purity residual and 2x2 block determinants
-            (re-enabling writes leaves them stale).
+            keeps its inf-norm, purity residual, 2x2 block determinants and
+            whether its q-p block is zero (re-enabling writes leaves them
+            stale).
     """
 
     n_modes: int
@@ -120,7 +125,14 @@ class CovarianceMatrix:
         return self._inf_norm
 
     @cached_property
+    def _qp_free(self) -> bool:
+        """Whether the q-p block is exactly zero (-0.0 counts), so that sigma = V_Q (+) V_P."""
+        return not np.any(self.data[0::2, 1::2])
+
+    @cached_property
     def _purity_residual(self) -> float:
+        if self._qp_free:
+            return _block_purity_product(*_blocks(self.data)[:2])
         return _purity_product(self.data)
 
     @cached_property
@@ -348,6 +360,26 @@ def symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     return (doubled[0::2] + doubled[1::2]) / 2.0
 
 
+def _williamson_values(cm: CovarianceMatrix) -> np.ndarray:
+    """Symplectic eigenvalues of a CM, sorted descending.
+
+    For sigma = V_Q (+) V_P they are the square roots of the eigenvalues
+    of V_Q V_P, i.e. the singular values of L_Q^T L_P for the Cholesky
+    factors of the two blocks, each once.  Other CMs, and blocks without a
+    Cholesky factor, go through :func:`symplectic_eigenvalues`, which
+    names the smallest eigenvalue of a matrix that is not positive definite.
+    """
+    if cm._qp_free:
+        vq, vp = _blocks(cm.data)[:2]
+        try:
+            factors = np.linalg.cholesky(vq).T @ np.linalg.cholesky(vp)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            return np.linalg.svd(factors, compute_uv=False)
+    return symplectic_eigenvalues(cm.data)
+
+
 def williamson_spectrum(cm: CovarianceMatrix) -> SymplecticSpectrum:
     """Williamson spectrum of a positive-definite covariance matrix.
 
@@ -357,7 +389,7 @@ def williamson_spectrum(cm: CovarianceMatrix) -> SymplecticSpectrum:
     Raises:
         ValueError: if the matrix is not positive definite.
     """
-    values = symplectic_eigenvalues(cm.data)
+    values = _williamson_values(cm)
     tol = tolerances.rank()
     clamped = np.where((values < 1.0) & (values >= 1.0 - tol), 1.0, values)
     rank = int(np.sum(clamped > 1.0 + tol))
@@ -371,7 +403,7 @@ def is_bona_fide(cm: CovarianceMatrix) -> bool:
     tolerance; positive definiteness is required first.
     """
     try:
-        values = symplectic_eigenvalues(cm.data)
+        values = _williamson_values(cm)
     except ValueError:
         return False
     return bool(values[-1] >= 1.0 - tolerances.rank())
@@ -380,6 +412,14 @@ def is_bona_fide(cm: CovarianceMatrix) -> bool:
 def _purity_product(sigma: np.ndarray) -> float:
     """Inf-norm of -Omega sigma Omega sigma - I; -Omega sigma Omega is two exact signed swaps."""
     residual = _omega(_omega(sigma).T) @ sigma
+    residual[np.diag_indices_from(residual)] -= 1.0
+    return float(np.max(np.abs(residual)))
+
+
+def _block_purity_product(vq: np.ndarray, vp: np.ndarray) -> float:
+    """Inf-norm of V_Q V_P - I: for sigma = V_Q (+) V_P, -Omega sigma Omega sigma - I is
+    (V_P V_Q - I) (+) (V_Q V_P - I), and the two parts are transposes of each other."""
+    residual = vq @ vp
     residual[np.diag_indices_from(residual)] -= 1.0
     return float(np.max(np.abs(residual)))
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from gaussforge.engineering import engineer_state, random_recipe
+from gaussforge.standard_form import harmonic_ground_state, ring_potential
 from gaussforge.symplectic import SymplecticMatrix
 
 
@@ -23,6 +25,28 @@ def random_spd(dim: int, rng: np.random.Generator) -> np.ndarray:
     a = rng.standard_normal((dim, dim))
     m = a @ a.T + 0.5 * dim * np.eye(dim)
     return (m + m.T) / 2.0
+
+
+def block_route_states():
+    """q-p-free states: engineered N = 2..16 squeezed up to 4, 30 and 100, and
+    rings N in {5, 31, 64} from weak to strong coupling."""
+    states = [
+        engineer_state(random_recipe(n, seed=n, s_max=s_max))
+        for n in range(2, 17)
+        for s_max in (4.0, 30.0, 100.0)
+    ]
+    states += [
+        harmonic_ground_state(ring_potential(n, coupling))
+        for n in (5, 31, 64)
+        for coupling in (0.1, 0.5, 2.0, 1e3)
+    ]
+    return states
+
+
+def condition_number(cm) -> float:
+    """Largest over smallest eigenvalue of the CM, which sets the roundoff of its spectra."""
+    values = np.linalg.eigvalsh(cm.data)
+    return float(values[-1] / values[0])
 
 
 @pytest.fixture

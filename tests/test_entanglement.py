@@ -35,7 +35,7 @@ from gaussforge.symplectic import (
     vacuum_cm,
 )
 
-from conftest import random_local_symplectic
+from conftest import block_route_states, condition_number, random_local_symplectic
 
 TMS = Recipe(2, np.sqrt(2.0))  # a = 1.25, c = 0.75
 
@@ -240,13 +240,19 @@ class TestFullReport:
             full_report(CovarianceMatrix(1, np.diag([2.0, 2.0])))
 
     def test_non_positive_definite_pair_refused(self):
-        """-I passes the purity identity; only the pair-block check refuses it."""
-        cm = CovarianceMatrix(2, -np.eye(4))
-        assert is_pure(cm).residual == 0.0
-        with pytest.raises(ValueError, match="positive definite"):
-            full_report(cm)
-        with pytest.raises(ValueError, match="positive definite"):
-            log_negativity_pair(cm, 1, 2)
+        """-I passes the purity identity; only the pair-block check refuses it,
+        on the block route (its q-p block is zero) and on the dense one."""
+        message = r"^a two-mode reduction is not positive definite$"
+        minus = CovarianceMatrix(2, -np.eye(4))
+        moved = apply_symplectic(minus, random_local_symplectic(2, np.random.default_rng(3)))
+        for cm, qp_free in ((minus, True), (moved, False)):
+            assert cm._qp_free is qp_free
+            assert is_pure(cm)
+            with pytest.raises(ValueError, match=message):
+                full_report(cm)
+            for i, j in ((1, 2), (2, 1)):
+                with pytest.raises(ValueError, match=message):
+                    log_negativity_pair(cm, i, j)
 
     @pytest.mark.parametrize("n", [2, 7, 16])
     def test_one_purity_check_and_no_eigen_solves(self, n, monkeypatch):
@@ -265,22 +271,26 @@ class TestFullReport:
         assert calls == {"is_pure": 1, "symplectic_eigenvalues": 0, "reduced_cm": 0}
 
     def test_one_purity_product_per_state_across_helpers(self, monkeypatch):
-        """The state keeps its residual, so per-mode helpers share one product."""
+        """The state keeps its residual, so per-mode helpers share one product.
+
+        The ring state has no q-p block, so that one product is V_Q V_P.
+        """
         calls = []
-        original = symplectic._purity_product
+        for name in ("_purity_product", "_block_purity_product"):
+            original = getattr(symplectic, name)
 
-        def counted(sigma):
-            calls.append(sigma.shape[0])
-            return original(sigma)
+            def counted(*blocks, name=name, original=original):
+                calls.append((name, blocks[0].shape[0]))
+                return original(*blocks)
 
-        monkeypatch.setattr(symplectic, "_purity_product", counted)
+            monkeypatch.setattr(symplectic, name, counted)
         cm = harmonic_ground_state(ring_potential(31, 0.5))
         full_report(cm)
         for k in range(1, 32):
             entropy_one_vs_rest(cm, k)
             det_identity_residual(cm, k)
         to_standard_form(cm)
-        assert calls == [62]
+        assert calls == [("_block_purity_product", 31)]
 
     def test_one_block_determinant_pass_per_state_across_helpers(self, monkeypatch):
         """The state keeps its 2x2 block determinants, so per-mode helpers share one pass."""
@@ -327,6 +337,55 @@ class TestFullReport:
         np.testing.assert_array_equal(report.pairwise_logneg, report.pairwise_logneg.T)
         np.testing.assert_array_equal(np.diag(report.pairwise_logneg), np.zeros(4))
         np.testing.assert_array_equal(report.pairwise_detblocks, report.pairwise_detblocks.T)
+
+
+class TestBlockRoute:
+    """Pairs of a q-p-free state are read elementwise from V_Q and V_P."""
+
+    def test_log_negativities_match_pair_stack(self):
+        """Against the 4x4 stack formula, which the dense route keeps: measured at
+        most 1.12 eps kappa(sigma) apart (ring N=31 at coupling 0.1); gate 8."""
+        eps = np.finfo(float).eps
+        for cm in block_route_states():
+            rows, cols = np.triu_indices(cm.n_modes, k=1)
+            nu2 = entanglement._dense_nu2(cm, rows, cols)
+            stack = np.where(nu2 < 1.0, -0.5 * np.log2(nu2), 0.0)
+            block = full_report(cm).pairwise_logneg[rows, cols]
+            assert np.max(np.abs(block - stack)) <= 8.0 * eps * condition_number(cm)
+
+    def test_no_pair_stack(self, monkeypatch):
+        """full_report and log_negativity_pair build no 4x4 reduction and no 2N x 2N product."""
+        cm = harmonic_ground_state(ring_potential(9, 0.5))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("dense route taken")
+
+        for module, name in (
+            (entanglement, "_pair_blocks"),
+            (entanglement, "_dense_nu2"),
+            (symplectic, "_purity_product"),
+        ):
+            monkeypatch.setattr(module, name, refused)
+        for name in ("cholesky", "det", "svd"):
+            monkeypatch.setattr(np.linalg, name, refused)
+        report = full_report(cm)
+        assert log_negativity_pair(cm, 3, 2) == report.pairwise_logneg[1, 2] > 0.0
+
+    def test_local_frames_take_the_pair_stack(self, monkeypatch):
+        cm = engineer_state(random_recipe(4, seed=6))
+        moved = apply_symplectic(cm, random_local_symplectic(4, np.random.default_rng(1)))
+        assert not moved._qp_free
+
+        def refused(*args, **kwargs):
+            raise AssertionError("block route taken")
+
+        monkeypatch.setattr(entanglement, "_block_nu2", refused)
+        rows, cols = np.triu_indices(4, k=1)
+        nu2 = entanglement._dense_nu2(moved, rows, cols)
+        np.testing.assert_array_equal(
+            full_report(moved).pairwise_logneg[rows, cols],
+            np.where(nu2 < 1.0, -0.5 * np.log2(nu2), 0.0),
+        )
 
 
 def per_call_schmidt(cm: CovarianceMatrix, mode_index: int) -> float:
@@ -388,6 +447,7 @@ class TestCachedDeterminants:
             for cm in [engineer_state(random_recipe(n, seed=90 + n))] * 2
         ]
         states.append(engineer_state(random_recipe(3, 0, 4.0)))  # (3, 1) once missed a bit
+        assert {cm._qp_free for cm in states} == {True, False}
         for cm in states:
             logneg = full_report(cm).pairwise_logneg
             n = cm.n_modes

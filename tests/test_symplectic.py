@@ -23,7 +23,7 @@ from gaussforge.symplectic import (
     williamson_spectrum,
 )
 
-from conftest import random_local_symplectic, random_spd
+from conftest import block_route_states, condition_number, random_local_symplectic, random_spd
 
 
 class TestSymplecticForm:
@@ -283,6 +283,87 @@ class TestWilliamson:
         assert is_pure(cm)
 
 
+def with_qp_block(cm, value, entry=None):
+    """The state's data with its q-p block, or only one entry of it, set to value."""
+    data = np.array(cm.data)
+    rows, cols = (slice(0, None, 2), slice(1, None, 2)) if entry is None else entry
+    data[rows, cols] = value
+    data[cols, rows] = value
+    return CovarianceMatrix(cm.n_modes, data)
+
+
+def forbid(monkeypatch, module, *names):
+    """Make the named functions of a module fail if called."""
+    for name in names:
+        def refused(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} was called")
+
+        monkeypatch.setattr(module, name, refused)
+
+
+class TestBlockRoute:
+    """A CM with an exactly zero q-p block is V_Q (+) V_P, analysed on the two blocks."""
+
+    def test_spectrum_matches_dense(self):
+        """Singular values of L_Q^T L_P against the dense 2N x 2N route: measured at
+        most 1.43 eps kappa(sigma) apart (ring N=64 at coupling 0.1); gate 8."""
+        eps = np.finfo(float).eps
+        for cm in block_route_states():
+            assert cm._qp_free
+            block = symplectic._williamson_values(cm)
+            dense = symplectic_eigenvalues(cm.data)
+            assert np.max(np.abs(block - dense)) <= 8.0 * eps * condition_number(cm)
+
+    def test_no_dense_work(self, monkeypatch):
+        """Every factorization or product is N x N: no 2N x 2N matrix is formed."""
+        cm = engineer_state(random_recipe(6, seed=4))
+        forbid(monkeypatch, symplectic, "_purity_product", "symplectic_eigenvalues")
+        shapes = []
+        for name in ("cholesky", "svd"):
+            original = getattr(np.linalg, name)
+
+            def recorded(matrix, *args, _original=original, **kwargs):
+                shapes.append(np.shape(matrix))
+                return _original(matrix, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recorded)
+        assert is_pure(cm)
+        assert williamson_spectrum(cm).rank == 0
+        assert is_bona_fide(cm)
+        assert shapes == [(6, 6)] * 6
+
+    def test_one_tiny_qp_entry_takes_dense_route(self, monkeypatch):
+        cm = with_qp_block(engineer_state(random_recipe(4, seed=1)), 1e-300, entry=(2, 5))
+        assert not cm._qp_free
+        forbid(monkeypatch, symplectic, "_block_purity_product")
+        assert is_pure(cm).residual == symplectic._purity_product(cm.data)
+        np.testing.assert_array_equal(
+            symplectic._williamson_values(cm), symplectic_eigenvalues(cm.data)
+        )
+        assert is_bona_fide(cm)
+
+    def test_negative_zero_qp_block_takes_block_route(self, monkeypatch):
+        cm = engineer_state(random_recipe(5, seed=2))
+        signed = with_qp_block(cm, -0.0)
+        assert np.all(np.signbit(signed.data[0::2, 1::2]))
+        assert signed._qp_free
+        forbid(monkeypatch, symplectic, "_purity_product", "symplectic_eigenvalues")
+        assert is_pure(signed).residual == is_pure(cm).residual
+        assert williamson_spectrum(signed) == williamson_spectrum(cm)
+        assert is_bona_fide(signed)
+
+    def test_minus_identity_keeps_the_dense_refusal(self):
+        """-I passes the purity identity; its blocks have no Cholesky factor, so the
+        dense route names the smallest eigenvalue, as for every other CM."""
+        cm = CovarianceMatrix(2, -np.eye(4))
+        assert cm._qp_free and is_pure(cm)
+        with pytest.raises(
+            ValueError, match=r"^matrix is not positive definite \(min eigenvalue -1\.000e\+00\)$"
+        ):
+            williamson_spectrum(cm)
+        assert not is_bona_fide(cm)
+
+
 class TestBonaFide:
     def test_vacuum_and_squeezed_accepted(self):
         assert is_bona_fide(vacuum_cm(2))
@@ -336,9 +417,26 @@ class TestPurity:
         assert result.residual <= 1e-9 * (1.0 + cm.inf_norm() ** 2)
 
     def test_bit_equal_to_dense_formula(self):
-        """Index swaps reproduce -Omega sigma Omega exactly, so only one product is left."""
+        """Index swaps reproduce -Omega sigma Omega exactly, so only one product is left.
+
+        States with q-p terms keep that 2N x 2N product and its bits.  A
+        q-p-free state takes max|V_Q V_P - I| instead, which sums in another
+        order: on these states it moved by at most 0.31 eps (1 + |sigma|^2)
+        and on 31 of the 33 not at all.
+        """
+        eps = np.finfo(float).eps
+        routes = set()
         for cm in purity_oracle_states():
-            assert is_pure(cm).residual == dense_purity_residual(cm)
+            residual, dense = is_pure(cm).residual, dense_purity_residual(cm)
+            routes.add(cm._qp_free)
+            if cm._qp_free:
+                bound = 2.0 * eps * (1.0 + cm.inf_norm() ** 2)
+                tol = tolerances.purity(cm.inf_norm())
+                assert abs(residual - dense) <= bound
+                assert (residual <= tol) == (dense <= tol)
+            else:
+                assert residual == dense
+        assert routes == {True, False}
 
     def test_verdict_follows_tol_override_after_caching(self, monkeypatch):
         """The residual is kept on the state; the tolerance is read at each check."""
