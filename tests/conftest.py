@@ -49,6 +49,15 @@ def condition_number(cm) -> float:
     return float(values[-1] / values[0])
 
 
+def forbid(monkeypatch, module, *names):
+    """Make the named functions of a module fail if called."""
+    for name in names:
+        def refused(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} was called")
+
+        monkeypatch.setattr(module, name, refused)
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -35,7 +35,7 @@ from gaussforge.symplectic import (
     vacuum_cm,
 )
 
-from conftest import block_route_states, condition_number, random_local_symplectic
+from conftest import block_route_states, condition_number, forbid, random_local_symplectic
 
 TMS = Recipe(2, np.sqrt(2.0))  # a = 1.25, c = 0.75
 
@@ -356,18 +356,9 @@ class TestBlockRoute:
     def test_no_pair_stack(self, monkeypatch):
         """full_report and log_negativity_pair build no 4x4 reduction and no 2N x 2N product."""
         cm = harmonic_ground_state(ring_potential(9, 0.5))
-
-        def refused(*args, **kwargs):
-            raise AssertionError("dense route taken")
-
-        for module, name in (
-            (entanglement, "_pair_blocks"),
-            (entanglement, "_dense_nu2"),
-            (symplectic, "_purity_product"),
-        ):
-            monkeypatch.setattr(module, name, refused)
-        for name in ("cholesky", "det", "svd"):
-            monkeypatch.setattr(np.linalg, name, refused)
+        forbid(monkeypatch, entanglement, "_pair_blocks", "_dense_nu2")
+        forbid(monkeypatch, symplectic, "_purity_product")
+        forbid(monkeypatch, np.linalg, "cholesky", "det", "svd")
         report = full_report(cm)
         assert log_negativity_pair(cm, 3, 2) == report.pairwise_logneg[1, 2] > 0.0
 
@@ -375,11 +366,7 @@ class TestBlockRoute:
         cm = engineer_state(random_recipe(4, seed=6))
         moved = apply_symplectic(cm, random_local_symplectic(4, np.random.default_rng(1)))
         assert not moved._qp_free
-
-        def refused(*args, **kwargs):
-            raise AssertionError("block route taken")
-
-        monkeypatch.setattr(entanglement, "_block_nu2", refused)
+        forbid(monkeypatch, entanglement, "_block_nu2")
         rows, cols = np.triu_indices(4, k=1)
         nu2 = entanglement._dense_nu2(moved, rows, cols)
         np.testing.assert_array_equal(

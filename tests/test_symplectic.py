@@ -23,7 +23,13 @@ from gaussforge.symplectic import (
     williamson_spectrum,
 )
 
-from conftest import block_route_states, condition_number, random_local_symplectic, random_spd
+from conftest import (
+    block_route_states,
+    condition_number,
+    forbid,
+    random_local_symplectic,
+    random_spd,
+)
 
 
 class TestSymplecticForm:
@@ -292,15 +298,6 @@ def with_qp_block(cm, value, entry=None):
     return CovarianceMatrix(cm.n_modes, data)
 
 
-def forbid(monkeypatch, module, *names):
-    """Make the named functions of a module fail if called."""
-    for name in names:
-        def refused(*args, _name=name, **kwargs):
-            raise AssertionError(f"{_name} was called")
-
-        monkeypatch.setattr(module, name, refused)
-
-
 class TestBlockRoute:
     """A CM with an exactly zero q-p block is V_Q (+) V_P, analysed on the two blocks."""
 
@@ -332,8 +329,9 @@ class TestBlockRoute:
         assert is_bona_fide(cm)
         assert shapes == [(6, 6)] * 6
 
-    def test_one_tiny_qp_entry_takes_dense_route(self, monkeypatch):
-        cm = with_qp_block(engineer_state(random_recipe(4, seed=1)), 1e-300, entry=(2, 5))
+    @pytest.mark.parametrize("tiny", [1e-300, -1e-300])
+    def test_one_tiny_qp_entry_takes_dense_route(self, tiny, monkeypatch):
+        cm = with_qp_block(engineer_state(random_recipe(4, seed=1)), tiny, entry=(2, 5))
         assert not cm._qp_free
         forbid(monkeypatch, symplectic, "_block_purity_product")
         assert is_pure(cm).residual == symplectic._purity_product(cm.data)
