@@ -409,19 +409,21 @@ def is_bona_fide(cm: CovarianceMatrix) -> bool:
     return bool(values[-1] >= 1.0 - tolerances.rank())
 
 
+def _identity_residual(product: np.ndarray) -> float:
+    """Inf-norm of ``product - I``; ``product`` is a fresh array and is changed in place."""
+    product[np.diag_indices_from(product)] -= 1.0
+    return float(np.max(np.abs(product)))
+
+
 def _purity_product(sigma: np.ndarray) -> float:
     """Inf-norm of -Omega sigma Omega sigma - I; -Omega sigma Omega is two exact signed swaps."""
-    residual = _omega(_omega(sigma).T) @ sigma
-    residual[np.diag_indices_from(residual)] -= 1.0
-    return float(np.max(np.abs(residual)))
+    return _identity_residual(_omega(_omega(sigma).T) @ sigma)
 
 
 def _block_purity_product(vq: np.ndarray, vp: np.ndarray) -> float:
     """Inf-norm of V_Q V_P - I: for sigma = V_Q (+) V_P, -Omega sigma Omega sigma - I is
     (V_P V_Q - I) (+) (V_Q V_P - I), and the two parts are transposes of each other."""
-    residual = vq @ vp
-    residual[np.diag_indices_from(residual)] -= 1.0
-    return float(np.max(np.abs(residual)))
+    return _identity_residual(vq @ vp)
 
 
 def is_pure(cm: CovarianceMatrix) -> PurityResult:

@@ -245,6 +245,7 @@ class TestFullReport:
         message = r"^a two-mode reduction is not positive definite$"
         minus = CovarianceMatrix(2, -np.eye(4))
         moved = apply_symplectic(minus, random_local_symplectic(2, np.random.default_rng(3)))
+        assert is_pure(minus).residual == 0.0
         for cm, qp_free in ((minus, True), (moved, False)):
             assert cm._qp_free is qp_free
             assert is_pure(cm)

@@ -420,21 +420,27 @@ class TestPurity:
         States with q-p terms keep that 2N x 2N product and its bits.  A
         q-p-free state takes max|V_Q V_P - I| instead, which sums in another
         order: on these states it moved by at most 0.31 eps (1 + |sigma|^2)
-        and on 31 of the 33 not at all.
+        and on 31 of the 33 not at all.  A diagonal state, such as the
+        thermal one, has one nonzero term per product entry on both routes,
+        so its residual keeps the dense bits.
         """
         eps = np.finfo(float).eps
         routes = set()
         for cm in purity_oracle_states():
             residual, dense = is_pure(cm).residual, dense_purity_residual(cm)
-            routes.add(cm._qp_free)
-            if cm._qp_free:
+            diagonal = not np.any(cm.data - np.diag(np.diag(cm.data)))
+            routes.add("diagonal" if diagonal else cm._qp_free)
+            if diagonal:
+                assert cm._qp_free
+                assert residual == dense
+            elif cm._qp_free:
                 bound = 2.0 * eps * (1.0 + cm.inf_norm() ** 2)
                 tol = tolerances.purity(cm.inf_norm())
                 assert abs(residual - dense) <= bound
                 assert (residual <= tol) == (dense <= tol)
             else:
                 assert residual == dense
-        assert routes == {True, False}
+        assert routes == {True, False, "diagonal"}
 
     def test_verdict_follows_tol_override_after_caching(self, monkeypatch):
         """The residual is kept on the state; the tolerance is read at each check."""
