@@ -206,8 +206,12 @@ def reconstruct_diagonal(
     which tends to minus infinity at the edge of its positive-definite
     domain and at infinity, so the completed diagonal exists and is unique
     for every symmetric off-diagonal input.  It is found by a damped Newton
-    iteration from the diagonally dominant point ``d_i = 1 + sum_j |v_ij|``,
-    halving any step that leaves the positive-definite cone.  Each iterate is inverted once, and both its
+    iteration that starts at ``d_i = sqrt(1 + sum_j v_ij^2)``: the pure-state
+    identity ``det sigma_i = 1 - sum_j det eps_ij`` with ``det eps_ij`` at its
+    leading order ``-v_ij^2``.  That start is the first step from the
+    diagonally dominant anchor ``d_i = 1 + sum_j |v_ij|``, and it is halved
+    toward the anchor, as any Newton step is, while it leaves the
+    positive-definite cone.  Each iterate is inverted once, and both its
     residual and the Jacobian of :func:`reconstruction_jacobian` are read
     from that one inverse; the converged iterate's inverse becomes ``vp``.
 
@@ -218,7 +222,9 @@ def reconstruct_diagonal(
 
     Raises:
         ValueError: for ``n_modes`` not an integer >= 1, or off-diagonals of the wrong count or not finite.
-        InfeasibleError: if the starting point overflows or cannot be inverted, or the
+        InfeasibleError: if the anchor overflows, a step stays outside the
+            positive-definite cone after ``tolerances.NEWTON_MAX_BACKTRACK``
+            halvings, an iterate or its Jacobian cannot be inverted, or the
             iteration budget is exhausted.  This is a failure of the solver,
             not of the data: it is raised for valid standard forms of
             strongly squeezed states (see the README).
@@ -240,21 +246,13 @@ def reconstruct_diagonal(
 
     with np.errstate(over="ignore"):
         d = 1.0 + np.sum(np.abs(coupling), axis=1)
+        estimate = np.sqrt(1.0 + np.sum(coupling**2, axis=1))
     if not np.all(np.isfinite(d)):  # row sums overflowed: no finite start
         raise InfeasibleError(float("inf"), 0)
-    vq = coupling + np.diag(d)
+    # the first step leads from the anchor d to the estimate, and is halved like a Newton step
+    step = d - estimate if np.all(np.isfinite(estimate)) else np.zeros(n_modes)
+    last_residual = float("inf")
     for iteration in range(max_iter + 1):
-        try:
-            residual, jacobian, inverse = _newton_system(vq)
-        except np.linalg.LinAlgError:  # a start rounded to singular; later iterates pass Cholesky
-            raise InfeasibleError(float("inf"), iteration) from None
-        last_residual = float(np.max(np.abs(residual)))
-        if last_residual <= tolerances.newton(float(np.max(np.abs(d)))):
-            # coupling + diag(d) is exactly symmetric
-            return StandardForm._with_inverse(n_modes, vq, inverse)
-        if iteration == max_iter:
-            break
-        step = np.linalg.solve(jacobian, residual)
         for _ in range(tolerances.NEWTON_MAX_BACKTRACK + 1):
             candidate = d - step
             vq = coupling + np.diag(candidate)
@@ -266,6 +264,20 @@ def reconstruct_diagonal(
         else:
             raise InfeasibleError(last_residual, iteration)
         d = candidate
+        try:
+            residual, jacobian, inverse = _newton_system(vq)
+        except np.linalg.LinAlgError:  # rounded to singular, yet it passed Cholesky
+            raise InfeasibleError(float("inf"), iteration) from None
+        last_residual = float(np.max(np.abs(residual)))
+        if last_residual <= tolerances.newton(float(np.max(np.abs(d)))):
+            # coupling + diag(d) is exactly symmetric
+            return StandardForm._with_inverse(n_modes, vq, inverse)
+        if iteration == max_iter:
+            break
+        try:
+            step = np.linalg.solve(jacobian, residual)
+        except np.linalg.LinAlgError:  # the Jacobian rounded to singular
+            raise InfeasibleError(last_residual, iteration) from None
     raise InfeasibleError(last_residual, max_iter)
 
 

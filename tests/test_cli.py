@@ -208,7 +208,7 @@ class TestStandardForm:
         assert "not pure" in result.stderr
 
     def test_singular_reconstruction_start_exits_one(self, runner):
-        """1 + sum |v_ij| rounds to |v_ij| here, so the Newton start cannot be inverted."""
+        """The anchor 1 + |v_12| and the estimate sqrt(1 + v_12^2) both round to |v_12|: no start."""
         doc = {"n_modes": 2, "vq": [[1, 1e149], [1e149, 1]]}
         args = ["standard-form", "--vq", "-", "--reconstruct"]
         result = runner.invoke(main, args, input=json.dumps(doc))
@@ -218,6 +218,16 @@ class TestStandardForm:
             "error: diagonal reconstruction did not converge after 0 iterations "
             "(last residual inf)\n"
         )
+
+    def test_singular_newton_jacobian_exits_one(self, runner):
+        """A Jacobian that rounds to singular is a named solver failure, not a bare numpy error."""
+        vq = [[1.0, -1.27e8, -6.2e7], [-1.27e8, 1.0, 4e6], [-6.2e7, 4e6, 1.0]]
+        args = ["standard-form", "--vq", "-", "--reconstruct"]
+        result = runner.invoke(main, args, input=json.dumps({"n_modes": 3, "vq": vq}))
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: diagonal reconstruction did not converge after ")
+        assert result.stderr.count("\n") == 1
 
     def test_requires_exactly_one_source(self, runner, tmp_path):
         result = runner.invoke(main, ["standard-form"])

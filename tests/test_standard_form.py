@@ -403,15 +403,17 @@ class TestReconstructDiagonal:
             ([np.nan], 2, ValueError, "must be finite"),
             ([np.inf], 2, ValueError, "must be finite"),
             ([0.1, -np.inf, 0.2], 3, ValueError, "must be finite"),
-            # 1 + |v| rounds to |v|, so the starting point is singular
+            # the anchor 1 + |v| and the estimate sqrt(1 + v^2) both round to |v|: no start
             ([1e200], 2, InfeasibleError, "after 0 iterations"),
             ([1e149], 2, InfeasibleError, "after 0 iterations"),
             # the row sums overflow, so there is no finite start
             ([1e308] * 3, 3, InfeasibleError, r"after 0 iterations \(last residual inf\)"),
+            # an iterate's Jacobian -(W * W) - I rounds to singular
+            ([-1.27e8, -6.2e7, 4e6], 3, InfeasibleError, r"did not converge after \d+ iterations"),
         ],
         ids=[
             "zero-modes", "negative-modes", "nan", "inf", "minus-inf", "1e200", "1e149",
-            "row-sum-overflow",
+            "row-sum-overflow", "singular-jacobian",
         ],
     )
     def test_boundary_inputs_raise_named_errors(self, offdiag, n_modes, error, match):
@@ -444,6 +446,45 @@ class TestReconstructDiagonal:
         monkeypatch.setattr(np.linalg, "inv", counted)
         reconstruct_diagonal(params, n)
         assert len(calls) == low + 1
+
+    @pytest.mark.parametrize("n", [31, 64])
+    @pytest.mark.parametrize("coupling", [0.1, 0.5, 2.0])
+    def test_ring_reconstruction_inverts_at_most_four_iterates(self, monkeypatch, n, coupling):
+        """The start sqrt(1 + sum_j v_ij^2) leaves a ring at most three Newton steps."""
+        params = extract_parameters(to_standard_form(harmonic_ground_state(ring_potential(n, coupling))))
+        calls = []
+        original = np.linalg.inv
+
+        def counted(matrix):
+            calls.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "inv", counted)
+        reconstruct_diagonal(params, n)
+        assert 1 <= len(calls) <= 4
+
+    def test_start_that_is_not_positive_definite_is_halved_toward_the_anchor(self, monkeypatch):
+        """The first candidate is the estimate; without a Cholesky factor it moves halfway to d0."""
+        n = 3
+        sf = to_standard_form(engineer_state(random_recipe(n, seed=5, s_max=4.0)))
+        coupling = sf.vq - np.diag(np.diag(sf.vq))
+        anchor = 1.0 + np.sum(np.abs(coupling), axis=1)
+        estimate = np.sqrt(1.0 + np.sum(coupling**2, axis=1))
+        tried = []
+        original = np.linalg.cholesky
+
+        def recorded(matrix):
+            tried.append(np.diag(matrix).copy())
+            return original(matrix)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        rebuilt = reconstruct_diagonal(extract_parameters(sf), n)
+        monkeypatch.undo()
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(coupling + np.diag(estimate))
+        np.testing.assert_array_equal(tried[0], estimate)
+        np.testing.assert_array_equal(tried[1], anchor - (anchor - estimate) / 2.0)
+        np.testing.assert_allclose(np.diag(rebuilt.vq), np.diag(sf.vq), atol=1e-12)
 
 
 class TestStandardFormToCm:
