@@ -267,7 +267,7 @@ def reconstruct_diagonal(
         try:
             residual, jacobian, inverse = _newton_system(vq)
         except np.linalg.LinAlgError:  # rounded to singular, yet it passed Cholesky
-            raise InfeasibleError(float("inf"), iteration) from None
+            raise InfeasibleError(last_residual, iteration) from None
         last_residual = float(np.max(np.abs(residual)))
         if last_residual <= tolerances.newton(float(np.max(np.abs(d)))):
             # coupling + diag(d) is exactly symmetric

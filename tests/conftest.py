@@ -58,6 +58,19 @@ def forbid(monkeypatch, module, *names):
         monkeypatch.setattr(module, name, refused)
 
 
+def record_calls(monkeypatch, module, name) -> list:
+    """Pass calls of ``module.name`` through, collecting each call's first argument."""
+    calls = []
+    original = getattr(module, name)
+
+    def recorded(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)

@@ -33,7 +33,7 @@ from gaussforge.symplectic import (
     vacuum_cm,
 )
 
-from conftest import random_local_symplectic
+from conftest import random_local_symplectic, record_calls
 
 TMS = Recipe(2, np.sqrt(2.0))  # two-mode squeezed state with a = 1.25, c = 0.75
 
@@ -298,17 +298,10 @@ class TestOneInverse:
     @pytest.mark.parametrize("n", [2, 5, 16])
     def test_to_standard_form_inverts_once(self, n, monkeypatch):
         cm = engineer_state(random_recipe(n, seed=n))
-        calls = []
-        original = np.linalg.inv
-
-        def counted(matrix):
-            calls.append(matrix.shape)
-            return original(matrix)
-
-        monkeypatch.setattr(np.linalg, "inv", counted)
+        calls = record_calls(monkeypatch, np.linalg, "inv")
         sf = to_standard_form(cm)
         sf.vp  # read inside the count, so a lazily computed inverse would show
-        assert calls == [(n, n)]
+        assert [matrix.shape for matrix in calls] == [(n, n)]
         monkeypatch.undo()
         np.testing.assert_array_equal(sf.vp, StandardForm(n, sf.vq).vp)
 
@@ -420,6 +413,14 @@ class TestReconstructDiagonal:
         with pytest.raises(error, match=match):
             reconstruct_diagonal(offdiag, n_modes)
 
+    def test_failure_after_an_iteration_reports_a_finite_residual(self):
+        """An iterate that passes Cholesky yet cannot be inverted reports the residual before it."""
+        sf = to_standard_form(engineer_state(random_recipe(16, 0, s_max=100.0)))
+        with pytest.raises(InfeasibleError) as info:
+            reconstruct_diagonal(extract_parameters(sf), 16)
+        assert info.value.iterations > 0
+        assert np.isfinite(info.value.residual)
+
     def test_one_inverse_per_iterate(self, monkeypatch):
         """k Newton iterations invert k + 1 iterates; the last inverse becomes V_P."""
         n = 8
@@ -436,14 +437,7 @@ class TestReconstructDiagonal:
             except InfeasibleError:
                 low = middle + 1
         assert low >= 3
-        calls = []
-        original = np.linalg.inv
-
-        def counted(matrix):
-            calls.append(matrix.shape)
-            return original(matrix)
-
-        monkeypatch.setattr(np.linalg, "inv", counted)
+        calls = record_calls(monkeypatch, np.linalg, "inv")
         reconstruct_diagonal(params, n)
         assert len(calls) == low + 1
 
@@ -451,15 +445,9 @@ class TestReconstructDiagonal:
     @pytest.mark.parametrize("coupling", [0.1, 0.5, 2.0])
     def test_ring_reconstruction_inverts_at_most_four_iterates(self, monkeypatch, n, coupling):
         """The start sqrt(1 + sum_j v_ij^2) leaves a ring at most three Newton steps."""
-        params = extract_parameters(to_standard_form(harmonic_ground_state(ring_potential(n, coupling))))
-        calls = []
-        original = np.linalg.inv
-
-        def counted(matrix):
-            calls.append(matrix.shape)
-            return original(matrix)
-
-        monkeypatch.setattr(np.linalg, "inv", counted)
+        ring = harmonic_ground_state(ring_potential(n, coupling))
+        params = extract_parameters(to_standard_form(ring))
+        calls = record_calls(monkeypatch, np.linalg, "inv")
         reconstruct_diagonal(params, n)
         assert 1 <= len(calls) <= 4
 
@@ -470,20 +458,13 @@ class TestReconstructDiagonal:
         coupling = sf.vq - np.diag(np.diag(sf.vq))
         anchor = 1.0 + np.sum(np.abs(coupling), axis=1)
         estimate = np.sqrt(1.0 + np.sum(coupling**2, axis=1))
-        tried = []
-        original = np.linalg.cholesky
-
-        def recorded(matrix):
-            tried.append(np.diag(matrix).copy())
-            return original(matrix)
-
-        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        tried = record_calls(monkeypatch, np.linalg, "cholesky")
         rebuilt = reconstruct_diagonal(extract_parameters(sf), n)
         monkeypatch.undo()
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(coupling + np.diag(estimate))
-        np.testing.assert_array_equal(tried[0], estimate)
-        np.testing.assert_array_equal(tried[1], anchor - (anchor - estimate) / 2.0)
+        np.testing.assert_array_equal(np.diag(tried[0]), estimate)
+        np.testing.assert_array_equal(np.diag(tried[1]), anchor - (anchor - estimate) / 2.0)
         np.testing.assert_allclose(np.diag(rebuilt.vq), np.diag(sf.vq), atol=1e-12)
 
 
