@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
+from .errors import _integer
 from .standard_form import StandardForm
 from .symplectic import (
     CovarianceMatrix,
@@ -182,6 +183,7 @@ def log_negativity_pair(
     eigenvalue of the partially transposed (i, j) reduction, in closed form.
     Both orders give the bits of :func:`full_report`, which takes i < j.
     """
+    mode_i, mode_j = (_integer(mode, "mode index") for mode in (mode_i, mode_j))
     if mode_i == mode_j:
         raise ValueError(f"log negativity needs two distinct modes, got {mode_i} twice")
     _check_mode_indices(cm.n_modes, mode_i, mode_j)

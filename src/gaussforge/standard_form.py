@@ -41,8 +41,14 @@ class StandardForm:
         vq: symmetric positive-definite N x N matrix of <q_i q_j>;
             the momentum block V_P = V_Q^{-1} is implied.
 
-    The constructor enforces the Williamson diagonal conditions
-    ``(V_Q^{-1})_ii = (V_Q)_ii`` within ``tolerances.block`` of the larger block norm.
+    The constructor checks its inputs at the boundary (``n_modes`` an
+    integer, ``vq`` copied to a float N x N array, exactly symmetric and
+    positive definite), then the class: entries at most
+    ``tolerances.MAX_ENTRY`` and the Williamson diagonal conditions
+    ``(V_Q^{-1})_ii = (V_Q)_ii`` within ``tolerances.block`` of the larger
+    block norm.  Standard forms built inside the package run the class checks
+    only: their V_Q is a fresh float array, symmetric by construction, and
+    its builder has already tested that it is positive definite.
     """
 
     n_modes: int
@@ -55,14 +61,15 @@ class StandardForm:
         if vq.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got {vq.shape}")
         _check_symmetric("vq", vq)
-        try:
-            np.linalg.cholesky(vq)
-        except np.linalg.LinAlgError:
-            raise ValueError("vq must be positive definite") from None
+        _require_positive_definite(vq)
         vq.flags.writeable = False
         object.__setattr__(self, "vq", vq)
-        norm = _bounded_norm("standard-form", vq, self.vp)
-        diag_gap = float(np.max(np.abs(np.diag(self.vp) - np.diag(vq))))
+        self._check_class()
+
+    def _check_class(self) -> None:
+        """Refuse entries above ``tolerances.MAX_ENTRY`` and a Williamson diagonal gap."""
+        norm = _bounded_norm("standard-form", self.vq, self.vp)
+        diag_gap = float(np.max(np.abs(np.diag(self.vp) - np.diag(self.vq))))
         if diag_gap > tolerances.block(norm):
             raise ValueError(
                 f"Williamson diagonal conditions violated: |diag(vq^-1) - diag(vq)| "
@@ -71,12 +78,18 @@ class StandardForm:
 
     @classmethod
     def _with_inverse(cls, n_modes: int, vq: np.ndarray, inverse: np.ndarray) -> "StandardForm":
-        """Construct with ``inverse``, already computed as ``np.linalg.inv(vq)``, as the source of vp."""
+        """Construct with ``inverse``, already computed as ``np.linalg.inv(vq)``, as the source of vp.
+
+        Only the class checks run: both callers pass a fresh ``vq``, exactly symmetric
+        by construction ((q + q^T)/2, or coupling + coupling^T + diag d), that has passed
+        a Cholesky test.  It is taken without a copy and made read-only.
+        """
         sf = cls.__new__(cls)
+        vq.flags.writeable = False
         object.__setattr__(sf, "n_modes", n_modes)
         object.__setattr__(sf, "vq", vq)
         sf.__dict__["vp"] = _momentum_block(inverse)
-        sf.__post_init__()
+        sf._check_class()
         return sf
 
     @cached_property
@@ -101,6 +114,21 @@ class StandardForm:
         return cls(*read_vq_document(doc))
 
 
+def _require_positive_definite(vq: np.ndarray) -> None:
+    """Refuse ``vq`` unless it is real and has a Cholesky factor.
+
+    Balancing turns V_Q complex when a mode's q and p variances differ in sign,
+    which no positive-definite state has.
+    """
+    try:
+        if np.isrealobj(vq):
+            np.linalg.cholesky(vq)
+            return
+    except np.linalg.LinAlgError:
+        pass
+    raise ValueError("vq must be positive definite")
+
+
 def _momentum_block(inverse: np.ndarray) -> np.ndarray:
     """V_P from an inverse of V_Q: symmetrized and read-only."""
     vp = (inverse + inverse.T) / 2.0
@@ -114,15 +142,43 @@ def read_vq_document(doc) -> tuple:
     return n_modes, read_matrix(doc["vq"], "vq", n_modes)
 
 
+def _balance(q: np.ndarray, p: np.ndarray) -> tuple:
+    """Squeeze each mode by diag(t_k, 1/t_k) so that diag(V_Q) = diag(V_P), then symmetrize.
+
+    ``t_k = (p_kk / q_kk) ** (1/4)`` scales entry (i, j) of V_Q as ``(t_i * entry) * t_j``
+    and of V_P with 1/t: two single roundings, as the dense congruence makes them.
+    Returns the balanced V_Q and V_P, and t.
+    """
+    # scalar pow: numpy's SIMD ** 0.25 differs from libm's in the last bit on some inputs
+    t = np.array([ratio**0.25 for ratio in (np.diag(p) / np.diag(q)).tolist()])
+    u = 1.0 / t
+    q, p = t[:, None] * q * t, u[:, None] * p * u
+    return (q + q.T) / 2.0, (p + p.T) / 2.0, t
+
+
+def _qp_free_normalization(cm: CovarianceMatrix) -> tuple:
+    """Balance each mode of a state whose q-p block is exactly zero (``cm._qp_free``).
+
+    No mode of such a state turns: its q-p diagonal is zero, within any
+    ``tolerances.rotation``.  So :func:`_local_normalization` would mix no row
+    and return a q-p block of exact zeros; this gives its V_Q and V_P, bit for
+    bit, without the rotation stage or the cross block.
+    """
+    # contiguous copies; + 0.0 turns -0 into +0, as the dense identity congruence does
+    q, p = (block + 0.0 for block in _blocks(cm.data)[:2])
+    return _balance((q + q.T) / 2.0, (p + p.T) / 2.0)[:2]
+
+
 def _local_normalization(cm: CovarianceMatrix) -> tuple:
     """Rotate and balance each mode so its 2x2 block becomes c_k * identity.
 
-    Works on the N x N blocks, with no 2N x 2N product.  A block with |qp| within
-    ``tolerances.rotation`` is never rotated (exact zeros survive); only turned
-    modes' rows, then columns, are mixed, and the balancing squeeze diag(t_k, 1/t_k)
-    scales entry (i, j) as ``(t_i * entry) * t_j``.  Each stage is symmetrized as in
-    ``symplectic.apply_symplectic``, so where no mode turns the bits are those of
-    the dense congruences.  Returns the normalized V_Q, V_P and q-p block X.
+    The general route, for states with a q-p entry.  Works on the N x N blocks,
+    with no 2N x 2N product.  A block with |qp| within ``tolerances.rotation`` is
+    never rotated (exact zeros survive); only turned modes' rows, then columns,
+    are mixed, and :func:`_balance` then squeezes each mode.  Each stage is
+    symmetrized as in ``symplectic.apply_symplectic``, so where no mode turns the
+    bits are those of the dense congruences.  Returns the normalized V_Q, V_P and
+    q-p block X.
     """
     # contiguous copies; + 0.0 turns -0 into +0, as the dense identity congruence does
     q, p, x, y = (block + 0.0 for block in (*_blocks(cm.data), cm.data[1::2, 0::2]))
@@ -133,12 +189,10 @@ def _local_normalization(cm: CovarianceMatrix) -> tuple:
     c, s = np.cos(theta)[:, None], np.sin(theta)[:, None]
     for a, b in ((q, y), (x, p), (q.T, x.T), (y.T, p.T)):  # rows of turned modes, then columns
         a[turned], b[turned] = c * a[turned] + s * b[turned], c * b[turned] - s * a[turned]
-    q, p, x = (q + q.T) / 2.0, (p + p.T) / 2.0, (x + y.T) / 2.0
-    # scalar pow: numpy's SIMD ** 0.25 differs from libm's in the last bit on some inputs
-    t = np.array([ratio**0.25 for ratio in (np.diag(p) / np.diag(q)).tolist()])
+    x = (x + y.T) / 2.0
+    q, p, t = _balance((q + q.T) / 2.0, (p + p.T) / 2.0)
     u = 1.0 / t
-    q, p = t[:, None] * q * t, u[:, None] * p * u
-    return (q + q.T) / 2.0, (p + p.T) / 2.0, (t[:, None] * x * u + x * u * t[:, None]) / 2.0
+    return q, p, (t[:, None] * x * u + x * u * t[:, None]) / 2.0
 
 
 def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
@@ -146,7 +200,13 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
 
     Performs per-mode Williamson normalization on the N x N blocks (O(N^2)),
     checks that the q-p block vanishes, and verifies the momentum block
-    against V_Q^{-1} (one N x N inverse).
+    against V_Q^{-1} (one N x N inverse).  A state whose q-p block is exactly
+    zero (every state this package builds) is only balanced: no mode of it
+    turns and its normalized q-p block is exactly zero, so the rotation stage
+    and the cross-block check are skipped.  The result is built without the
+    public constructor's boundary checks: V_Q is a fresh float array,
+    symmetric by construction, and the positive-definiteness test runs here,
+    since purity and the class checks pass the two-mode -I.
 
     Raises:
         NotPureError: for mixed inputs.
@@ -154,18 +214,24 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
             block-diagonal form.  The check is heuristic: it refuses states
             of the class in a generic local frame at every N >= 2 (see
             ROADMAP.md, item 2).
-        ValueError: if a normalized entry exceeds ``tolerances.MAX_ENTRY``.
+        ValueError: if a normalized entry exceeds ``tolerances.MAX_ENTRY``,
+            or the normalized V_Q is not positive definite.
     """
     require_pure(cm)
-    vq, p_block, cross_block = _local_normalization(cm)
-    tol = tolerances.block(_bounded_norm("covariance matrix", vq, p_block, cross_block))
-    cross = float(np.max(np.abs(cross_block)))
-    if cross > tol:
-        raise NotInGenericClassError(cross, tol)
+    if cm._qp_free:
+        vq, p_block = _qp_free_normalization(cm)
+        tol = tolerances.block(_bounded_norm("covariance matrix", vq, p_block))
+    else:
+        vq, p_block, cross_block = _local_normalization(cm)
+        tol = tolerances.block(_bounded_norm("covariance matrix", vq, p_block, cross_block))
+        cross = float(np.max(np.abs(cross_block)))
+        if cross > tol:
+            raise NotInGenericClassError(cross, tol)
     inverse = np.linalg.inv(vq)
     gap = float(np.max(np.abs(p_block - inverse)))
     if gap > tol:
         raise NotInGenericClassError(gap, tol)
+    _require_positive_definite(vq)
     return StandardForm._with_inverse(cm.n_modes, vq, inverse)
 
 
@@ -270,7 +336,7 @@ def reconstruct_diagonal(
             raise InfeasibleError(last_residual, iteration) from None
         last_residual = float(np.max(np.abs(residual)))
         if last_residual <= tolerances.newton(float(np.max(np.abs(d)))):
-            # coupling + diag(d) is exactly symmetric
+            # coupling + diag(d) is exactly symmetric and passed the Cholesky above
             return StandardForm._with_inverse(n_modes, vq, inverse)
         if iteration == max_iter:
             break

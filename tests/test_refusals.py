@@ -97,6 +97,14 @@ GOLDEN = [
      "log negativity needs two distinct modes, got 3 twice"),
     ("logneg-index", lambda: log_negativity_pair(PURE, 1, 0), ValueError,
      "mode index 0 out of range for 2 modes"),
+    ("logneg-integer-before-distinct-bool", lambda: log_negativity_pair(PURE, 1, True), ValueError,
+     "mode index must be an integer, got True"),
+    ("logneg-integer-before-distinct-float", lambda: log_negativity_pair(PURE, 1, 1.0), ValueError,
+     "mode index must be an integer, got 1.0"),
+    ("logneg-integer-before-distinct-fraction", lambda: log_negativity_pair(PURE, 2.5, 2.5), ValueError,
+     "mode index must be an integer, got 2.5"),
+    ("logneg-integer-before-distinct-string", lambda: log_negativity_pair(PURE, "1", "1"), ValueError,
+     "mode index must be an integer, got '1'"),
     ("reduced-empty", lambda: reduced_cm(PURE, []), ValueError, "mode subset must be nonempty"),
     ("reduced-repeated-first", lambda: reduced_cm(PURE, [5, 5]), ValueError,
      "mode subset has repeated entries: [5, 5]"),

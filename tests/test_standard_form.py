@@ -1,5 +1,7 @@
 """Tests for standard-form reduction, reconstruction, and harmonic ground states."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -33,7 +35,7 @@ from gaussforge.symplectic import (
     vacuum_cm,
 )
 
-from conftest import random_local_symplectic, record_calls
+from conftest import block_route_states, forbid, random_local_symplectic, record_calls
 
 TMS = Recipe(2, np.sqrt(2.0))  # two-mode squeezed state with a = 1.25, c = 0.75
 
@@ -322,6 +324,98 @@ class TestOneInverse:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+
+
+class TestQpFreeRoute:
+    """States with an exactly zero q-p block are balanced without the rotation stage,
+    with the bits of the general route, and built into a standard form with one Cholesky."""
+
+    def test_same_bits_as_rotation_then_balance(self):
+        for cm in block_route_states():
+            vq, vp = standard_form._qp_free_normalization(cm)
+            general_q, general_p, cross = standard_form._local_normalization(cm)
+            assert vq.tobytes() == general_q.tobytes()
+            assert vp.tobytes() == general_p.tobytes()
+            assert not np.any(cross) and not np.any(np.signbit(cross))
+
+    def test_negative_zero_qp_block_takes_the_free_route(self, monkeypatch):
+        cm = CovarianceMatrix(3, np.where(np.eye(6) == 1.0, 1.0, -0.0))
+        forbid(monkeypatch, standard_form, "_local_normalization")
+        sf = to_standard_form(cm)
+        assert sf.vq.tobytes() == np.eye(3).tobytes()  # +0.0 off the diagonal, as the general route
+
+    def test_one_qp_entry_takes_the_general_route(self, monkeypatch):
+        data = np.eye(4)
+        data[0, 3] = data[3, 0] = 1e-300
+        calls = record_calls(monkeypatch, standard_form, "_local_normalization")
+        sf = to_standard_form(CovarianceMatrix(2, data))
+        assert len(calls) == 1
+        assert sf.vq.tobytes() == np.eye(2).tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: engineer_state(random_recipe(2, seed=2)),
+            lambda: engineer_state(random_recipe(16, seed=16, s_max=30.0)),
+            lambda: harmonic_ground_state(ring_potential(31, 0.5)),
+        ],
+        ids=["engineered-2", "engineered-16", "ring-31"],
+    )
+    def test_no_rotation_and_one_cholesky(self, make, monkeypatch):
+        cm = make()
+        forbid(monkeypatch, standard_form, "_local_normalization")
+        forbid(monkeypatch, np, "arctan2")
+        calls = record_calls(monkeypatch, np.linalg, "cholesky")
+        sf = to_standard_form(cm)
+        assert len(calls) == 1 and calls[0] is sf.vq
+
+    def test_two_mode_minus_identity_is_refused_by_the_cholesky(self):
+        """-I passes purity and the class checks; the Cholesky is its only refusal."""
+        with pytest.raises(ValueError, match=r"^vq must be positive definite$"):
+            to_standard_form(CovarianceMatrix(2, -np.eye(4)))
+
+    def test_indefinite_pure_state_is_refused_without_complex_values(self):
+        """Its modes' q and p variances differ in sign, so balancing turns V_Q complex;
+        that V_Q is refused as not positive definite, with no cast to real and no warning."""
+        vq = np.array([[1.0, 2.0], [2.0, 1.0]])
+        state = symplectic._from_blocks(vq, np.linalg.inv(vq))
+        assert is_pure(state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^vq must be positive definite$"):
+                to_standard_form(state)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: to_standard_form(harmonic_ground_state(ring_potential(31, 0.5))),
+            lambda: to_standard_form(harmonic_ground_state(ring_potential(64, 2.0))),
+            lambda: to_standard_form(engineer_state(random_recipe(8, seed=1, s_max=15.0))),
+        ],
+        ids=["ring-31", "ring-64", "engineered-8-squeezed"],
+    )
+    def test_reconstruction_factors_each_candidate_once(self, make, monkeypatch):
+        """One Cholesky per candidate the Newton loop tries, and none in the constructor:
+        every candidate that has a factor is inverted once, and no other matrix is factored."""
+        sf = make()
+        factored, refused = [], []
+        cholesky = np.linalg.cholesky
+
+        def recorded(matrix):
+            try:
+                factor = cholesky(matrix)
+            except np.linalg.LinAlgError:
+                refused.append(matrix)
+                raise
+            factored.append(matrix)
+            return factor
+
+        monkeypatch.setattr(np.linalg, "cholesky", recorded)
+        inverted = record_calls(monkeypatch, np.linalg, "inv")
+        rebuilt = reconstruct_diagonal(extract_parameters(sf), sf.n_modes)
+        assert len(factored) == len(inverted)
+        assert all(a is b for a, b in zip(factored, inverted))
+        assert factored[-1] is rebuilt.vq
 
 
 class TestExtractParameters:
