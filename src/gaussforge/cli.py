@@ -229,6 +229,7 @@ def cmd_ring(n_modes, coupling, precision):
         "per_mode_entropy": list(report.per_mode_entropy),
         "nearest_neighbor_logneg": float(report.pairwise_logneg[0, 1]),
     }
+    del cm, report  # freed before serialising, the step that sets the peak memory
     _emit(jsonio.dumps(doc, precision) + "\n", None)
 
 

@@ -20,7 +20,6 @@ from .errors import _integer
 from .standard_form import StandardForm
 from .symplectic import (
     CovarianceMatrix,
-    _blocks,
     _check_mode_indices,
     _pair_blocks,
     require_pure,
@@ -71,12 +70,17 @@ def bosonic_entropy(nu: float, nats: bool = False) -> float:
         nu: symplectic eigenvalue, at least 1 up to roundoff.
         nats: report in natural-log units instead of ebits.
     """
-    if nu - 1.0 < tolerances.unit_eigenvalue():
+    value = _entropy(nu, tolerances.unit_eigenvalue())
+    return value * _LN2 if nats else value
+
+
+def _entropy(nu: float, unit: float) -> float:
+    """:func:`bosonic_entropy` in ebits, with the unit-eigenvalue tolerance given."""
+    if nu - 1.0 < unit:
         return 0.0
     up = (nu + 1.0) / 2.0
     down = (nu - 1.0) / 2.0
-    value = up * math.log2(up) - down * math.log2(down)
-    return value * _LN2 if nats else value
+    return up * math.log2(up) - down * math.log2(down)
 
 
 def _log_negativities(cm: CovarianceMatrix, i, j) -> np.ndarray:
@@ -99,7 +103,7 @@ def _block_nu2(cm: CovarianceMatrix, i, j) -> np.ndarray:
     determinant is (ab - c^2)(a'b' - c'^2) and the discriminant is
     ``(a a' - b b')^2 + 4 (c b' - a c')(c a' - b c')``.
     """
-    vq, vp = _blocks(cm.data)[:2]
+    vq, vp = cm._vq_vp
     a, b, c = vq[i, i], vq[j, j], vq[i, j]
     a_, b_, c_ = vp[i, i], vp[j, j], vp[i, j]
     det_q, det_p = a * b - c * c, a_ * b_ - c_ * c_
@@ -138,10 +142,19 @@ def schmidt_parameter(cm: CovarianceMatrix, mode_index: int) -> float:
 
     Raises:
         NotPureError: for mixed inputs.
+        ValueError: if det sigma_i is not positive (the purity identity lets such states through).
     """
     require_pure(cm)
     _check_mode_indices(cm.n_modes, mode_index)
-    return float(np.sqrt(cm._dets[mode_index - 1, mode_index - 1]))
+    return _schmidt_value(cm._dets, mode_index)
+
+
+def _schmidt_value(dets: np.ndarray, mode_index: int) -> float:
+    """sqrt(det sigma_i) of a 1-based mode, read from the state's block determinants."""
+    det = float(dets[mode_index - 1, mode_index - 1])
+    if not det > 0.0:
+        raise ValueError(f"mode {mode_index} has block determinant {det:.3e}, not a positive one")
+    return math.sqrt(det)
 
 
 def entropy_one_vs_rest(
@@ -203,16 +216,15 @@ def full_report(cm: CovarianceMatrix, schmidt_mode: int = 1) -> EntanglementRepo
     require_pure(cm)
     n = cm.n_modes
     _check_mode_indices(n, schmidt_mode)
-    modes = np.arange(n)
-    dets = cm._dets
-    schmidt = np.sqrt(np.diag(dets))
+    schmidt = [_schmidt_value(cm._dets, k) for k in range(1, n + 1)]
     rows, cols = np.triu_indices(n, k=1)
     logneg = np.zeros((n, n))
     logneg[rows, cols] = logneg[cols, rows] = _log_negativities(cm, rows, cols)
+    unit = tolerances.unit_eigenvalue()
     return EntanglementReport(
-        per_mode_entropy=tuple(bosonic_entropy(float(v)) for v in schmidt),
-        schmidt_parameter=float(schmidt[schmidt_mode - 1]),
+        per_mode_entropy=tuple(_entropy(v, unit) for v in schmidt),
+        schmidt_parameter=schmidt[schmidt_mode - 1],
         pairwise_logneg=logneg,
-        pairwise_detblocks=np.where(modes[:, None] == modes, 0.0, dets),
+        pairwise_detblocks=np.where(np.eye(n, dtype=bool), 0.0, cm._dets),
     )
 

@@ -164,9 +164,8 @@ def _qp_free_normalization(cm: CovarianceMatrix) -> tuple:
     and return a q-p block of exact zeros; this gives its V_Q and V_P, bit for
     bit, without the rotation stage or the cross block.
     """
-    # contiguous copies; + 0.0 turns -0 into +0, as the dense identity congruence does
-    q, p = (block + 0.0 for block in _blocks(cm.data)[:2])
-    return _balance((q + q.T) / 2.0, (p + p.T) / 2.0)[:2]
+    # + 0.0 turns -0 into +0, as the dense identity congruence does; the blocks are symmetric
+    return _balance(*(block + 0.0 for block in cm._vq_vp))[:2]
 
 
 def _local_normalization(cm: CovarianceMatrix) -> tuple:
@@ -358,14 +357,15 @@ def det_identity_residual(cm: CovarianceMatrix, mode_index: int) -> float:
     The identity is the (i, i) 2x2 block of the purity condition
     ``sigma Omega sigma = Omega``, so it holds up to roundoff for every pure
     state, in the class or not, and each 2x2 block determinant is unchanged
-    by local symplectics: the state is not normalized first.
+    by local symplectics: the state is not normalized first.  The state
+    keeps the row sums of its block determinants, so a call is a lookup.
 
     Raises:
         NotPureError: for mixed inputs.
     """
     _check_mode_indices(cm.n_modes, mode_index)
     require_pure(cm)
-    return float(np.sum(cm._dets[mode_index - 1]) - 1.0)
+    return cm._det_row_sums[mode_index - 1] - 1.0
 
 
 def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:

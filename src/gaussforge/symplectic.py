@@ -8,7 +8,8 @@ Omega for the antisymmetric form Omega.
 
 A CM whose q-p block is exactly zero is V_Q (+) V_P, and its purity
 residual and Williamson spectrum are computed on those two N x N blocks;
-every other CM is handled as the dense 2N x 2N matrix.
+every other CM is handled as the dense 2N x 2N matrix.  States built inside
+the package are stored as the two blocks (see :class:`CovarianceMatrix`).
 """
 
 from __future__ import annotations
@@ -75,12 +76,15 @@ def _blocks(sigma: np.ndarray) -> tuple:
 
 
 def _from_blocks(vq: np.ndarray, vp: np.ndarray) -> CovarianceMatrix:
-    """The q-p block-diagonal state V_Q (+) V_P, each block symmetrized."""
-    n = vq.shape[0]
-    data = np.zeros((2 * n, 2 * n))
-    data[0::2, 0::2] = (vq + vq.T) / 2.0
-    data[1::2, 1::2] = (vp + vp.T) / 2.0
-    return CovarianceMatrix(n, data)
+    """The state V_Q (+) V_P, stored as its two blocks, symmetrized and read-only."""
+    blocks = np.stack([vq + vq.T, vp + vp.T]) / 2.0
+    blocks.flags.writeable = False
+    # the constructor's bound check; symmetry and the zero q-p block hold by construction
+    norm = _bounded_norm("covariance matrix", blocks)
+    cm = CovarianceMatrix.__new__(CovarianceMatrix)
+    vars(cm).update(n_modes=len(vq), _inf_norm=norm, _vq_vp=tuple(blocks))
+    vars(cm).update(_block_built=True, _qp_free=True)
+    return cm
 
 
 def _block_dets(sigma: np.ndarray, i, j) -> np.ndarray:
@@ -105,12 +109,15 @@ class CovarianceMatrix:
             vacuum variance 1, entries finite and at most
             ``tolerances.MAX_ENTRY`` in magnitude; read-only, as the object
             keeps its inf-norm, purity residual, 2x2 block determinants and
-            whether its q-p block is zero (re-enabling writes leaves them
-            stale).
+            their row sums, and whether its q-p block is zero (re-enabling
+            writes leaves them stale).  States built by ``_from_blocks`` store
+            only the read-only blocks V_Q and V_P and assemble it on first access.
     """
 
     n_modes: int
     data: np.ndarray
+
+    _block_built = False  # set by _from_blocks
 
     def __post_init__(self):
         data = _dense_data(self)
@@ -119,6 +126,15 @@ class CovarianceMatrix:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "_inf_norm", norm)
+
+    def __getattr__(self, name: str):
+        """Assemble ``data`` of a block-built state, read-only, on first access."""
+        if name != "data" or not self._block_built:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        data = vars(self)["data"] = np.zeros((2 * self.n_modes, 2 * self.n_modes))
+        data[0::2, 0::2], data[1::2, 1::2] = self._vq_vp
+        data.flags.writeable = False
+        return data
 
     def inf_norm(self) -> float:
         """Largest absolute entry, measured once, at construction."""
@@ -130,18 +146,31 @@ class CovarianceMatrix:
         return not np.any(self.data[0::2, 1::2])
 
     @cached_property
+    def _vq_vp(self) -> tuple:
+        """V_Q and V_P: the stored blocks, or strided views of a dense-built ``data``."""
+        return _blocks(self.data)[:2]
+
+    @cached_property
     def _purity_residual(self) -> float:
         if self._qp_free:
-            return _block_purity_product(*_blocks(self.data)[:2])
+            return _block_purity_product(*self._vq_vp)
         return _purity_product(self.data)
 
     @cached_property
     def _dets(self) -> np.ndarray:
         """Read-only N x N matrix of 2x2 block determinants: entry (i, j) is det of block (i, j)."""
-        modes = np.arange(self.n_modes)
-        dets = _block_dets(self.data, modes[:, None], modes)
+        if self._block_built:  # the gather's bits, as its q-p zeros are +0.0: x - (+0 * +0) = x
+            dets = np.multiply(*self._vq_vp)
+        else:  # a -0.0 q-p entry can turn a -0.0 determinant into +0.0
+            modes = np.arange(self.n_modes)
+            dets = _block_dets(self.data, modes[:, None], modes)
         dets.flags.writeable = False
         return dets
+
+    @cached_property
+    def _det_row_sums(self) -> tuple:
+        """Each mode's sum_j det sigma_ij as a float: the bits of ``np.sum`` of its row of ``_dets``."""
+        return tuple(self._dets.sum(axis=1).tolist())
 
     def mode_block(self, mode_index: int) -> np.ndarray:
         """2x2 diagonal block of a single 1-based mode."""
@@ -370,7 +399,7 @@ def _williamson_values(cm: CovarianceMatrix) -> np.ndarray:
     names the smallest eigenvalue of a matrix that is not positive definite.
     """
     if cm._qp_free:
-        vq, vp = _blocks(cm.data)[:2]
+        vq, vp = cm._vq_vp
         try:
             factors = np.linalg.cholesky(vq).T @ np.linalg.cholesky(vp)
         except np.linalg.LinAlgError:
@@ -438,10 +467,10 @@ def is_pure(cm: CovarianceMatrix) -> PurityResult:
 
 
 def require_pure(cm: CovarianceMatrix) -> None:
-    """Raise :class:`NotPureError` unless ``cm`` passes :func:`is_pure`."""
-    purity = is_pure(cm)
-    if not purity:
-        raise NotPureError(purity.residual, tolerances.purity(cm.inf_norm()))
+    """Raise :class:`NotPureError` unless ``cm`` passes :func:`is_pure`, with no ``PurityResult``."""
+    residual, tol = cm._purity_residual, tolerances.purity(cm._inf_norm)
+    if not residual <= tol:
+        raise NotPureError(residual, tol)
 
 
 def reduced_cm(cm: CovarianceMatrix, mode_subset) -> CovarianceMatrix:

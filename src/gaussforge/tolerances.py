@@ -6,6 +6,7 @@ every residual tolerance by a positive finite factor, for exploratory use on
 noisy inputs; when absent the defaults apply.
 """
 
+import functools
 import os
 
 # symplectic eigenvalues within RANK of 1 count as vacuum normal modes
@@ -37,10 +38,13 @@ NEWTON_MAX_BACKTRACK = 40
 
 
 def scale() -> float:
-    """Return the global tolerance scale from ``GF_TOL_OVERRIDE``."""
+    """Return the global tolerance scale from ``GF_TOL_OVERRIDE``, read at each call."""
     raw = os.environ.get("GF_TOL_OVERRIDE")
-    if raw is None:
-        return 1.0
+    return 1.0 if raw is None else _parse_scale(raw)
+
+
+@functools.lru_cache(maxsize=16)  # each distinct value parsed once; a refusal is not cached
+def _parse_scale(raw: str) -> float:
     try:
         value = float(raw)
     except ValueError:

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from gaussforge import jsonio
 from gaussforge.cli import main
 from gaussforge.engineering import Recipe, engineer_state, random_recipe
-from gaussforge.symplectic import CovarianceMatrix, vacuum_cm
+from gaussforge.symplectic import CovarianceMatrix, _from_blocks, vacuum_cm
+
+from conftest import record_calls
 
 RECIPE_N3 = {
     "n_modes": 3,
@@ -146,6 +148,19 @@ class TestAnalyze:
         doc = {"n_modes": 1, "ordering": "qpqp", "data": [[1.0, 0.0], [0.0, -1.0]]}
         cm = write(tmp_path / "cm.json", doc)
         result = runner.invoke(main, ["analyze", "--cm", cm])
+        assert result.exit_code == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "error: matrix is not positive definite (min eigenvalue -1.000e+00)\n"
+        )
+
+    def test_indefinite_pure_state_exits_one(self, runner, tmp_path):
+        """V_Q = [[1, 2], [2, 1]] (+) V_Q^-1 passes the purity identity; the spectrum refuses it."""
+        vq = np.array([[1.0, 2.0], [2.0, 1.0]])
+        cm = write(tmp_path / "cm.json", _from_blocks(vq, np.linalg.inv(vq)).to_dict())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["analyze", "--cm", cm])
         assert result.exit_code == 1
         assert result.stdout == ""
         assert result.stderr == (
@@ -294,20 +309,23 @@ class TestRing:
         assert result.stdout == ""
         assert "1001" in result.stderr and "1000" in result.stderr
 
+    def test_unit_tol_override_keeps_the_output(self, runner):
+        args = ["ring", "--n", "31", "--coupling", "2"]
+        plain = runner.invoke(main, args)
+        scaled = runner.invoke(main, args, env={"GF_TOL_OVERRIDE": "1"})
+        assert plain.exit_code == scaled.exit_code == 0
+        assert scaled.stdout == plain.stdout and scaled.stderr == plain.stderr
+
     def test_one_purity_check(self, runner, monkeypatch):
-        from gaussforge import symplectic
+        """One purity verdict (``require_pure``, which no longer calls ``is_pure``) and one
+        purity product for the ring state."""
+        from gaussforge import entanglement, symplectic
 
-        calls = []
-        original = symplectic.is_pure
-
-        def counted(cm):
-            calls.append(cm.n_modes)
-            return original(cm)
-
-        monkeypatch.setattr(symplectic, "is_pure", counted)
+        verdicts = record_calls(monkeypatch, entanglement, "require_pure")
+        products = record_calls(monkeypatch, symplectic, "_block_purity_product")
         result = runner.invoke(main, ["ring", "--n", "9", "--coupling", "0.5"])
         assert result.exit_code == 0
-        assert calls == [9]
+        assert [cm.n_modes for cm in verdicts] == [9] and [len(vq) for vq in products] == [9]
 
     @pytest.mark.parametrize("n", ["3", "64"])
     @pytest.mark.parametrize("coupling", ["1e16", "1e17", "1e308"])

@@ -1,6 +1,8 @@
 """Tests for entanglement measures and their pairwise accounting."""
 
+import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -35,7 +37,13 @@ from gaussforge.symplectic import (
     vacuum_cm,
 )
 
-from conftest import block_route_states, condition_number, forbid, random_local_symplectic
+from conftest import (
+    block_route_states,
+    condition_number,
+    forbid,
+    random_local_symplectic,
+    record_calls,
+)
 
 TMS = Recipe(2, np.sqrt(2.0))  # a = 1.25, c = 0.75
 
@@ -110,6 +118,46 @@ class TestSchmidtParameter:
             rest = [m for m in range(1, n + 1) if m != k]
             nontrivial = max(williamson_spectrum(reduced_cm(cm, rest)).values)
             assert schmidt_parameter(cm, k) == pytest.approx(nontrivial, abs=1e-7)
+
+
+def indefinite_state(dense: bool) -> CovarianceMatrix:
+    """V_Q = [[1, 2], [2, 1]] (+) V_Q^-1: pure by the identity, but both det sigma_i are -1/3."""
+    vq = np.array([[1.0, 2.0], [2.0, 1.0]])
+    cm = symplectic._from_blocks(vq, np.linalg.inv(vq))
+    return CovarianceMatrix(2, cm.data) if dense else cm
+
+
+class TestNonPositiveModeDeterminant:
+    """A non-positive det sigma_i is refused by mode, with no nan, warning or math error."""
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["blocks", "dense"])
+    @pytest.mark.parametrize(
+        "query, mode",
+        [
+            (lambda cm: schmidt_parameter(cm, 2), 2),
+            (lambda cm: entropy_one_vs_rest(cm, 1), 1),
+            (lambda cm: entropy_one_vs_rest(cm, 2, nats=True), 2),
+            (full_report, 1),
+            (lambda cm: full_report(cm, schmidt_mode=2), 1),
+        ],
+        ids=["schmidt-2", "entropy-1", "entropy-2-nats", "report", "report-schmidt-2"],
+    )
+    def test_refused_naming_the_mode(self, query, mode, dense):
+        cm = indefinite_state(dense)
+        assert is_pure(cm)  # the purity identity alone lets it through (ROADMAP item 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as refusal:
+                query(cm)
+        assert str(refusal.value) == (
+            f"mode {mode} has block determinant -3.333e-01, not a positive one"
+        )
+
+    def test_positive_determinants_unchanged(self):
+        """The guard passes every mode of a pure positive-definite state untouched."""
+        cm = engineer_state(random_recipe(5, seed=8))
+        for k in range(1, 6):
+            assert schmidt_parameter(cm, k) == float(np.sqrt(cm._dets[k - 1, k - 1]))
 
 
 class TestBosonicEntropy:
@@ -257,7 +305,8 @@ class TestFullReport:
 
     @pytest.mark.parametrize("n", [2, 7, 16])
     def test_one_purity_check_and_no_eigen_solves(self, n, monkeypatch):
-        calls = {"is_pure": 0, "symplectic_eigenvalues": 0, "reduced_cm": 0}
+        """One purity verdict: ``require_pure`` decides from the cached residual without ``is_pure``."""
+        calls = {"require_pure": 0, "is_pure": 0, "symplectic_eigenvalues": 0, "reduced_cm": 0}
         for name in calls:
             original = getattr(symplectic, name)
 
@@ -269,7 +318,7 @@ class TestFullReport:
             for module in (symplectic, entanglement):
                 monkeypatch.setattr(module, name, counted, raising=False)
         full_report(engineer_state(random_recipe(n, seed=n)))
-        assert calls == {"is_pure": 1, "symplectic_eigenvalues": 0, "reduced_cm": 0}
+        assert calls == {"require_pure": 1, "is_pure": 0, "symplectic_eigenvalues": 0, "reduced_cm": 0}
 
     def test_one_purity_product_per_state_across_helpers(self, monkeypatch):
         """The state keeps its residual, so per-mode helpers share one product.
@@ -294,24 +343,30 @@ class TestFullReport:
         assert calls == [("_block_purity_product", 31)]
 
     def test_one_block_determinant_pass_per_state_across_helpers(self, monkeypatch):
-        """The state keeps its 2x2 block determinants, so per-mode helpers share one pass."""
+        """The state keeps its 2x2 block determinants, so per-mode helpers share one pass.
+
+        The ring state is built from its blocks, so that pass is V_Q * V_P, with no
+        strided gather of ``data`` and no ``data`` at all.
+        """
         calls = []
-        original = symplectic._block_dets
+        original = symplectic.CovarianceMatrix.__dict__["_dets"]
 
-        def counted(sigma, i, j):
-            calls.append(np.shape(np.broadcast(i, j)))
-            return original(sigma, i, j)
+        def counted(cm):
+            calls.append(cm.n_modes)
+            return original.func(cm)
 
-        # also on the helpers' modules, in case one imports it by name
-        for module in (symplectic, entanglement, standard_form):
-            monkeypatch.setattr(module, "_block_dets", counted, raising=False)
+        witness = functools.cached_property(counted)
+        witness.__set_name__(symplectic.CovarianceMatrix, "_dets")
+        monkeypatch.setattr(symplectic.CovarianceMatrix, "_dets", witness)
+        gathers = record_calls(monkeypatch, symplectic, "_block_dets")
         cm = harmonic_ground_state(ring_potential(31, 0.5))
         full_report(cm)
         for k in range(1, 32):
             det_identity_residual(cm, k)
             entropy_one_vs_rest(cm, k)
         log_negativity_pair(cm, 1, 2)
-        assert calls == [(31, 31)]
+        assert calls == [31] and gathers == []
+        assert "data" not in vars(cm)
 
     def test_one_norm_per_state_across_helpers(self, monkeypatch):
         """The inf-norm is measured once, at construction, so no helper rescans the matrix."""

@@ -660,7 +660,8 @@ class TestDetIdentity:
 
     @pytest.mark.parametrize("n", [2, 7, 16])
     def test_one_purity_check_and_no_normalization(self, n, monkeypatch):
-        calls = {"is_pure": 0, "apply_symplectic": 0}
+        """One purity verdict: ``require_pure`` decides from the cached residual without ``is_pure``."""
+        calls = {"require_pure": 0, "is_pure": 0, "apply_symplectic": 0}
         for name in calls:
             original = getattr(symplectic, name)
 
@@ -672,7 +673,7 @@ class TestDetIdentity:
                 monkeypatch.setattr(module, name, counted, raising=False)
         cm = engineer_state(random_recipe(n, seed=n))
         det_identity_residual(cm, n)
-        assert calls == {"is_pure": 1, "apply_symplectic": 0}
+        assert calls == {"require_pure": 1, "is_pure": 0, "apply_symplectic": 0}
 
     def test_rejects_mixed_state(self):
         with pytest.raises(NotPureError):

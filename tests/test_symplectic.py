@@ -5,8 +5,14 @@ import pytest
 
 from gaussforge import symplectic, tolerances
 from gaussforge.engineering import engineer_state, random_recipe
+from gaussforge.entanglement import full_report
 from gaussforge.errors import InputFormatError, NotPureError
-from gaussforge.standard_form import harmonic_ground_state, ring_potential
+from gaussforge.standard_form import (
+    det_identity_residual,
+    harmonic_ground_state,
+    ring_potential,
+    to_standard_form,
+)
 from gaussforge.symplectic import (
     CovarianceMatrix,
     SymplecticMatrix,
@@ -362,6 +368,65 @@ class TestBlockRoute:
         assert not is_bona_fide(cm)
 
 
+def outcome(compute):
+    """What a computation gives, as bytes or its refusal: equal outcomes mean equal bits."""
+    try:
+        value = compute()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return np.asarray(value).tobytes()
+
+
+class TestBlockStorage:
+    """States built from V_Q and V_P keep the two blocks; ``data`` is assembled on first access."""
+
+    def test_same_bits_as_the_dense_rebuild(self):
+        """Every block-built state and its copy through the public constructor agree bit for bit."""
+        for cm in block_route_states():
+            n = cm.n_modes
+            queries = [
+                lambda cm: cm._dets,
+                lambda cm: cm._purity_residual,
+                lambda cm: williamson_spectrum(cm).values,
+                lambda cm: [det_identity_residual(cm, k) for k in range(1, n + 1)],
+                lambda cm: full_report(cm).per_mode_entropy,
+                lambda cm: full_report(cm).pairwise_logneg,
+                lambda cm: full_report(cm).pairwise_detblocks,
+                lambda cm: to_standard_form(cm).vq,
+            ]
+            built = [outcome(lambda: query(cm)) for query in queries]
+            assert cm._block_built and "data" not in vars(cm)  # none of them needed it
+            dense = CovarianceMatrix(n, cm.data)
+            assert not dense._block_built and dense._qp_free
+            assert built == [outcome(lambda: query(dense)) for query in queries]
+            assert cm.data.tobytes() == dense.data.tobytes()
+            assert not np.any(np.signbit(cm.data[0::2, 1::2]))  # its q-p zeros are +0.0
+            for stored, view in zip(cm._vq_vp, symplectic._blocks(cm.data)):
+                assert stored.tobytes() == np.ascontiguousarray(view).tobytes()
+
+    def test_data_and_blocks_are_read_only(self):
+        cm = harmonic_ground_state(ring_potential(5, 0.5))
+        for array in (*cm._vq_vp, cm.data):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 2.0
+        assert cm.data is cm.data  # assembled once
+
+    @pytest.mark.parametrize("huge", [1e160, np.nan, np.inf])
+    def test_bound_refused_with_the_constructor_message(self, huge):
+        vq, vp = np.diag([1.0, huge]), np.eye(2)
+        with pytest.raises(ValueError) as dense:
+            CovarianceMatrix(2, np.diag([1.0, 1.0, huge, 1.0]))
+        with pytest.raises(ValueError) as built:
+            symplectic._from_blocks(vq, vp)
+        assert str(built.value) == str(dense.value)
+
+    def test_other_missing_attributes_still_raise(self):
+        for cm in (engineer_state(random_recipe(3, seed=1)), vacuum_cm(2)):
+            with pytest.raises(AttributeError, match="object has no attribute 'nope'"):
+                cm.nope
+
+
 class TestBonaFide:
     def test_vacuum_and_squeezed_accepted(self):
         assert is_bona_fide(vacuum_cm(2))
@@ -454,6 +519,30 @@ class TestPurity:
         require_pure(cm)
         monkeypatch.setenv("GF_TOL_OVERRIDE", "1")
         assert not is_pure(cm)
+
+    def test_tol_override_change_between_calls_takes_effect(self, monkeypatch):
+        """Each value is parsed once, yet the environment is read at every call."""
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "2")
+        assert tolerances.scale() == 2.0
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "5e-1")
+        assert tolerances.scale() == 0.5
+        monkeypatch.delenv("GF_TOL_OVERRIDE")
+        assert tolerances.scale() == 1.0
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "2")
+        assert tolerances.scale() == 2.0
+
+    @pytest.mark.parametrize("raw", ["wide", "0", "nan"])
+    def test_invalid_tol_override_is_refused_every_time(self, raw, monkeypatch):
+        """A refusal is not cached: the second call is refused with the same message."""
+        monkeypatch.setenv("GF_TOL_OVERRIDE", raw)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError, match="GF_TOL_OVERRIDE must be") as refusal:
+                tolerances.scale()
+            messages.append(str(refusal.value))
+        assert messages[0] == messages[1]
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "3")
+        assert tolerances.scale() == 3.0
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_tol_override_is_refused(self, raw, monkeypatch):
