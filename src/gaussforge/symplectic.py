@@ -8,8 +8,7 @@ Omega for the antisymmetric form Omega.
 
 A CM whose q-p block is exactly zero is V_Q (+) V_P, and its purity
 residual and Williamson spectrum are computed on those two N x N blocks;
-every other CM is handled as the dense 2N x 2N matrix.  States built inside
-the package are stored as the two blocks (see :class:`CovarianceMatrix`).
+every other CM is handled as the dense 2N x 2N matrix.
 """
 
 from __future__ import annotations
@@ -76,14 +75,19 @@ def _blocks(sigma: np.ndarray) -> tuple:
 
 
 def _from_blocks(vq: np.ndarray, vp: np.ndarray) -> CovarianceMatrix:
-    """The state V_Q (+) V_P, stored as its two blocks, symmetrized and read-only."""
-    blocks = np.stack([vq + vq.T, vp + vp.T]) / 2.0
-    blocks.flags.writeable = False
-    # the constructor's bound check; symmetry and the zero q-p block hold by construction
-    norm = _bounded_norm("covariance matrix", blocks)
+    """The q-p block-diagonal state V_Q (+) V_P, each block symmetrized.
+
+    Only the constructor's bound check runs: symmetry and the zero q-p block
+    hold by construction, so neither 4N^2 scan is repeated.
+    """
+    n = len(vq)
+    data = np.zeros((2 * n, 2 * n))
+    data[0::2, 0::2] = (vq + vq.T) / 2.0
+    data[1::2, 1::2] = (vp + vp.T) / 2.0
+    data.flags.writeable = False
     cm = CovarianceMatrix.__new__(CovarianceMatrix)
-    vars(cm).update(n_modes=len(vq), _inf_norm=norm, _vq_vp=tuple(blocks))
-    vars(cm).update(_block_built=True, _qp_free=True)
+    norm = _bounded_norm("covariance matrix", data)
+    vars(cm).update(n_modes=n, data=data, _inf_norm=norm, _qp_free=True)
     return cm
 
 
@@ -110,14 +114,11 @@ class CovarianceMatrix:
             ``tolerances.MAX_ENTRY`` in magnitude; read-only, as the object
             keeps its inf-norm, purity residual, 2x2 block determinants and
             their row sums, and whether its q-p block is zero (re-enabling
-            writes leaves them stale).  States built by ``_from_blocks`` store
-            only the read-only blocks V_Q and V_P and assemble it on first access.
+            writes leaves them stale).
     """
 
     n_modes: int
     data: np.ndarray
-
-    _block_built = False  # set by _from_blocks
 
     def __post_init__(self):
         data = _dense_data(self)
@@ -126,15 +127,6 @@ class CovarianceMatrix:
         data.flags.writeable = False
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "_inf_norm", norm)
-
-    def __getattr__(self, name: str):
-        """Assemble ``data`` of a block-built state, read-only, on first access."""
-        if name != "data" or not self._block_built:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        data = vars(self)["data"] = np.zeros((2 * self.n_modes, 2 * self.n_modes))
-        data[0::2, 0::2], data[1::2, 1::2] = self._vq_vp
-        data.flags.writeable = False
-        return data
 
     def inf_norm(self) -> float:
         """Largest absolute entry, measured once, at construction."""
@@ -147,7 +139,7 @@ class CovarianceMatrix:
 
     @cached_property
     def _vq_vp(self) -> tuple:
-        """V_Q and V_P: the stored blocks, or strided views of a dense-built ``data``."""
+        """Strided views of V_Q and V_P, kept for the per-pair block routes."""
         return _blocks(self.data)[:2]
 
     @cached_property
@@ -159,11 +151,8 @@ class CovarianceMatrix:
     @cached_property
     def _dets(self) -> np.ndarray:
         """Read-only N x N matrix of 2x2 block determinants: entry (i, j) is det of block (i, j)."""
-        if self._block_built:  # the gather's bits, as its q-p zeros are +0.0: x - (+0 * +0) = x
-            dets = np.multiply(*self._vq_vp)
-        else:  # a -0.0 q-p entry can turn a -0.0 determinant into +0.0
-            modes = np.arange(self.n_modes)
-            dets = _block_dets(self.data, modes[:, None], modes)
+        modes = np.arange(self.n_modes)
+        dets = _block_dets(self.data, modes[:, None], modes)
         dets.flags.writeable = False
         return dets
 
@@ -455,6 +444,12 @@ def _block_purity_product(vq: np.ndarray, vp: np.ndarray) -> float:
     return _identity_residual(vq @ vp)
 
 
+def _purity(cm: CovarianceMatrix) -> tuple:
+    """The purity verdict, residual and tolerance; the tolerance scales with the squared CM norm."""
+    residual, tol = cm._purity_residual, tolerances.purity(cm._inf_norm)
+    return residual <= tol, residual, tol
+
+
 def is_pure(cm: CovarianceMatrix) -> PurityResult:
     """Check the pure-state matrix identity ``-Omega sigma Omega sigma = 1``.
 
@@ -462,14 +457,14 @@ def is_pure(cm: CovarianceMatrix) -> PurityResult:
         A truthy :class:`PurityResult` carrying the residual norm; the
         verdict uses a tolerance that scales with the squared CM norm.
     """
-    residual = cm._purity_residual
-    return PurityResult(residual <= tolerances.purity(cm.inf_norm()), residual)
+    pure, residual, _ = _purity(cm)
+    return PurityResult(pure, residual)
 
 
 def require_pure(cm: CovarianceMatrix) -> None:
     """Raise :class:`NotPureError` unless ``cm`` passes :func:`is_pure`, with no ``PurityResult``."""
-    residual, tol = cm._purity_residual, tolerances.purity(cm._inf_norm)
-    if not residual <= tol:
+    pure, residual, tol = _purity(cm)
+    if not pure:
         raise NotPureError(residual, tol)
 
 

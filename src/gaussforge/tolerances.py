@@ -6,7 +6,6 @@ every residual tolerance by a positive finite factor, for exploratory use on
 noisy inputs; when absent the defaults apply.
 """
 
-import functools
 import os
 
 # symplectic eigenvalues within RANK of 1 count as vacuum normal modes
@@ -38,13 +37,10 @@ NEWTON_MAX_BACKTRACK = 40
 
 
 def scale() -> float:
-    """Return the global tolerance scale from ``GF_TOL_OVERRIDE``, read at each call."""
+    """Return the global tolerance scale from ``GF_TOL_OVERRIDE``."""
     raw = os.environ.get("GF_TOL_OVERRIDE")
-    return 1.0 if raw is None else _parse_scale(raw)
-
-
-@functools.lru_cache(maxsize=16)  # each distinct value parsed once; a refusal is not cached
-def _parse_scale(raw: str) -> float:
+    if raw is None:
+        return 1.0
     try:
         value = float(raw)
     except ValueError:

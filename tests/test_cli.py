@@ -309,13 +309,6 @@ class TestRing:
         assert result.stdout == ""
         assert "1001" in result.stderr and "1000" in result.stderr
 
-    def test_unit_tol_override_keeps_the_output(self, runner):
-        args = ["ring", "--n", "31", "--coupling", "2"]
-        plain = runner.invoke(main, args)
-        scaled = runner.invoke(main, args, env={"GF_TOL_OVERRIDE": "1"})
-        assert plain.exit_code == scaled.exit_code == 0
-        assert scaled.stdout == plain.stdout and scaled.stderr == plain.stderr
-
     def test_one_purity_check(self, runner, monkeypatch):
         """One purity verdict (``require_pure``, which no longer calls ``is_pure``) and one
         purity product for the ring state."""

@@ -377,8 +377,8 @@ def outcome(compute):
     return np.asarray(value).tobytes()
 
 
-class TestBlockStorage:
-    """States built from V_Q and V_P keep the two blocks; ``data`` is assembled on first access."""
+class TestFromBlocks:
+    """States built from V_Q and V_P skip the constructor's scans and match it bit for bit."""
 
     def test_same_bits_as_the_dense_rebuild(self):
         """Every block-built state and its copy through the public constructor agree bit for bit."""
@@ -394,15 +394,18 @@ class TestBlockStorage:
                 lambda cm: full_report(cm).pairwise_detblocks,
                 lambda cm: to_standard_form(cm).vq,
             ]
-            built = [outcome(lambda: query(cm)) for query in queries]
-            assert cm._block_built and "data" not in vars(cm)  # none of them needed it
             dense = CovarianceMatrix(n, cm.data)
-            assert not dense._block_built and dense._qp_free
-            assert built == [outcome(lambda: query(dense)) for query in queries]
+            assert dense._qp_free and dense.inf_norm() == cm.inf_norm()
+            assert [outcome(lambda: query(cm)) for query in queries] == [
+                outcome(lambda: query(dense)) for query in queries
+            ]
             assert cm.data.tobytes() == dense.data.tobytes()
             assert not np.any(np.signbit(cm.data[0::2, 1::2]))  # its q-p zeros are +0.0
-            for stored, view in zip(cm._vq_vp, symplectic._blocks(cm.data)):
-                assert stored.tobytes() == np.ascontiguousarray(view).tobytes()
+
+    def test_no_symmetry_or_qp_scan(self, monkeypatch):
+        forbid(monkeypatch, symplectic, "_check_symmetric", "_dense_data")
+        cm = harmonic_ground_state(ring_potential(7, 0.5))
+        assert vars(cm)["_qp_free"]  # set by construction, not by the cached scan
 
     def test_data_and_blocks_are_read_only(self):
         cm = harmonic_ground_state(ring_potential(5, 0.5))
@@ -410,7 +413,6 @@ class TestBlockStorage:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0, 0] = 2.0
-        assert cm.data is cm.data  # assembled once
 
     @pytest.mark.parametrize("huge", [1e160, np.nan, np.inf])
     def test_bound_refused_with_the_constructor_message(self, huge):
@@ -420,11 +422,6 @@ class TestBlockStorage:
         with pytest.raises(ValueError) as built:
             symplectic._from_blocks(vq, vp)
         assert str(built.value) == str(dense.value)
-
-    def test_other_missing_attributes_still_raise(self):
-        for cm in (engineer_state(random_recipe(3, seed=1)), vacuum_cm(2)):
-            with pytest.raises(AttributeError, match="object has no attribute 'nope'"):
-                cm.nope
 
 
 class TestBonaFide:
@@ -521,7 +518,7 @@ class TestPurity:
         assert not is_pure(cm)
 
     def test_tol_override_change_between_calls_takes_effect(self, monkeypatch):
-        """Each value is parsed once, yet the environment is read at every call."""
+        """The environment is read at every call, so a change after import takes effect."""
         monkeypatch.setenv("GF_TOL_OVERRIDE", "2")
         assert tolerances.scale() == 2.0
         monkeypatch.setenv("GF_TOL_OVERRIDE", "5e-1")
@@ -533,7 +530,7 @@ class TestPurity:
 
     @pytest.mark.parametrize("raw", ["wide", "0", "nan"])
     def test_invalid_tol_override_is_refused_every_time(self, raw, monkeypatch):
-        """A refusal is not cached: the second call is refused with the same message."""
+        """An invalid value is refused at every call, with the same message."""
         monkeypatch.setenv("GF_TOL_OVERRIDE", raw)
         messages = []
         for _ in range(2):
