@@ -146,9 +146,8 @@ def cmd_analyze(cm_path, precision):
 @_precision_option
 def cmd_standard_form(cm_path, vq_path, reconstruct, precision):
     """Convert a state to standard form, or rebuild one from correlations."""
-    import numpy as np
-
     from .standard_form import (
+        _strict_upper,
         read_vq_document,
         reconstruct_diagonal,
         standard_form_to_cm,
@@ -168,8 +167,7 @@ def cmd_standard_form(cm_path, vq_path, reconstruct, precision):
         raise click.UsageError("--vq input requires --reconstruct")
     n_modes, vq = read_vq_document(_read_json(vq_path))
     _check_symmetric("vq", vq)
-    rows, cols = np.triu_indices(n_modes, k=1)
-    sf = reconstruct_diagonal(vq[rows, cols], n_modes)
+    sf = reconstruct_diagonal(vq[_strict_upper(n_modes)], n_modes)
     out = {"standard_form": sf.to_dict(), "cm": standard_form_to_cm(sf).to_dict()}
     _emit(jsonio.dumps(out, precision) + "\n", None)
 

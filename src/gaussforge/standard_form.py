@@ -38,8 +38,8 @@ class StandardForm:
 
     Attributes:
         n_modes: number of modes N.
-        vq: symmetric positive-definite N x N matrix of <q_i q_j>;
-            the momentum block V_P = V_Q^{-1} is implied.
+        vq: symmetric positive-definite N x N matrix of <q_i q_j>.
+        vp: V_P = V_Q^{-1} from V_Q's Cholesky factor (:func:`_factor_inverse`), symmetrized.
 
     The constructor checks its inputs at the boundary (``n_modes`` an
     integer, ``vq`` copied to a float N x N array, exactly symmetric and
@@ -48,7 +48,7 @@ class StandardForm:
     ``(V_Q^{-1})_ii = (V_Q)_ii`` within ``tolerances.block`` of the larger
     block norm.  Standard forms built inside the package run the class checks
     only: their V_Q is a fresh float array, symmetric by construction, and
-    its builder has already tested that it is positive definite.
+    its builder has already factored it and inverted it from that factor.
     """
 
     n_modes: int
@@ -56,14 +56,29 @@ class StandardForm:
 
     def __post_init__(self):
         n = _integer(self.n_modes, "n_modes", 1)
-        object.__setattr__(self, "n_modes", n)
         vq = np.array(self.vq, dtype=float)
         if vq.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got {vq.shape}")
         _check_symmetric("vq", vq)
-        _require_positive_definite(vq)
+        factor = _cholesky(vq)
+        if factor is None:
+            raise ValueError("vq must be positive definite")
+        self._seal(n, vq, _factor_inverse(vq, factor))
+
+    @classmethod
+    def _with_inverse(cls, n_modes: int, vq: np.ndarray, inverse: np.ndarray) -> "StandardForm":
+        """Construct with only the class checks, from a fresh, exactly symmetric ``vq``
+        that has passed a Cholesky test and its :func:`_factor_inverse` ``inverse``."""
+        sf = cls.__new__(cls)
+        sf._seal(n_modes, vq, inverse)
+        return sf
+
+    def _seal(self, n_modes: int, vq: np.ndarray, inverse: np.ndarray) -> None:
+        """Take ``vq`` without a copy, read-only, and vp from ``inverse``; then check the class."""
         vq.flags.writeable = False
+        object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "vq", vq)
+        object.__setattr__(self, "vp", _momentum_block(inverse))
         self._check_class()
 
     def _check_class(self) -> None:
@@ -75,27 +90,6 @@ class StandardForm:
                 f"Williamson diagonal conditions violated: |diag(vq^-1) - diag(vq)| "
                 f"= {diag_gap:.3e} exceeds {tolerances.block(norm):.3e}"
             )
-
-    @classmethod
-    def _with_inverse(cls, n_modes: int, vq: np.ndarray, inverse: np.ndarray) -> "StandardForm":
-        """Construct with ``inverse``, already computed as ``np.linalg.inv(vq)``, as the source of vp.
-
-        Only the class checks run: both callers pass a fresh ``vq``, exactly symmetric
-        by construction ((q + q^T)/2, or coupling + coupling^T + diag d), that has passed
-        a Cholesky test.  It is taken without a copy and made read-only.
-        """
-        sf = cls.__new__(cls)
-        vq.flags.writeable = False
-        object.__setattr__(sf, "n_modes", n_modes)
-        object.__setattr__(sf, "vq", vq)
-        sf.__dict__["vp"] = _momentum_block(inverse)
-        sf._check_class()
-        return sf
-
-    @cached_property
-    def vp(self) -> np.ndarray:
-        """Momentum-correlation block V_P = V_Q^{-1}, symmetrized (diagonal bits unchanged)."""
-        return _momentum_block(np.linalg.inv(self.vq))
 
     @cached_property
     def _pairwise_sums(self) -> np.ndarray:
@@ -114,19 +108,47 @@ class StandardForm:
         return cls(*read_vq_document(doc))
 
 
-def _require_positive_definite(vq: np.ndarray) -> None:
-    """Refuse ``vq`` unless it is real and has a Cholesky factor.
+def _cholesky(vq: np.ndarray):
+    """The Cholesky factor of ``vq``, or None if it has none or is complex: balancing makes
+    V_Q complex when a mode's q and p variances differ in sign, as in no positive state."""
+    if np.isrealobj(vq):
+        try:
+            return np.linalg.cholesky(vq)
+        except np.linalg.LinAlgError:
+            pass
+    return None
 
-    Balancing turns V_Q complex when a mode's q and p variances differ in sign,
-    which no positive-definite state has.
-    """
-    try:
-        if np.isrealobj(vq):
-            np.linalg.cholesky(vq)
-            return
-    except np.linalg.LinAlgError:
-        pass
-    raise ValueError("vq must be positive definite")
+
+_DIRECT_INVERSE_MODES = 32  # np.linalg.inv takes V_Q and triangular blocks this small
+
+
+def _factor_inverse(vq: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """V_Q^{-1} from the Cholesky factor L of V_Q, as L^{-T} L^{-1}; ``np.linalg.inv(vq)``
+    up to ``_DIRECT_INVERSE_MODES``.  Raises ``LinAlgError`` if the result is not finite."""
+    if len(vq) <= _DIRECT_INVERSE_MODES:
+        return np.linalg.inv(vq)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        lower_inverse = _triangular_inverse(factor)
+        inverse = lower_inverse.T @ lower_inverse
+    if not np.all(np.isfinite(inverse)):
+        raise np.linalg.LinAlgError("the inverse of the Cholesky factor is not finite")
+    return inverse
+
+
+def _triangular_inverse(lower: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular matrix by halves, ``[[A, 0], [B, C]]^{-1} =
+    [[A^{-1}, 0], [-C^{-1} B A^{-1}, C^{-1}]]`` (Du Croz and Higham, 1992).  Blocks of at most
+    ``_DIRECT_INVERSE_MODES`` rows are inverted as their transpose, which LU factors with no
+    row swap, so every entry above the diagonal of the result is an exact zero."""
+    n = len(lower)
+    if n <= _DIRECT_INVERSE_MODES:
+        return np.linalg.inv(lower.T).T
+    half = n // 2
+    inverse = np.zeros_like(lower)
+    inverse[:half, :half] = head = _triangular_inverse(lower[:half, :half])
+    inverse[half:, half:] = tail = _triangular_inverse(lower[half:, half:])
+    inverse[half:, :half] = -(tail @ (lower[half:, :half] @ head))
+    return inverse
 
 
 def _momentum_block(inverse: np.ndarray) -> np.ndarray:
@@ -134,6 +156,11 @@ def _momentum_block(inverse: np.ndarray) -> np.ndarray:
     vp = (inverse + inverse.T) / 2.0
     vp.flags.writeable = False
     return vp
+
+
+def _strict_upper(n_modes: int) -> np.ndarray:
+    """Boolean mask of the strict upper triangle; indexing with it reads row-major order."""
+    return ~np.tri(n_modes, dtype=bool)
 
 
 def read_vq_document(doc) -> tuple:
@@ -199,7 +226,8 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
 
     Performs per-mode Williamson normalization on the N x N blocks (O(N^2)),
     checks that the q-p block vanishes, and verifies the momentum block
-    against V_Q^{-1} (one N x N inverse).  A state whose q-p block is exactly
+    against V_Q^{-1}, inverted from the Cholesky factor that tests V_Q (or,
+    without one, by ``np.linalg.inv``).  A state whose q-p block is exactly
     zero (every state this package builds) is only balanced: no mode of it
     turns and its normalized q-p block is exactly zero, so the rotation stage
     and the cross-block check are skipped.  The result is built without the
@@ -214,7 +242,7 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
             of the class in a generic local frame at every N >= 2 (see
             ROADMAP.md, item 2).
         ValueError: if a normalized entry exceeds ``tolerances.MAX_ENTRY``,
-            or the normalized V_Q is not positive definite.
+            or the normalized V_Q is not positive definite or its inverse not finite.
     """
     require_pure(cm)
     if cm._qp_free:
@@ -226,24 +254,26 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
         cross = float(np.max(np.abs(cross_block)))
         if cross > tol:
             raise NotInGenericClassError(cross, tol)
-    inverse = np.linalg.inv(vq)
+    factor = _cholesky(vq)
+    inverse = np.linalg.inv(vq) if factor is None else _factor_inverse(vq, factor)
     gap = float(np.max(np.abs(p_block - inverse)))
     if gap > tol:
         raise NotInGenericClassError(gap, tol)
-    _require_positive_definite(vq)
+    if factor is None:
+        raise ValueError("vq must be positive definite")
     return StandardForm._with_inverse(cm.n_modes, vq, inverse)
 
 
 def extract_parameters(sf: StandardForm) -> np.ndarray:
     """The strict upper triangle of V_Q in row-major order, length N(N-1)/2."""
-    rows, cols = np.triu_indices(sf.n_modes, k=1)
-    return sf.vq[rows, cols].copy()
+    return sf.vq[_strict_upper(sf.n_modes)]
 
 
-def _newton_system(vq: np.ndarray) -> tuple:
-    """Condition residual and its Jacobian at ``vq``, both read from one inverse, and the inverse."""
-    inverse = np.linalg.inv(vq)
-    return np.diag(inverse) - np.diag(vq), -(inverse**2) - np.eye(vq.shape[0]), inverse
+def _newton_system(vq: np.ndarray, inverse: np.ndarray) -> tuple:
+    """Condition residual at ``vq`` and its negated Jacobian W∘W + I, read from W = ``inverse``."""
+    negated_jacobian = inverse * inverse
+    negated_jacobian.reshape(-1)[:: len(vq) + 1] += 1.0
+    return np.diag(inverse) - np.diag(vq), negated_jacobian
 
 
 def reconstruction_jacobian(vq: np.ndarray) -> np.ndarray:
@@ -252,12 +282,12 @@ def reconstruction_jacobian(vq: np.ndarray) -> np.ndarray:
     With W = V_Q^{-1}, perturbing d_j by e moves W by -e W e_j e_j^T W, so
     the (i, j) entry is ``-(W_ij)^2 - delta_ij``.
     """
-    return _newton_system(vq)[1]
+    return -_newton_system(vq, np.linalg.inv(vq))[1]
 
 
 def condition_residual(vq: np.ndarray) -> np.ndarray:
     """Williamson condition residual ``diag(V_Q^{-1}) - diag(V_Q)``."""
-    return _newton_system(vq)[0]
+    return _newton_system(vq, np.linalg.inv(vq))[0]
 
 
 def reconstruct_diagonal(
@@ -276,9 +306,10 @@ def reconstruct_diagonal(
     leading order ``-v_ij^2``.  That start is the first step from the
     diagonally dominant anchor ``d_i = 1 + sum_j |v_ij|``, and it is halved
     toward the anchor, as any Newton step is, while it leaves the
-    positive-definite cone.  Each iterate is inverted once, and both its
-    residual and the Jacobian of :func:`reconstruction_jacobian` are read
-    from that one inverse; the converged iterate's inverse becomes ``vp``.
+    positive-definite cone.  Each iterate is factored once, by that cone's
+    Cholesky test, and inverted once from the factor; its residual and the
+    Jacobian of :func:`reconstruction_jacobian` are both read from that
+    inverse, and the converged iterate's inverse becomes ``vp``.
 
     Args:
         offdiag: the N(N-1)/2 strict upper-triangle entries, row-major, finite.
@@ -305,8 +336,7 @@ def reconstruct_diagonal(
     if not np.all(np.isfinite(offdiag)):
         raise ValueError("off-diagonal values must be finite")
     coupling = np.zeros((n_modes, n_modes))
-    rows, cols = np.triu_indices(n_modes, k=1)
-    coupling[rows, cols] = offdiag
+    coupling[_strict_upper(n_modes)] = offdiag
     coupling = coupling + coupling.T
 
     with np.errstate(over="ignore"):
@@ -320,27 +350,28 @@ def reconstruct_diagonal(
     for iteration in range(max_iter + 1):
         for _ in range(tolerances.NEWTON_MAX_BACKTRACK + 1):
             candidate = d - step
-            vq = coupling + np.diag(candidate)
-            try:
-                np.linalg.cholesky(vq)
+            vq = coupling.copy()
+            np.fill_diagonal(vq, candidate)
+            factor = _cholesky(vq)
+            if factor is not None:
                 break
-            except np.linalg.LinAlgError:
-                step = step / 2.0
+            step = step / 2.0
         else:
             raise InfeasibleError(last_residual, iteration)
         d = candidate
         try:
-            residual, jacobian, inverse = _newton_system(vq)
-        except np.linalg.LinAlgError:  # rounded to singular, yet it passed Cholesky
+            inverse = _factor_inverse(vq, factor)
+        except np.linalg.LinAlgError:  # singular or not finite, yet it passed Cholesky
             raise InfeasibleError(last_residual, iteration) from None
+        residual, negated_jacobian = _newton_system(vq, inverse)
         last_residual = float(np.max(np.abs(residual)))
         if last_residual <= tolerances.newton(float(np.max(np.abs(d)))):
-            # coupling + diag(d) is exactly symmetric and passed the Cholesky above
+            # the coupling with diagonal d is exactly symmetric and passed the Cholesky above
             return StandardForm._with_inverse(n_modes, vq, inverse)
         if iteration == max_iter:
             break
         try:
-            step = np.linalg.solve(jacobian, residual)
+            step = -np.linalg.solve(negated_jacobian, residual)
         except np.linalg.LinAlgError:  # the Jacobian rounded to singular
             raise InfeasibleError(last_residual, iteration) from None
     raise InfeasibleError(last_residual, max_iter)

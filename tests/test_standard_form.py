@@ -35,7 +35,13 @@ from gaussforge.symplectic import (
     vacuum_cm,
 )
 
-from conftest import block_route_states, forbid, random_local_symplectic, record_calls
+from conftest import (
+    block_route_states,
+    forbid,
+    random_local_symplectic,
+    random_spd,
+    record_calls,
+)
 
 TMS = Recipe(2, np.sqrt(2.0))  # two-mode squeezed state with a = 1.25, c = 0.75
 
@@ -258,14 +264,16 @@ class TestLocalNormalization:
         ],
     )
     def test_standard_form_bits_at_lattice_sizes(self, make):
-        """vq, vp and the normalized momentum block byte for byte, signed zeros included."""
+        """vq, vp and the normalized momentum block byte for byte, signed zeros included;
+        vp is the inverse from V_Q's Cholesky factor, as the public constructor's vp."""
         cm = make()
         q_block, p_block, _ = symplectic._blocks(per_mode_normalization(cm).data)
         vq = (q_block + q_block.T) / 2.0
-        inverse = np.linalg.inv(vq)
+        inverse = standard_form._factor_inverse(vq, np.linalg.cholesky(vq))
         sf = to_standard_form(cm)
         assert sf.vq.tobytes() == vq.tobytes()
         assert sf.vp.tobytes() == ((inverse + inverse.T) / 2.0).tobytes()
+        assert sf.vp.tobytes() == StandardForm(cm.n_modes, sf.vq).vp.tobytes()
         normalized_p = standard_form._local_normalization(cm)[1]
         assert normalized_p.tobytes() == ((p_block + p_block.T) / 2.0).tobytes()
 
@@ -374,6 +382,23 @@ class TestQpFreeRoute:
         with pytest.raises(ValueError, match=r"^vq must be positive definite$"):
             to_standard_form(CovarianceMatrix(2, -np.eye(4)))
 
+    def test_indefinite_40_mode_states_are_refused_after_the_class_check(self):
+        """Above 32 modes a V_Q without a factor is still inverted for the class check and
+        refused after it: a real indefinite V_Q whose diagonals and its inverse's stay
+        positive, and one that balancing turns complex."""
+        n = 40
+        ones = np.ones(n) / np.sqrt(n)
+        real = np.eye(n) - 6.0 * np.outer(ones, ones)  # eigenvalues -5 and 1
+        turned = np.eye(n)
+        turned[:2, :2] = [[1.0, 2.0], [2.0, 1.0]]
+        for vq in (real, turned):
+            state = symplectic._from_blocks(vq, np.linalg.inv(vq))
+            assert is_pure(state)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"^vq must be positive definite$"):
+                    to_standard_form(state)
+
     def test_indefinite_pure_state_is_refused_without_complex_values(self):
         """Its modes' q and p variances differ in sign, so balancing turns V_Q complex;
         that V_Q is refused as not positive definite, with no cast to real and no warning."""
@@ -396,10 +421,11 @@ class TestQpFreeRoute:
     )
     def test_reconstruction_factors_each_candidate_once(self, make, monkeypatch):
         """One Cholesky per candidate the Newton loop tries, and none in the constructor:
-        every candidate that has a factor is inverted once, and no other matrix is factored."""
+        every candidate that has a factor is inverted once, from that factor, and no
+        other matrix is factored."""
         sf = make()
-        factored, refused = [], []
-        cholesky = np.linalg.cholesky
+        factored, refused, inverted = [], [], []
+        cholesky, factor_inverse = np.linalg.cholesky, standard_form._factor_inverse
 
         def recorded(matrix):
             try:
@@ -407,15 +433,98 @@ class TestQpFreeRoute:
             except np.linalg.LinAlgError:
                 refused.append(matrix)
                 raise
-            factored.append(matrix)
+            factored.append((matrix, factor))
             return factor
 
+        def counted(vq, factor):
+            inverted.append((vq, factor))
+            return factor_inverse(vq, factor)
+
         monkeypatch.setattr(np.linalg, "cholesky", recorded)
-        inverted = record_calls(monkeypatch, np.linalg, "inv")
+        monkeypatch.setattr(standard_form, "_factor_inverse", counted)
         rebuilt = reconstruct_diagonal(extract_parameters(sf), sf.n_modes)
         assert len(factored) == len(inverted)
-        assert all(a is b for a, b in zip(factored, inverted))
-        assert factored[-1] is rebuilt.vq
+        assert all(a is c and b is d for (a, b), (c, d) in zip(factored, inverted))
+        assert factored[-1][0] is rebuilt.vq
+
+
+class TestFactorInverse:
+    """V_Q^{-1} from V_Q's Cholesky factor: np.linalg.inv's bits up to 32 modes, and
+    above them L^{-T} L^{-1} with L^{-1} inverted by halves."""
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 64, 65, 101, 257])
+    def test_triangular_inverse(self, n, rng):
+        """Cholesky factors of random SPD matrices, rows scaled up to 10x so that entries below
+        the diagonal exceed it (an LU of L would swap rows): exact zeros above the diagonal,
+        and |L L^-1 - I| within n eps cond(L)."""
+        lower = np.logspace(0.0, 1.0, n)[:, None] * np.linalg.cholesky(random_spd(n, rng))
+        inverse = standard_form._triangular_inverse(lower)
+        assert not np.any(np.triu(inverse, 1))
+        bound = n * np.finfo(float).eps * np.linalg.cond(lower, 1)
+        assert np.max(np.abs(lower @ inverse - np.eye(n))) <= bound
+
+    @pytest.mark.parametrize("n", [2, 16, 31, 32])
+    def test_direct_inverse_bits_up_to_32_modes(self, n, rng):
+        for vq in (random_spd(n, rng), to_standard_form(engineer_state(random_recipe(n, n))).vq):
+            inverse = standard_form._factor_inverse(vq, np.linalg.cholesky(vq))
+            assert inverse.tobytes() == np.linalg.inv(vq).tobytes()
+
+    @pytest.mark.parametrize("n", [33, 64, 101, 160, 400])
+    @pytest.mark.parametrize("coupling", [0.1, 0.5, 2.0, 1e3])
+    def test_rings_close_to_direct_inverse(self, n, coupling):
+        vq = to_standard_form(harmonic_ground_state(ring_potential(n, coupling))).vq
+        direct = np.linalg.inv(vq)
+        inverse = standard_form._factor_inverse(vq, np.linalg.cholesky(vq))
+        assert np.max(np.abs(inverse - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("n", [48, 80])
+    @pytest.mark.parametrize("s_max", [30.0, 100.0])
+    def test_squeezed_momentum_block_no_less_accurate(self, n, s_max):
+        """|V_Q V_P - I| of the symmetrized V_P is no larger than from np.linalg.inv."""
+        vq = to_standard_form(engineer_state(random_recipe(n, n, s_max=s_max))).vq
+        direct = standard_form._momentum_block(np.linalg.inv(vq))
+        inverse = standard_form._momentum_block(
+            standard_form._factor_inverse(vq, np.linalg.cholesky(vq))
+        )
+        identity = np.eye(n)
+        assert np.max(np.abs(vq @ inverse - identity)) <= np.max(np.abs(vq @ direct - identity))
+
+    def test_non_finite_inverse_is_a_lin_alg_error(self):
+        """As np.linalg.inv refuses a singular matrix, and without a floating-point warning."""
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            standard_form._factor_inverse(np.eye(40), np.diag(np.full(40, 1e-200)))
+
+    def test_candidate_with_non_finite_inverse_is_infeasible(self, monkeypatch):
+        """A candidate that passes Cholesky but whose factor inverse overflows ends the
+        solve with the residual of the iterate before it, as a singular inverse does."""
+        n = 40
+        params = extract_parameters(to_standard_form(harmonic_ground_state(ring_potential(n, 0.5))))
+        factored = []
+        cholesky = np.linalg.cholesky
+
+        def shrunk_after_the_first(matrix):
+            factor = cholesky(matrix)
+            factored.append(matrix)
+            return factor if len(factored) == 1 else factor * 1e-300
+
+        monkeypatch.setattr(np.linalg, "cholesky", shrunk_after_the_first)
+        with pytest.raises(InfeasibleError) as info:
+            reconstruct_diagonal(params, n)
+        monkeypatch.undo()
+        first = factored[0]
+        inverse = standard_form._factor_inverse(first, np.linalg.cholesky(first))
+        assert len(factored) == 2 and info.value.iterations == 1
+        assert info.value.residual == float(np.max(np.abs(np.diag(inverse) - np.diag(first))))
+
+    def test_squeezed_40_modes(self):
+        """A V_Q of condition ~5e7 builds with the constructor's vp bytes, and its
+        reconstruction is refused by name, as it is with np.linalg.inv's inverses."""
+        sf = to_standard_form(engineer_state(random_recipe(40, 0, s_max=100.0)))
+        assert np.linalg.cond(sf.vq) > 1e7
+        assert sf.vp.tobytes() == StandardForm(40, sf.vq).vp.tobytes()
+        assert np.max(np.abs(sf.vq @ sf.vp - np.eye(40))) <= 1e-8
+        with pytest.raises(InfeasibleError, match="did not converge"):
+            reconstruct_diagonal(extract_parameters(sf), 40)
 
 
 class TestExtractParameters:
@@ -541,7 +650,7 @@ class TestReconstructDiagonal:
         """The start sqrt(1 + sum_j v_ij^2) leaves a ring at most three Newton steps."""
         ring = harmonic_ground_state(ring_potential(n, coupling))
         params = extract_parameters(to_standard_form(ring))
-        calls = record_calls(monkeypatch, np.linalg, "inv")
+        calls = record_calls(monkeypatch, standard_form, "_factor_inverse")
         reconstruct_diagonal(params, n)
         assert 1 <= len(calls) <= 4
 
