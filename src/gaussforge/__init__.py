@@ -16,7 +16,6 @@ _HOMES = {
         "Recipe",
         "RecipeValidation",
         "engineer_state",
-        "free_parameter_audit",
         "parameter_count",
         "random_recipe",
         "validate_recipe",
@@ -58,14 +57,9 @@ _HOMES = {
     "symplectic": (
         "CovarianceMatrix",
         "PurityResult",
-        "SymplecticMatrix",
         "SymplecticSpectrum",
-        "apply_symplectic",
-        "beam_splitter",
         "is_bona_fide",
         "is_pure",
-        "reduced_cm",
-        "squeezer",
         "symplectic_form",
         "vacuum_cm",
         "williamson_spectrum",

@@ -100,7 +100,7 @@ def main():
 @_precision_option
 def cmd_engineer(recipe_path, out_path, precision):
     """Build a pure state from a recipe and emit its covariance matrix."""
-    from .engineering import Recipe, _engineer, free_parameter_audit, validate_recipe
+    from .engineering import Recipe, _engineer, parameter_count, validate_recipe
     from .symplectic import is_pure
 
     recipe = Recipe.from_dict(_read_json(recipe_path))
@@ -108,7 +108,7 @@ def cmd_engineer(recipe_path, out_path, precision):
     for warning in check.warnings:
         click.echo(f"warning: {warning}", err=True)
     cm = _engineer(recipe, check)
-    click.echo(f"{free_parameter_audit(recipe)} parameters", err=True)
+    click.echo(f"{parameter_count(recipe.n_modes)} parameters", err=True)
     click.echo(f"purity residual {is_pure(cm).residual:.3e}", err=True)
     _emit(jsonio.dumps(cm.to_dict(), precision) + "\n", out_path)
 

@@ -323,23 +323,6 @@ def _itemized(messages, count: int, kind: str) -> list:
     return listed
 
 
-def _schedule(recipe: Recipe):
-    """Yield the gates in order as ``(mode, partner, value, free)``.
-
-    ``partner`` None means a squeezer of factor ``value`` on ``mode``, else a
-    beam splitter of transmittivity ``value`` between the two modes.
-    """
-    # seed: squeeze modes 1 and 2 in orthogonal quadratures, mix 50:50
-    yield 1, None, recipe.s, True
-    yield 2, None, 1.0 / recipe.s, False  # fixed by s
-    yield 1, 2, 0.5, False  # fixed 50:50
-    # distribute: each new mode is squeezed, then mixed with modes 2..i-1
-    for i in range(3, recipe.n_modes + 1):
-        yield i, None, recipe.r[i], True
-        for j in range(2, i):
-            yield j, i, recipe.b[(j, i)], True
-
-
 def _mix_new_mode(network: np.ndarray, i: int, c: np.ndarray, s: np.ndarray) -> None:
     """Apply mode i's splitters (j, i), j = 2..i-1, to M in place, in one recurrence.
 
@@ -418,16 +401,6 @@ def _engineer(recipe: Recipe, check: RecipeValidation) -> CovarianceMatrix:
     return _from_blocks(*blocks)
 
 
-def free_parameter_audit(recipe: Recipe) -> int:
-    """Count the free parameters in the gate schedule of a valid recipe.
-
-    Values fixed by other parameters (the mode-2 partner squeeze, the 50:50
-    seed splitter) or by the state (the balancing squeezes) do not count.
-    Nothing is computed and the values are not checked.
-    """
-    return sum(free for *_, free in _schedule(recipe))
-
-
 def random_recipe(n_modes: int, seed: int, s_max: float = 4.0) -> Recipe:
     """Draw a valid recipe deterministically from a seed.
 
@@ -437,11 +410,11 @@ def random_recipe(n_modes: int, seed: int, s_max: float = 4.0) -> Recipe:
     Args:
         n_modes: number of modes, at least 2.
         seed: RNG seed; equal seeds give identical recipes.
-        s_max: upper squeezing bound, strictly greater than 1.
+        s_max: upper squeezing bound, finite and strictly greater than 1.
     """
     n_modes = _integer(n_modes, "n_modes", 2)
-    if not s_max > 1.0:
-        raise ValueError(f"s_max must exceed 1, got {s_max}")
+    if not 1.0 < s_max < math.inf:  # also refuses nan
+        raise ValueError(f"s_max must be finite and exceed 1, got {s_max}")
     rng = np.random.default_rng(seed)
     log_bound = np.log(s_max)
 

@@ -22,6 +22,7 @@ from .symplectic import (
     CovarianceMatrix,
     _check_mode_indices,
     _pair_blocks,
+    _positive_mode_det,
     require_pure,
     symplectic_form,
 )
@@ -146,15 +147,7 @@ def schmidt_parameter(cm: CovarianceMatrix, mode_index: int) -> float:
     """
     require_pure(cm)
     _check_mode_indices(cm.n_modes, mode_index)
-    return _schmidt_value(cm._dets, mode_index)
-
-
-def _schmidt_value(dets: np.ndarray, mode_index: int) -> float:
-    """sqrt(det sigma_i) of a 1-based mode, read from the state's block determinants."""
-    det = float(dets[mode_index - 1, mode_index - 1])
-    if not det > 0.0:
-        raise ValueError(f"mode {mode_index} has block determinant {det:.3e}, not a positive one")
-    return math.sqrt(det)
+    return math.sqrt(_positive_mode_det(cm, mode_index))
 
 
 def entropy_one_vs_rest(
@@ -216,7 +209,7 @@ def full_report(cm: CovarianceMatrix, schmidt_mode: int = 1) -> EntanglementRepo
     require_pure(cm)
     n = cm.n_modes
     _check_mode_indices(n, schmidt_mode)
-    schmidt = [_schmidt_value(cm._dets, k) for k in range(1, n + 1)]
+    schmidt = [math.sqrt(_positive_mode_det(cm, k)) for k in range(1, n + 1)]
     rows, cols = np.triu_indices(n, k=1)
     logneg = np.zeros((n, n))
     logneg[rows, cols] = logneg[cols, rows] = _log_negativities(cm, rows, cols)

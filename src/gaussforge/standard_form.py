@@ -27,6 +27,7 @@ from .symplectic import (
     _check_mode_indices,
     _check_symmetric,
     _from_blocks,
+    _positive_mode_det,
     read_matrix,
     require_pure,
 )
@@ -202,9 +203,9 @@ def _local_normalization(cm: CovarianceMatrix) -> tuple:
     with no 2N x 2N product.  A block with |qp| within ``tolerances.rotation`` is
     never rotated (exact zeros survive); only turned modes' rows, then columns,
     are mixed, and :func:`_balance` then squeezes each mode.  Each stage is
-    symmetrized as in ``symplectic.apply_symplectic``, so where no mode turns the
-    bits are those of the dense congruences.  Returns the normalized V_Q, V_P and
-    q-p block X.
+    symmetrized as (A + A^T) / 2, as the tests' dense reference symmetrizes each
+    congruence S^T sigma S, so where no mode turns the bits are those of the
+    dense congruences.  Returns the normalized V_Q, V_P and q-p block X.
     """
     # contiguous copies; + 0.0 turns -0 into +0, as the dense identity congruence does
     q, p, x, y = (block + 0.0 for block in (*_blocks(cm.data), cm.data[1::2, 0::2]))
@@ -314,10 +315,11 @@ def reconstruct_diagonal(
     Args:
         offdiag: the N(N-1)/2 strict upper-triangle entries, row-major, finite.
         n_modes: number of modes N, at least 1.
-        max_iter: Newton iteration budget.
+        max_iter: Newton iteration budget, an integer >= 0.
 
     Raises:
-        ValueError: for ``n_modes`` not an integer >= 1, or off-diagonals of the wrong count or not finite.
+        ValueError: for ``n_modes`` not an integer >= 1, ``max_iter`` not an integer >= 0, or
+            off-diagonals of the wrong count or not finite.
         InfeasibleError: if the anchor overflows, a step stays outside the
             positive-definite cone after ``tolerances.NEWTON_MAX_BACKTRACK``
             halvings, an iterate or its Jacobian cannot be inverted, or the
@@ -326,6 +328,7 @@ def reconstruct_diagonal(
             strongly squeezed states (see the README).
     """
     n_modes = _integer(n_modes, "n_modes", 1)
+    max_iter = _integer(max_iter, "max_iter", 0)
     offdiag = np.asarray(offdiag, dtype=float)
     expected = n_modes * (n_modes - 1) // 2
     if offdiag.shape != (expected,):
@@ -393,9 +396,11 @@ def det_identity_residual(cm: CovarianceMatrix, mode_index: int) -> float:
 
     Raises:
         NotPureError: for mixed inputs.
+        ValueError: if det sigma_i is not positive (the purity identity lets such states through).
     """
     _check_mode_indices(cm.n_modes, mode_index)
     require_pure(cm)
+    _positive_mode_det(cm, mode_index)
     return cm._det_row_sums[mode_index - 1] - 1.0
 
 

@@ -42,11 +42,6 @@ def _omega(a: np.ndarray) -> np.ndarray:
     return np.tile([1.0, -1.0], len(a) // 2)[:, None] * a[np.arange(len(a)) ^ 1]
 
 
-def _mode_rows(mode_index: int) -> slice:
-    """Rows/columns of a 1-based mode in the interleaved ordering."""
-    return slice(2 * (mode_index - 1), 2 * mode_index)
-
-
 def _check_mode_indices(n_modes: int, *indices) -> None:
     """Refuse, in order, each index that is not an integer in 1..n_modes."""
     for mode_index in indices:
@@ -161,15 +156,6 @@ class CovarianceMatrix:
         """Each mode's sum_j det sigma_ij as a float: the bits of ``np.sum`` of its row of ``_dets``."""
         return tuple(self._dets.sum(axis=1).tolist())
 
-    def mode_block(self, mode_index: int) -> np.ndarray:
-        """2x2 diagonal block of a single 1-based mode."""
-        return self.cross_block(mode_index, mode_index)
-
-    def cross_block(self, mode_i: int, mode_j: int) -> np.ndarray:
-        """2x2 off-diagonal block coupling two 1-based modes."""
-        _check_mode_indices(self.n_modes, mode_i, mode_j)
-        return np.array(self.data[_mode_rows(mode_i), _mode_rows(mode_j)])
-
     def to_dict(self) -> dict:
         """JSON-ready document: ``{"n_modes", "ordering", "data"}``."""
         return {
@@ -219,45 +205,6 @@ def read_matrix(value, name: str, dim: int) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True, eq=False)
-class SymplecticMatrix:
-    """Phase-space action of a Gaussian unitary.
-
-    The constructor refuses non-finite entries and enforces the symplectic
-    condition up to roundoff:
-    ``|S^T Omega S - Omega|_inf <= 1e-10 * max(1, |S|_inf)^2``.
-    """
-
-    n_modes: int
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = _dense_data(self)
-        omega = symplectic_form(self.n_modes)
-        norm = float(np.max(np.abs(data)))
-        if not norm < np.inf:  # also refuses nan
-            raise ValueError("symplectic matrix entries must be finite")
-        defect = float(np.max(np.abs(data.T @ _omega(data) - omega)))
-        if not defect <= tolerances.symplectic(norm):  # a nan defect is refused too
-            raise ValueError(
-                f"matrix is not symplectic: defect {defect:.3e} exceeds "
-                f"{tolerances.symplectic(norm):.3e}"
-            )
-        data.flags.writeable = False
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_inf_norm", norm)
-
-    def inf_norm(self) -> float:
-        return self._inf_norm
-
-    def __matmul__(self, other: "SymplecticMatrix") -> "SymplecticMatrix":
-        if self.n_modes != other.n_modes:
-            raise ValueError(
-                f"mode count mismatch: {self.n_modes} vs {other.n_modes}"
-            )
-        return SymplecticMatrix(self.n_modes, self.data @ other.data)
-
-
 @dataclass(frozen=True)
 class SymplecticSpectrum:
     """Williamson spectrum of a covariance matrix.
@@ -286,67 +233,6 @@ class PurityResult:
 def vacuum_cm(n_modes: int) -> CovarianceMatrix:
     """Covariance matrix of the N-mode vacuum (the 2N x 2N identity)."""
     return CovarianceMatrix(n_modes, np.eye(2 * _integer(n_modes, "n_modes", 1)))
-
-
-def squeezer(n_modes: int, mode_index: int, s: float) -> SymplecticMatrix:
-    """Single-mode squeezing by a factor ``s``.
-
-    Acts as diag(s, 1/s) on the (q, p) pair of the addressed mode and as
-    the identity elsewhere; ``s = 1`` is a no-op.
-
-    Args:
-        n_modes: total number of modes.
-        mode_index: 1-based mode to squeeze.
-        s: squeezing factor, strictly positive.
-    """
-    _check_mode_indices(n_modes, mode_index)
-    if not s > 0.0:
-        raise ValueError(f"squeezing factor must be positive, got {s}")
-    data = np.eye(2 * n_modes)
-    data[_mode_rows(mode_index), _mode_rows(mode_index)] = np.diag([s, 1.0 / s])
-    return SymplecticMatrix(n_modes, data)
-
-
-def beam_splitter(
-    n_modes: int, mode_i: int, mode_j: int, t: float
-) -> SymplecticMatrix:
-    """Beam splitter of transmittivity ``t`` between two modes.
-
-    On the (q_i, p_i, q_j, p_j) subspace the matrix is
-    ``((sqrt(t) I, sqrt(1-t) I), (-sqrt(1-t) I, sqrt(t) I))``; it is both
-    symplectic and orthogonal, and acts identically on the q and p
-    quadratures.
-
-    Args:
-        n_modes: total number of modes.
-        mode_i: first 1-based mode.
-        mode_j: second 1-based mode, different from ``mode_i``.
-        t: transmittivity, strictly inside (0, 1); 1/2 is balanced.
-    """
-    _check_mode_indices(n_modes, mode_i, mode_j)
-    if mode_i == mode_j:
-        raise ValueError(f"beam splitter needs two distinct modes, got {mode_i} twice")
-    if not 0.0 < t < 1.0:
-        raise ValueError(f"transmittivity must lie strictly in (0, 1), got {t}")
-    ct, st = np.sqrt(t), np.sqrt(1.0 - t)
-    data = np.eye(2 * n_modes)
-    rows = np.r_[_mode_rows(mode_i), _mode_rows(mode_j)]
-    data[np.ix_(rows, rows)] = np.kron([[ct, st], [-st, ct]], np.eye(2))
-    return SymplecticMatrix(n_modes, data)
-
-
-def apply_symplectic(cm: CovarianceMatrix, s: SymplecticMatrix) -> CovarianceMatrix:
-    """Transform a state by congruence, ``sigma -> S^T sigma S``.
-
-    The result is re-symmetrized to remove roundoff drift, so chaining
-    transformations keeps the CM exactly symmetric.
-    """
-    if cm.n_modes != s.n_modes:
-        raise ValueError(
-            f"mode count mismatch: CM has {cm.n_modes}, symplectic has {s.n_modes}"
-        )
-    transformed = s.data.T @ cm.data @ s.data
-    return CovarianceMatrix(cm.n_modes, (transformed + transformed.T) / 2.0)
 
 
 def symplectic_eigenvalues(matrix: np.ndarray) -> np.ndarray:
@@ -468,19 +354,10 @@ def require_pure(cm: CovarianceMatrix) -> None:
         raise NotPureError(residual, tol)
 
 
-def reduced_cm(cm: CovarianceMatrix, mode_subset) -> CovarianceMatrix:
-    """Restrict a state to a subset of modes (partial trace).
-
-    Args:
-        cm: input covariance matrix.
-        mode_subset: nonempty sequence of distinct 1-based mode indices;
-            the output modes follow the order given.
-    """
-    modes = list(mode_subset)
-    if not modes:
-        raise ValueError("mode subset must be nonempty")
-    if len(set(modes)) != len(modes):
-        raise ValueError(f"mode subset has repeated entries: {modes}")
-    _check_mode_indices(cm.n_modes, *modes)
-    rows = np.concatenate([[2 * (m - 1), 2 * m - 1] for m in modes])
-    return CovarianceMatrix(len(modes), cm.data[np.ix_(rows, rows)])
+def _positive_mode_det(cm: CovarianceMatrix, mode_index: int) -> float:
+    """det sigma_i of a 1-based mode, read from the state's block determinants, refused
+    unless positive: the purity identity alone passes indefinite states."""
+    det = float(cm._dets[mode_index - 1, mode_index - 1])
+    if not det > 0.0:
+        raise ValueError(f"mode {mode_index} has block determinant {det:.3e}, not a positive one")
+    return det

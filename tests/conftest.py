@@ -5,7 +5,8 @@ import pytest
 
 from gaussforge.engineering import engineer_state, random_recipe
 from gaussforge.standard_form import harmonic_ground_state, ring_potential
-from gaussforge.symplectic import SymplecticMatrix
+
+from oracles import SymplecticMatrix
 
 
 def random_local_symplectic(n_modes: int, rng: np.random.Generator) -> SymplecticMatrix:

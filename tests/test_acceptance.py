@@ -5,6 +5,7 @@ squeezings log-uniform in [1/4, 4] and transmittivities uniform in
 [0.05, 0.95], the ranges the library's recipe generator enforces.
 """
 
+import dataclasses
 import math
 import time
 
@@ -13,9 +14,9 @@ import pytest
 
 from gaussforge.engineering import (
     engineer_state,
-    free_parameter_audit,
     parameter_count,
     random_recipe,
+    validate_recipe,
 )
 from gaussforge.entanglement import (
     bosonic_entropy,
@@ -35,14 +36,10 @@ from gaussforge.standard_form import (
     ring_potential,
     to_standard_form,
 )
-from gaussforge.symplectic import (
-    apply_symplectic,
-    is_pure,
-    reduced_cm,
-    williamson_spectrum,
-)
+from gaussforge.symplectic import is_pure, williamson_spectrum
 
 from conftest import random_local_symplectic
+from oracles import apply_symplectic, free_parameter_audit, mode_block, reduced_cm
 
 SWEEP_MODES = range(2, 11)
 SWEEP_SIZE = 100
@@ -64,13 +61,27 @@ def _report(number: int, detail: str):
 
 
 def test_criterion_1_parameter_count():
-    """Audited free-parameter count equals N(N-1)/2 for N = 2..12."""
+    """Audited free-parameter count equals N(N-1)/2 for N = 2..12, and so does the count
+    of entries the recipe check builds from: every one is needed, none is extra."""
     start = time.perf_counter()
     for n in range(2, 13):
         recipe = random_recipe(n, seed=n)
         expected = n * (n - 1) // 2
         assert parameter_count(n) == expected
         assert free_parameter_audit(recipe) == expected
+        pairs = validate_recipe(recipe)._transmittivity
+        assert pairs.shape == ((n - 1) * (n - 2) // 2,)
+        assert 1 + (n - 2) + len(pairs) == expected
+        for i in recipe.r:
+            dropped = dict(recipe.r)
+            del dropped[i]
+            check = validate_recipe(dataclasses.replace(recipe, r=dropped))
+            assert check.errors == (f"missing mode squeezing r[{i}]",)
+        for j, i in recipe.b:
+            dropped = dict(recipe.b)
+            del dropped[(j, i)]
+            check = validate_recipe(dataclasses.replace(recipe, b=dropped))
+            assert check.errors == (f"missing pair ({j}, {i})",)
         sf = to_standard_form(engineer_state(recipe))
         assert extract_parameters(sf).shape == (expected,)
     elapsed = time.perf_counter() - start
@@ -96,7 +107,7 @@ def test_criterion_3_schmidt_spectrum(sweep):
     """Reduced (2..N) spectrum is {a, 1, ..., 1} with a = sqrt(det sigma_1), dev <= 1e-7."""
     worst = 0.0
     for (n, _), cm in sweep.items():
-        a = math.sqrt(np.linalg.det(cm.mode_block(1)))
+        a = math.sqrt(np.linalg.det(mode_block(cm, 1)))
         values = np.sort(williamson_spectrum(reduced_cm(cm, range(2, n + 1))).values)
         expected = np.sort(np.concatenate([[a], np.ones(n - 2)]))
         worst = max(worst, float(np.max(np.abs(values - expected))))

@@ -10,44 +10,15 @@ import pytest
 from gaussforge import jsonio
 from gaussforge.engineering import (
     Recipe,
-    _schedule,
     engineer_state,
-    free_parameter_audit,
     parameter_count,
     random_recipe,
     validate_recipe,
 )
 from gaussforge.errors import InputFormatError, RecipeError
-from gaussforge.symplectic import (
-    apply_symplectic,
-    beam_splitter,
-    is_pure,
-    reduced_cm,
-    squeezer,
-    vacuum_cm,
-    williamson_spectrum,
-)
+from gaussforge.symplectic import is_pure, williamson_spectrum
 
-
-def dense_engineer(recipe):
-    """Reference pipeline: one dense 2N x 2N congruence per gate, in recipe order.
-
-    Written out gate by gate rather than from the library's gate schedule,
-    so a schedule error cannot hide in both.
-    """
-    n = recipe.n_modes
-    cm = vacuum_cm(n)
-    cm = apply_symplectic(cm, squeezer(n, 1, recipe.s))
-    cm = apply_symplectic(cm, squeezer(n, 2, 1.0 / recipe.s))
-    cm = apply_symplectic(cm, beam_splitter(n, 1, 2, 0.5))
-    for i in range(3, n + 1):
-        cm = apply_symplectic(cm, squeezer(n, i, recipe.r[i]))
-        for j in range(2, i):
-            cm = apply_symplectic(cm, beam_splitter(n, j, i, recipe.b[(j, i)]))
-    for k in range(1, n + 1):
-        block = cm.mode_block(k)
-        cm = apply_symplectic(cm, squeezer(n, k, (block[1, 1] / block[0, 0]) ** 0.25))
-    return cm
+from oracles import dense_engineer, free_parameter_audit, mode_block, reduced_cm, schedule
 
 
 def rotation_engineer(recipe):
@@ -55,7 +26,7 @@ def rotation_engineer(recipe):
 
     Squeezed vacua enter M, so V_Q = M diag(q) M^T and V_P = M diag(1/q) M^T,
     then every mode is balanced.  Cheap enough for N = 500, where
-    :func:`dense_engineer` is not, and written gate by gate like it.
+    ``oracles.dense_engineer`` is not.
     """
     n = recipe.n_modes
     q = np.array([recipe.s, 1.0 / recipe.s] + [recipe.r[i] for i in range(3, n + 1)]) ** 2
@@ -174,10 +145,10 @@ class TestEngineerState:
     def test_two_mode_squeezed_blocks(self):
         """s^2 = 2 must give blocks 1.25*I and diag(0.75, -0.75)."""
         cm = engineer_state(Recipe(2, np.sqrt(2.0)))
-        np.testing.assert_allclose(cm.mode_block(1), 1.25 * np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(cm.mode_block(2), 1.25 * np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(mode_block(cm, 1), 1.25 * np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(mode_block(cm, 2), 1.25 * np.eye(2), atol=1e-14)
         np.testing.assert_allclose(
-            cm.cross_block(1, 2), np.diag([0.75, -0.75]), atol=1e-14
+            mode_block(cm, 1, 2), np.diag([0.75, -0.75]), atol=1e-14
         )
 
     def test_three_mode_state_is_pure(self):
@@ -196,7 +167,7 @@ class TestEngineerState:
     def test_single_mode_blocks_proportional_to_identity(self, n):
         cm = engineer_state(random_recipe(n, seed=23 * n + 1))
         for k in range(1, n + 1):
-            block = cm.mode_block(k)
+            block = mode_block(cm, k)
             c = block[0, 0]
             assert c >= 1.0 - 1e-12
             np.testing.assert_allclose(block, c * np.eye(2), atol=1e-10 * (1 + c))
@@ -233,14 +204,14 @@ class TestEngineerState:
         )
         cm = engineer_state(recipe)
         for k in range(3, n + 1):
-            det = np.linalg.det(cm.mode_block(k))
+            det = np.linalg.det(mode_block(cm, k))
             assert det == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("n", [3, 4, 6, 8])
     def test_schmidt_spectrum_of_complement(self, n):
         """The (2..N) reduction carries the spectrum {a, 1, ..., 1} with a = sqrt(det sigma_1)."""
         cm = engineer_state(random_recipe(n, seed=5 * n + 2))
-        a = np.sqrt(np.linalg.det(cm.mode_block(1)))
+        a = np.sqrt(np.linalg.det(mode_block(cm, 1)))
         spectrum = np.array(williamson_spectrum(reduced_cm(cm, range(2, n + 1))).values)
         expected = np.concatenate([[a], np.ones(n - 2)])
         np.testing.assert_allclose(np.sort(spectrum), np.sort(expected), atol=1e-7)
@@ -250,7 +221,7 @@ class TestEngineerState:
 def test_schedule_squeezes_each_mode_while_it_is_vacuum(n):
     """engineer_state moves every squeezer to the front, which needs this order."""
     squeezed = set()
-    for mode, partner, _, _ in _schedule(random_recipe(n, seed=n)):
+    for mode, partner, _, _ in schedule(random_recipe(n, seed=n)):
         if partner is None:
             assert mode not in squeezed, f"mode {mode} squeezed twice"
             squeezed.add(mode)

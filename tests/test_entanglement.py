@@ -27,16 +27,10 @@ from gaussforge.standard_form import (
     standard_form_to_cm,
     to_standard_form,
 )
-from gaussforge.symplectic import (
-    CovarianceMatrix,
-    apply_symplectic,
-    is_pure,
-    reduced_cm,
-    symplectic_eigenvalues,
-    vacuum_cm,
-)
+from gaussforge.symplectic import CovarianceMatrix, is_pure, symplectic_eigenvalues, vacuum_cm
 
 from conftest import block_route_states, condition_number, forbid, random_local_symplectic
+from oracles import apply_symplectic, mode_block, reduced_cm, squeezer
 
 TMS = Recipe(2, np.sqrt(2.0))  # a = 1.25, c = 0.75
 
@@ -66,14 +60,14 @@ def assert_matches_eigen_route(cm: CovarianceMatrix, conditioned: bool = False):
     n = cm.n_modes
     report = full_report(cm)
     for i in range(1, n + 1):
-        direct = bosonic_entropy(float(np.sqrt(np.linalg.det(cm.mode_block(i)))))
+        direct = bosonic_entropy(float(np.sqrt(np.linalg.det(mode_block(cm, i)))))
         assert abs(report.per_mode_entropy[i - 1] - direct) <= 1e-10 * (1.0 + direct)
         for j in range(i + 1, n + 1):
             expected, spread = eigen_log_negativity(cm, i, j)
             tol = 1e-10 + (np.finfo(float).eps * spread if conditioned else 0.0)
             assert abs(report.pairwise_logneg[i - 1, j - 1] - expected) <= tol
             assert abs(log_negativity_pair(cm, i, j) - expected) <= tol
-            det = np.linalg.det(cm.cross_block(i, j))
+            det = np.linalg.det(mode_block(cm, i, j))
             assert abs(report.pairwise_detblocks[i - 1, j - 1] - det) <= 1e-10 * (1.0 + abs(det))
 
 
@@ -104,7 +98,7 @@ class TestSchmidtParameter:
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_matches_complementary_reduction_eigenvalue(self, n):
-        from gaussforge.symplectic import reduced_cm, williamson_spectrum
+        from gaussforge.symplectic import williamson_spectrum
 
         cm = engineer_state(random_recipe(n, seed=13 * n))
         for k in range(1, n + 1):
@@ -132,8 +126,13 @@ class TestNonPositiveModeDeterminant:
             (lambda cm: entropy_one_vs_rest(cm, 2, nats=True), 2),
             (full_report, 1),
             (lambda cm: full_report(cm, schmidt_mode=2), 1),
+            (lambda cm: det_identity_residual(cm, 1), 1),
+            (lambda cm: det_identity_residual(cm, 2), 2),
         ],
-        ids=["schmidt-2", "entropy-1", "entropy-2-nats", "report", "report-schmidt-2"],
+        ids=[
+            "schmidt-2", "entropy-1", "entropy-2-nats", "report", "report-schmidt-2",
+            "det-identity-1", "det-identity-2",
+        ],
     )
     def test_refused_naming_the_mode(self, query, mode, dense):
         cm = indefinite_state(dense)
@@ -151,6 +150,7 @@ class TestNonPositiveModeDeterminant:
         cm = engineer_state(random_recipe(5, seed=8))
         for k in range(1, 6):
             assert schmidt_parameter(cm, k) == float(np.sqrt(cm._dets[k - 1, k - 1]))
+            assert det_identity_residual(cm, k) == cm._det_row_sums[k - 1] - 1.0
 
 
 class TestBosonicEntropy:
@@ -299,7 +299,7 @@ class TestFullReport:
     @pytest.mark.parametrize("n", [2, 7, 16])
     def test_one_purity_check_and_no_eigen_solves(self, n, monkeypatch):
         """One purity verdict: ``require_pure`` decides from the cached residual without ``is_pure``."""
-        calls = {"require_pure": 0, "is_pure": 0, "symplectic_eigenvalues": 0, "reduced_cm": 0}
+        calls = {"require_pure": 0, "is_pure": 0, "symplectic_eigenvalues": 0, "_pair_blocks": 0}
         for name in calls:
             original = getattr(symplectic, name)
 
@@ -311,7 +311,7 @@ class TestFullReport:
             for module in (symplectic, entanglement):
                 monkeypatch.setattr(module, name, counted, raising=False)
         full_report(engineer_state(random_recipe(n, seed=n)))
-        assert calls == {"require_pure": 1, "is_pure": 0, "symplectic_eigenvalues": 0, "reduced_cm": 0}
+        assert calls == {"require_pure": 1, "is_pure": 0, "symplectic_eigenvalues": 0, "_pair_blocks": 0}
 
     def test_one_purity_product_per_state_across_helpers(self, monkeypatch):
         """The state keeps its residual, so per-mode helpers share one product.
@@ -360,7 +360,7 @@ class TestFullReport:
         cm = harmonic_ground_state(ring_potential(64, 0.5))
         assert is_pure(cm)
         norm = float(np.max(np.abs(cm.data)))
-        s = symplectic.squeezer(3, 2, 4.0)
+        s = squeezer(3, 2, 4.0)
 
         def refused(*args, **kwargs):
             raise AssertionError("np.abs called after construction")
@@ -573,5 +573,5 @@ class TestMonotoneResponse:
             off = base.copy()
             off[0] = v
             state = standard_form_to_cm(reconstruct_diagonal(off, 3))
-            dets.append(abs(np.linalg.det(state.cross_block(1, 2))))
+            dets.append(abs(np.linalg.det(mode_block(state, 1, 2))))
         assert all(b > a for a, b in zip(dets, dets[1:]))

@@ -32,16 +32,9 @@ from gaussforge.standard_form import (
     ring_potential,
     to_standard_form,
 )
-from gaussforge.symplectic import (
-    CovarianceMatrix,
-    SymplecticMatrix,
-    beam_splitter,
-    read_matrix,
-    reduced_cm,
-    squeezer,
-    symplectic_form,
-    vacuum_cm,
-)
+from gaussforge.symplectic import CovarianceMatrix, read_matrix, symplectic_form, vacuum_cm
+
+from oracles import SymplecticMatrix, beam_splitter, mode_block, reduced_cm, squeezer
 
 PURE = engineer_state(Recipe(2, np.sqrt(2.0)))
 THERMAL = CovarianceMatrix(2, 2.0 * np.eye(4))
@@ -76,8 +69,22 @@ GOLDEN = [
     ("sf-count", lambda: StandardForm(0, [[1.0]]), ValueError, "n_modes must be >= 1, got 0"),
     ("sf-shape", lambda: StandardForm(2, np.eye(3)), ValueError, "expected a 2x2 matrix, got (3, 3)"),
     ("reconstruct", lambda: reconstruct_diagonal([], 0), ValueError, "n_modes must be >= 1, got 0"),
+    ("reconstruct-max_iter-negative", lambda: reconstruct_diagonal([0.1], 2, max_iter=-1), ValueError,
+     "max_iter must be >= 0, got -1"),
+    ("reconstruct-max_iter-fraction", lambda: reconstruct_diagonal([0.1], 2, max_iter=2.5), ValueError,
+     "max_iter must be an integer, got 2.5"),
+    ("reconstruct-max_iter-bool", lambda: reconstruct_diagonal([0.1], 2, max_iter=True), ValueError,
+     "max_iter must be an integer, got True"),
+    ("reconstruct-count-before-max_iter", lambda: reconstruct_diagonal([], 0, max_iter=-1), ValueError,
+     "n_modes must be >= 1, got 0"),
     ("parameter_count", lambda: parameter_count(0), ValueError, "n_modes must be >= 1, got 0"),
     ("random_recipe", lambda: random_recipe(1, 0), ValueError, "n_modes must be >= 2, got 1"),
+    ("random_recipe-s_max-inf", lambda: random_recipe(3, 0, s_max=np.inf), ValueError,
+     "s_max must be finite and exceed 1, got inf"),
+    ("random_recipe-s_max-nan", lambda: random_recipe(3, 0, s_max=NAN), ValueError,
+     "s_max must be finite and exceed 1, got nan"),
+    ("random_recipe-s_max-one", lambda: random_recipe(3, 0, s_max=1.0), ValueError,
+     "s_max must be finite and exceed 1, got 1.0"),
     ("theta", lambda: theta(0), ValueError, "n_modes must be >= 1, got 0"),
     ("min_bonds_general", lambda: min_bonds_general(1), ValueError, "n_modes must be >= 2, got 1"),
     ("min_bonds_invariant", lambda: min_bonds_invariant(1), ValueError, "n_modes must be >= 2, got 1"),
@@ -86,8 +93,8 @@ GOLDEN = [
     ("recipe-count", lambda: engineer_state(Recipe(1, 1.5)), RecipeError, "n_modes must be >= 2, got 1"),
     ("ring", lambda: ring_potential(1, 0.5), ValueError, "ring needs at least 2 modes, got 1"),
     # mode indices, each after or before its neighbouring checks as today
-    ("cross_block", lambda: PURE.cross_block(1, 0), ValueError, "mode index 0 out of range for 2 modes"),
-    ("mode_block", lambda: PURE.mode_block(3), ValueError, "mode index 3 out of range for 2 modes"),
+    ("cross_block", lambda: mode_block(PURE, 1, 0), ValueError, "mode index 0 out of range for 2 modes"),
+    ("mode_block", lambda: mode_block(PURE, 3), ValueError, "mode index 3 out of range for 2 modes"),
     ("squeezer", lambda: squeezer(2, 3, -1.0), ValueError, "mode index 3 out of range for 2 modes"),
     ("splitter-index-first", lambda: beam_splitter(2, 3, 3, 0.5), ValueError,
      "mode index 3 out of range for 2 modes"),
