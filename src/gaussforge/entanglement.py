@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tolerances
 from .errors import _integer
-from .standard_form import StandardForm
+from .standard_form import StandardForm, _strict_upper
 from .symplectic import (
     CovarianceMatrix,
     _check_mode_indices,
@@ -64,19 +64,30 @@ def bosonic_entropy(nu: float, nats: bool = False) -> float:
 
     ``f(nu) = ((nu+1)/2) log2((nu+1)/2) - ((nu-1)/2) log2((nu-1)/2)``,
     strictly increasing for nu > 1 with the limit f(1) = 0 taken
-    explicitly (values within ``tolerances.unit_eigenvalue()`` of 1 map
-    to 0).
+    explicitly (values within the unit tolerance of
+    :func:`tolerances.entropy_window` above 1 map to 0).
 
     Args:
         nu: symplectic eigenvalue, at least 1 up to roundoff.
         nats: report in natural-log units instead of ebits.
+
+    Raises:
+        ValueError: if nu lies outside ``[1 - tolerances.rank(),
+            tolerances.MAX_ENTRY]``, nan included: no valid state with entries
+            bounded by ``MAX_ENTRY`` has such a symplectic eigenvalue.
     """
-    value = _entropy(nu, tolerances.unit_eigenvalue())
+    value = _entropy(nu, *tolerances.entropy_window())
     return value * _LN2 if nats else value
 
 
-def _entropy(nu: float, unit: float) -> float:
-    """:func:`bosonic_entropy` in ebits, with the unit-eigenvalue tolerance given."""
+def _entropy(nu: float, low: float, unit: float) -> float:
+    """:func:`bosonic_entropy` in ebits, with the window of
+    :func:`tolerances.entropy_window` given."""
+    if not low <= nu <= tolerances.MAX_ENTRY:  # also refuses nan
+        raise ValueError(
+            f"symplectic eigenvalue {float(nu)!r} lies outside "
+            f"[{low!r}, {tolerances.MAX_ENTRY:g}]"
+        )
     if nu - 1.0 < unit:
         return 0.0
     up = (nu + 1.0) / 2.0
@@ -210,12 +221,12 @@ def full_report(cm: CovarianceMatrix, schmidt_mode: int = 1) -> EntanglementRepo
     n = cm.n_modes
     _check_mode_indices(n, schmidt_mode)
     schmidt = [math.sqrt(_positive_mode_det(cm, k)) for k in range(1, n + 1)]
-    rows, cols = np.triu_indices(n, k=1)
+    rows, cols = np.nonzero(_strict_upper(n))
     logneg = np.zeros((n, n))
     logneg[rows, cols] = logneg[cols, rows] = _log_negativities(cm, rows, cols)
-    unit = tolerances.unit_eigenvalue()
+    low, unit = tolerances.entropy_window()
     return EntanglementReport(
-        per_mode_entropy=tuple(_entropy(v, unit) for v in schmidt),
+        per_mode_entropy=tuple(_entropy(v, low, unit) for v in schmidt),
         schmidt_parameter=schmidt[schmidt_mode - 1],
         pairwise_logneg=logneg,
         pairwise_detblocks=np.where(np.eye(n, dtype=bool), 0.0, cm._dets),

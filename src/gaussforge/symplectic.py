@@ -86,12 +86,6 @@ def _from_blocks(vq: np.ndarray, vp: np.ndarray) -> CovarianceMatrix:
     return cm
 
 
-def _block_dets(sigma: np.ndarray, i, j) -> np.ndarray:
-    """det of the 2x2 blocks of sigma at 0-based modes (i, j), over index arrays."""
-    q, p = 2 * i, 2 * j
-    return sigma[q, p] * sigma[q + 1, p + 1] - sigma[q, p + 1] * sigma[q + 1, p]
-
-
 def _pair_blocks(sigma: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """Stacked 4x4 reductions of sigma to the 0-based mode pairs (i[k], j[k])."""
     rows = np.stack([2 * i, 2 * i + 1, 2 * j, 2 * j + 1], axis=-1)
@@ -145,9 +139,10 @@ class CovarianceMatrix:
 
     @cached_property
     def _dets(self) -> np.ndarray:
-        """Read-only N x N matrix of 2x2 block determinants: entry (i, j) is det of block (i, j)."""
-        modes = np.arange(self.n_modes)
-        dets = _block_dets(self.data, modes[:, None], modes)
+        """Read-only N x N matrix of 2x2 block determinants: entry (i, j) is det of block (i, j),
+        from the four strided views of the blocks' entries."""
+        d = self.data
+        dets = d[0::2, 0::2] * d[1::2, 1::2] - d[0::2, 1::2] * d[1::2, 0::2]
         dets.flags.writeable = False
         return dets
 

@@ -3,7 +3,10 @@
 All thresholds are stated in vacuum-normalized units (vacuum covariance
 matrix = identity).  The environment variable ``GF_TOL_OVERRIDE`` scales
 every residual tolerance by a positive finite factor, for exploratory use on
-noisy inputs; when absent the defaults apply.
+noisy inputs; when absent the defaults apply.  The override is read at every
+check, from the mapping behind ``os.environ``, so a change made through
+``os.environ`` after import takes effect at the next check; a change made in C
+through ``setenv`` is not seen, just as ``os.environ.get`` does not see it.
 """
 
 import os
@@ -36,11 +39,24 @@ NEWTON_MAX_ITER = 200
 NEWTON_MAX_BACKTRACK = 40
 
 
+# the override's key as ``os.environ`` stores it in the dict behind it
+_OVERRIDE_KEY = os.environ.encodekey("GF_TOL_OVERRIDE")
+
+
 def scale() -> float:
-    """Return the global tolerance scale from ``GF_TOL_OVERRIDE``."""
-    raw = os.environ.get("GF_TOL_OVERRIDE")
+    """Return the global tolerance scale from ``GF_TOL_OVERRIDE``.
+
+    One lookup in ``os.environ._data``, the dict ``os.environ.get`` reads too:
+    when the variable is unset, ``Mapping.get`` raises and catches two
+    ``KeyError``s, an order of magnitude slower than the lookup.
+    ``os.environ`` itself is looked up at each call, so one that a test puts
+    in its place is read.
+    """
+    environ = os.environ
+    raw = environ._data.get(_OVERRIDE_KEY)
     if raw is None:
         return 1.0
+    raw = environ.decodevalue(raw)
     try:
         value = float(raw)
     except ValueError:
@@ -74,14 +90,16 @@ def rank() -> float:
     return RANK * scale()
 
 
+def entropy_window() -> tuple:
+    """The lowest symplectic eigenvalue an entropy accepts, ``1 - rank()``, and the
+    distance above 1 within which one carries no entropy, from one read of the scale."""
+    factor = scale()
+    return 1.0 - RANK * factor, 1e-12 * factor
+
+
 def newton(d_norm: float) -> float:
     """Convergence tolerance for the diagonal-reconstruction Newton solve."""
     return 1e-12 * (1.0 + d_norm) * scale()
-
-
-def unit_eigenvalue() -> float:
-    """Distance above 1 within which a symplectic eigenvalue carries no entropy."""
-    return 1e-12 * scale()
 
 
 def rotation(block_norm: float) -> float:

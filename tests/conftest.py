@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,21 @@ def record_calls(monkeypatch, module, name) -> list:
 
     monkeypatch.setattr(module, name, recorded)
     return calls
+
+
+def count_fills(monkeypatch, cls, name) -> list:
+    """Pass fills of the cached property ``cls.name`` through, collecting each owner's ``n_modes``."""
+    original = cls.__dict__[name]
+    fills = []
+
+    def counted(owner):
+        fills.append(owner.n_modes)
+        return original.func(owner)
+
+    wrapped = cached_property(counted)
+    wrapped.__set_name__(cls, name)
+    monkeypatch.setattr(cls, name, wrapped)
+    return fills
 
 
 @pytest.fixture

@@ -3,10 +3,11 @@
 The library builds and analyses every state on its two N x N blocks, V_Q and
 V_P.  These oracles spell the same physics out on the full covariance matrix:
 symplectic matrices for squeezers and beam splitters, congruences
-``sigma -> S^T sigma S``, partial traces, 2x2 mode blocks, and the gate
-schedule behind the paper's N(N-1)/2 free parameters.  They check their
-inputs with the library's own rules (``_dense_data``, ``_check_mode_indices``,
-``tolerances.symplectic``), so their refusals read as the library's.
+``sigma -> S^T sigma S``, partial traces, 2x2 mode blocks and their
+determinants, and the gate schedule behind the paper's N(N-1)/2 free
+parameters.  They check their inputs with the library's own rules
+(``_dense_data``, ``_check_mode_indices``, ``tolerances.symplectic``), so
+their refusals read as the library's.
 """
 
 from dataclasses import dataclass
@@ -34,6 +35,13 @@ def mode_block(cm: CovarianceMatrix, mode_i: int, mode_j: int | None = None) -> 
     mode_j = mode_i if mode_j is None else mode_j
     _check_mode_indices(cm.n_modes, mode_i, mode_j)
     return np.array(cm.data[_mode_rows(mode_i), _mode_rows(mode_j)])
+
+
+def block_dets(sigma: np.ndarray, i, j) -> np.ndarray:
+    """det of the 2x2 blocks of sigma at 0-based modes (i, j), over index arrays: four
+    fancy-index gathers, the reference for the state's strided ``_dets``."""
+    q, p = 2 * i, 2 * j
+    return sigma[q, p] * sigma[q + 1, p + 1] - sigma[q, p + 1] * sigma[q + 1, p]
 
 
 @dataclass(frozen=True, eq=False)

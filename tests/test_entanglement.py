@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaussforge import entanglement, standard_form, symplectic
+from gaussforge import entanglement, symplectic, tolerances
 from gaussforge.engineering import Recipe, engineer_state, random_recipe
 from gaussforge.entanglement import (
     bosonic_entropy,
@@ -29,8 +29,8 @@ from gaussforge.standard_form import (
 )
 from gaussforge.symplectic import CovarianceMatrix, is_pure, symplectic_eigenvalues, vacuum_cm
 
-from conftest import block_route_states, condition_number, forbid, random_local_symplectic
-from oracles import apply_symplectic, mode_block, reduced_cm, squeezer
+from conftest import block_route_states, condition_number, count_fills, forbid, random_local_symplectic
+from oracles import apply_symplectic, block_dets, mode_block, reduced_cm, squeezer
 
 TMS = Recipe(2, np.sqrt(2.0))  # a = 1.25, c = 0.75
 
@@ -177,6 +177,27 @@ class TestBosonicEntropy:
         monkeypatch.setenv("GF_TOL_OVERRIDE", "1e4")
         assert bosonic_entropy(1.0 + 1e-9) == 0.0
 
+    def test_window_edges(self):
+        """nu from 1 - rank() to MAX_ENTRY is accepted; the next float out on either side is not."""
+        low = 1.0 - tolerances.rank()
+        assert bosonic_entropy(low) == 0.0
+        assert math.isfinite(bosonic_entropy(tolerances.MAX_ENTRY))
+        for nu in (np.nextafter(low, 0.0), np.nextafter(tolerances.MAX_ENTRY, math.inf)):
+            with pytest.raises(ValueError, match=r"^symplectic eigenvalue .* lies outside"):
+                bosonic_entropy(nu)
+
+    def test_window_follows_tol_override_from_one_read(self, monkeypatch):
+        """The lower edge scales with the override, read once per call for both thresholds."""
+        with pytest.raises(ValueError, match=r"^symplectic eigenvalue 0\.99999 lies outside "):
+            bosonic_entropy(1.0 - 1e-5)
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "100")
+        reads = []
+        scale = tolerances.scale
+        monkeypatch.setattr(tolerances, "scale", lambda: reads.append(1) or scale())
+        assert bosonic_entropy(1.0 - 1e-5) == 0.0
+        assert bosonic_entropy(1.0 + 5e-11) == 0.0
+        assert len(reads) == 2
+
 
 class TestEntropyOneVsRest:
     def test_vacuum_zero(self):
@@ -269,6 +290,21 @@ class TestFullReport:
                 entropy_via_pairwise(sf, k), abs=1e-8
             )
 
+    @pytest.mark.parametrize("n", [2, 8, 16, 33])
+    def test_pairs_from_the_strict_upper_mask(self, n, monkeypatch):
+        """The pair indices come from the strict upper mask, not np.triu_indices, and the
+        report keeps the bits of the np.triu_indices route, on the block and dense routes."""
+        cm = engineer_state(random_recipe(n, seed=n))
+        moved = apply_symplectic(cm, random_local_symplectic(n, np.random.default_rng(n)))
+        expected = []
+        for state in (cm, moved):
+            rows, cols = np.triu_indices(n, k=1)
+            logneg = np.zeros((n, n))
+            logneg[rows, cols] = logneg[cols, rows] = entanglement._log_negativities(state, rows, cols)
+            expected.append(logneg.tobytes())
+        forbid(monkeypatch, np, "triu_indices")
+        assert [full_report(state).pairwise_logneg.tobytes() for state in (cm, moved)] == expected
+
     def test_two_mode_entangled_whenever_squeezed(self):
         for s in (0.5, 1.3, 2.0):
             report = full_report(engineer_state(Recipe(2, s)))
@@ -337,23 +373,24 @@ class TestFullReport:
 
     def test_one_block_determinant_pass_per_state_across_helpers(self, monkeypatch):
         """The state keeps its 2x2 block determinants, so per-mode helpers share one pass."""
-        calls = []
-        original = symplectic._block_dets
-
-        def counted(sigma, i, j):
-            calls.append(np.shape(np.broadcast(i, j)))
-            return original(sigma, i, j)
-
-        # also on the helpers' modules, in case one imports it by name
-        for module in (symplectic, entanglement, standard_form):
-            monkeypatch.setattr(module, "_block_dets", counted, raising=False)
+        fills = count_fills(monkeypatch, CovarianceMatrix, "_dets")
         cm = harmonic_ground_state(ring_potential(31, 0.5))
         full_report(cm)
         for k in range(1, 32):
             det_identity_residual(cm, k)
             entropy_one_vs_rest(cm, k)
         log_negativity_pair(cm, 1, 2)
-        assert calls == [(31, 31)]
+        assert fills == [31]
+
+    @pytest.mark.parametrize("n", [16, 32, 101, 160])
+    def test_strided_block_determinants_match_the_gathers(self, n):
+        """The strided views multiply the same entries as the four fancy-index gathers,
+        on a ring, an engineered state and the ring in a random local frame."""
+        ring = harmonic_ground_state(ring_potential(n, 0.5))
+        moved = apply_symplectic(ring, random_local_symplectic(n, np.random.default_rng(n)))
+        modes = np.arange(n)
+        for cm in (ring, engineer_state(random_recipe(n, seed=n)), moved):
+            assert cm._dets.tobytes() == block_dets(cm.data, modes[:, None], modes).tobytes()
 
     def test_one_norm_per_state_across_helpers(self, monkeypatch):
         """The inf-norm is measured once, at construction, so no helper rescans the matrix."""
@@ -421,7 +458,7 @@ class TestBlockRoute:
 def per_call_schmidt(cm: CovarianceMatrix, mode_index: int) -> float:
     """Reference Schmidt value by the former per-call route: one block determinant."""
     k = mode_index - 1
-    return float(np.sqrt(symplectic._block_dets(cm.data, k, k)))
+    return float(np.sqrt(block_dets(cm.data, k, k)))
 
 
 def masked_dot_entropy(sf, mode_index: int) -> float:

@@ -15,6 +15,7 @@ from gaussforge import jsonio
 from gaussforge.cli import main
 from gaussforge.engineering import Recipe, engineer_state, parameter_count, random_recipe
 from gaussforge.entanglement import (
+    bosonic_entropy,
     entropy_one_vs_rest,
     entropy_via_pairwise,
     full_report,
@@ -32,13 +33,16 @@ from gaussforge.standard_form import (
     ring_potential,
     to_standard_form,
 )
-from gaussforge.symplectic import CovarianceMatrix, read_matrix, symplectic_form, vacuum_cm
+from gaussforge.symplectic import CovarianceMatrix, _from_blocks, read_matrix, symplectic_form, vacuum_cm
 
 from oracles import SymplecticMatrix, beam_splitter, mode_block, reduced_cm, squeezer
 
 PURE = engineer_state(Recipe(2, np.sqrt(2.0)))
 THERMAL = CovarianceMatrix(2, 2.0 * np.eye(4))
 NAN = float("nan")
+# V_Q (+) V_Q^-1 for an indefinite V_Q: it passes the purity identity, and each mode's
+# block determinant is 0.5, positive, so the Schmidt values are 0.707, below any state's
+BELOW_ONE = _from_blocks(np.array([[1.0, 1.0], [1.0, -1.0]]), np.array([[0.5, 0.5], [0.5, -0.5]]))
 BOUND = "entries must be finite and at most 1e+150 in magnitude"
 NOT_PURE = "state is not pure: purity residual 3.000e+00 exceeds tolerance 5.000e-09"
 
@@ -124,6 +128,14 @@ GOLDEN = [
      "mode index 5 out of range for 2 modes"),
     ("pairwise-index", lambda: entropy_via_pairwise(to_standard_form(PURE), 0), ValueError,
      "mode index 0 out of range for 2 modes"),
+    # symplectic eigenvalues outside [1 - rank tolerance, MAX_ENTRY], named
+    *(
+        (f"entropy-nu-{nu!r}", lambda nu=nu: bosonic_entropy(nu), ValueError,
+         f"symplectic eigenvalue {text} lies outside [0.999999, 1e+150]")
+        for nu, text in ((0.5, "0.5"), (-3, "-3.0"), (NAN, "nan"), (np.inf, "inf"), (1e308, "1e+308"))
+    ),
+    ("entropy-schmidt-below-one", lambda: entropy_one_vs_rest(BELOW_ONE, 2), ValueError,
+     "symplectic eigenvalue 0.7071067811865476 lies outside [0.999999, 1e+150]"),
     # matrices: the bound and the symmetry, in each owner's order
     ("cm-bound-first", lambda: CovarianceMatrix(1, [[NAN, 1.0], [0.0, 1.0]]), ValueError,
      f"covariance matrix {BOUND}"),

@@ -29,12 +29,13 @@ from gaussforge.symplectic import CovarianceMatrix, is_pure, symplectic_eigenval
 
 from conftest import (
     block_route_states,
+    count_fills,
     forbid,
     random_local_symplectic,
     random_spd,
     record_calls,
 )
-from oracles import SymplecticMatrix, apply_symplectic, mode_block, reduced_cm
+from oracles import SymplecticMatrix, apply_symplectic, block_dets, mode_block, reduced_cm
 
 TMS = Recipe(2, np.sqrt(2.0))  # two-mode squeezed state with a = 1.25, c = 0.75
 
@@ -272,9 +273,11 @@ class TestLocalNormalization:
 
     @pytest.mark.parametrize("n", [2, 7, 16])
     def test_block_views_only_and_no_dense_congruence(self, n, monkeypatch):
-        """All modes are read from the block diagonals, not through the 2x2 gathers,
-        and every matrix factored or inverted is N x N, not 2N x 2N."""
-        forbid(monkeypatch, symplectic, "_block_dets", "_pair_blocks", "_purity_product")
+        """All modes are read from the block diagonals, not through the 2x2 block
+        determinants or pair gathers, and every matrix factored or inverted is N x N,
+        not 2N x 2N."""
+        forbid(monkeypatch, symplectic, "_pair_blocks", "_purity_product")
+        det_fills = count_fills(monkeypatch, CovarianceMatrix, "_dets")
         shapes = []
         for name in ("cholesky", "inv"):
             original = getattr(np.linalg, name)
@@ -287,6 +290,7 @@ class TestLocalNormalization:
         cm = engineer_state(random_recipe(n, seed=n))
         to_standard_form(cm)
         assert shapes and set(shapes) == {(n, n)}
+        assert det_fills == []
 
 
 class TestOneInverse:
@@ -680,7 +684,7 @@ class TestStandardFormToCm:
 def block_det_row_residual(cm: CovarianceMatrix, mode_index: int) -> float:
     """Reference det identity by the former per-call route: gather the mode's row of
     block determinants, sum it, subtract 1."""
-    row = symplectic._block_dets(cm.data, mode_index - 1, np.arange(cm.n_modes))
+    row = block_dets(cm.data, mode_index - 1, np.arange(cm.n_modes))
     return float(np.sum(row) - 1.0)
 
 

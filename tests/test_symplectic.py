@@ -1,7 +1,11 @@
 """Tests for the phase-space linear algebra core."""
 
+import os
+
+import click
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from gaussforge import symplectic, tolerances
 from gaussforge.engineering import engineer_state, random_recipe
@@ -552,6 +556,92 @@ class TestPurity:
         for check in (tolerances.scale, lambda: is_pure(thermal), lambda: williamson_spectrum(thermal)):
             with pytest.raises(ValueError, match="GF_TOL_OVERRIDE must be positive"):
                 check()
+
+
+# raw GF_TOL_OVERRIDE values in turn (None: unset) and the scale or refusal text each gives
+OVERRIDE_SEQUENCE = [
+    ("2", 2.0),
+    ("5e-1", 0.5),
+    (None, 1.0),
+    ("wide", "GF_TOL_OVERRIDE must be a positive float, got 'wide'"),
+    ("0", "GF_TOL_OVERRIDE must be positive, got 0.0"),
+    ("inf", "GF_TOL_OVERRIDE must be positive and finite, got 'inf'"),
+    ("3", 3.0),
+]
+
+
+def scale_or_refusal():
+    try:
+        return tolerances.scale()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestOverrideRead:
+    """``tolerances.scale()`` reads the dict behind ``os.environ`` in one lookup and
+    sees every change made through ``os.environ``, as ``os.environ.get`` does."""
+
+    def check(self, raw, expected):
+        assert os.environ.get("GF_TOL_OVERRIDE") == raw
+        for _ in range(2):  # the same answer, and the same refusal text, every time
+            assert scale_or_refusal() == expected
+
+    def test_through_os_environ(self, monkeypatch):
+        monkeypatch.delenv("GF_TOL_OVERRIDE", raising=False)  # restored at teardown
+        for raw, expected in OVERRIDE_SEQUENCE:
+            if raw is None:
+                del os.environ["GF_TOL_OVERRIDE"]
+            else:
+                os.environ["GF_TOL_OVERRIDE"] = raw
+            self.check(raw, expected)
+
+    def test_through_monkeypatch(self, monkeypatch):
+        for raw, expected in OVERRIDE_SEQUENCE:
+            if raw is None:
+                monkeypatch.delenv("GF_TOL_OVERRIDE")
+            else:
+                monkeypatch.setenv("GF_TOL_OVERRIDE", raw)
+            self.check(raw, expected)
+
+    def test_through_cli_runner_env(self, monkeypatch):
+        monkeypatch.delenv("GF_TOL_OVERRIDE", raising=False)
+        seen = []
+
+        @click.command()
+        def probe():
+            seen.append((os.environ.get("GF_TOL_OVERRIDE"), scale_or_refusal()))
+
+        runner = CliRunner()
+        for raw, _ in OVERRIDE_SEQUENCE:
+            assert runner.invoke(probe, env={"GF_TOL_OVERRIDE": raw}).exit_code == 0
+            assert scale_or_refusal() == 1.0  # the runner restores the environment
+        assert seen == OVERRIDE_SEQUENCE
+
+    @pytest.mark.parametrize("raw, expected", [("2", 2.0), (None, 1.0)])
+    def test_no_mapping_get(self, raw, expected, monkeypatch):
+        """With ``os._Environ.__getitem__`` raising, ``Mapping.get`` cannot answer; the
+        scale still does, so it is read without that call."""
+        monkeypatch.delenv("GF_TOL_OVERRIDE", raising=False)
+        if raw is not None:
+            monkeypatch.setenv("GF_TOL_OVERRIDE", raw)
+
+        def refused(self, key):
+            raise AssertionError(f"os.environ[{key!r}] was read")
+
+        monkeypatch.setattr(os._Environ, "__getitem__", refused)
+        with pytest.raises(AssertionError):
+            os.environ.get("GF_TOL_OVERRIDE")
+        assert tolerances.scale() == expected
+
+    def test_replaced_environ_is_read(self, monkeypatch):
+        """``os.environ`` is looked up at each call, not kept from import."""
+        environ = os.environ
+        key, value = environ.encodekey("GF_TOL_OVERRIDE"), environ.encodevalue("4")
+        replaced = os._Environ(
+            {key: value}, environ.encodekey, environ.decodekey, environ.encodevalue, environ.decodevalue
+        )
+        monkeypatch.setattr(os, "environ", replaced)
+        assert tolerances.scale() == 4.0
 
 
 class TestReducedCm:
