@@ -178,8 +178,9 @@ def entropy_via_pairwise(
     kept by the standard form.
 
     Raises:
-        ValueError: if the accumulated determinant turns out negative,
-            which signals numerically inconsistent input.
+        ValueError: if the accumulated determinant turns out negative, or
+            its square root lies outside :func:`bosonic_entropy`'s window;
+            either signals numerically inconsistent input.
     """
     _check_mode_indices(sf.n_modes, mode_index)
     det_block = 1.0 - float(sf._pairwise_sums[mode_index - 1])
