@@ -6,7 +6,9 @@ every residual tolerance by a positive finite factor, for exploratory use on
 noisy inputs; when absent the defaults apply.  The override is read at every
 check, from the mapping behind ``os.environ``, so a change made through
 ``os.environ`` after import takes effect at the next check; a change made in C
-through ``setenv`` is not seen, just as ``os.environ.get`` does not see it.
+through ``setenv`` is not seen, just as ``os.environ.get`` does not see it.  A
+mapping put in place of ``os.environ`` is read too, through its ``get`` when it
+is not an ``os._Environ``.
 """
 
 import os
@@ -50,13 +52,18 @@ def scale() -> float:
     when the variable is unset, ``Mapping.get`` raises and catches two
     ``KeyError``s, an order of magnitude slower than the lookup.
     ``os.environ`` itself is looked up at each call, so one that a test puts
-    in its place is read.
+    in its place is read; a replacement with no such dict, such as a plain
+    ``dict``, is read through its ``get``.
     """
     environ = os.environ
-    raw = environ._data.get(_OVERRIDE_KEY)
+    try:
+        raw = environ._data.get(_OVERRIDE_KEY)
+    except AttributeError:  # not an os._Environ
+        raw = environ.get("GF_TOL_OVERRIDE")
+    else:
+        raw = raw if raw is None else environ.decodevalue(raw)
     if raw is None:
         return 1.0
-    raw = environ.decodevalue(raw)
     try:
         value = float(raw)
     except ValueError:

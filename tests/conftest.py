@@ -1,5 +1,6 @@
 """Shared helpers for the test suite."""
 
+import os
 from functools import cached_property
 
 import numpy as np
@@ -87,6 +88,16 @@ def count_fills(monkeypatch, cls, name) -> list:
     wrapped.__set_name__(cls, name)
     monkeypatch.setattr(cls, name, wrapped)
     return fills
+
+
+@pytest.fixture(autouse=True)
+def override_left_as_found():
+    """Fail a test that leaves ``GF_TOL_OVERRIDE`` other than it found it: a leaked
+    scale would move the tolerances of every test that runs after it."""
+    before = os.environ.get("GF_TOL_OVERRIDE")
+    yield
+    after = os.environ.get("GF_TOL_OVERRIDE")
+    assert after == before, "the test leaked GF_TOL_OVERRIDE"
 
 
 @pytest.fixture

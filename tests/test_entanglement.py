@@ -18,7 +18,7 @@ from gaussforge.entanglement import (
     log_negativity_pair,
     schmidt_parameter,
 )
-from gaussforge.errors import NotPureError
+from gaussforge.errors import NotInGenericClassError, NotPureError
 from gaussforge.standard_form import (
     det_identity_residual,
     harmonic_ground_state,
@@ -229,6 +229,46 @@ class TestEntropyViaPairwise:
                 direct = entropy_one_vs_rest(cm, k)
                 pairwise = entropy_via_pairwise(sf, k)
                 assert abs(direct - pairwise) <= 1e-8
+
+    @staticmethod
+    def assert_inside_window(cm, sf):
+        """The pairwise det sigma_i is within 1e-7 of the direct one, relatively.
+
+        det sigma_i >= 1 on every mode of a pure state, so the pairwise value
+        stays above 1 - 1e-7, far inside the entropy window's lower edge
+        (1 - rank())^2 = 1 - 2e-6, below which entropy_via_pairwise refuses.
+        """
+        direct = np.diag(cm._dets)
+        pairwise = 1.0 - sf._pairwise_sums
+        assert np.min(direct) >= 1.0
+        assert np.max(np.abs(pairwise - direct) / direct) <= 1e-7
+        assert np.min(pairwise) > (1.0 - tolerances.rank()) ** 2
+        for k in range(1, cm.n_modes + 1):
+            assert entropy_via_pairwise(sf, k) >= 0.0
+
+    @pytest.mark.parametrize("s_max", [1e3, 1e4])
+    def test_inside_the_entropy_window_at_large_squeezing(self, s_max):
+        """Engineered states squeezed up to 1e3 and 1e4; the relative gap was at most
+        1.3e-8 on them.  Most such states are refused by the standard form for
+        residual q-p correlations, so only the ones it accepts are checked."""
+        accepted = 0
+        for n in (2, 3, 4, 6, 8, 12, 16):
+            for seed in range(12):
+                cm = engineer_state(random_recipe(n, seed, s_max))
+                try:
+                    sf = to_standard_form(cm)
+                except NotInGenericClassError:
+                    continue
+                self.assert_inside_window(cm, sf)
+                accepted += 1
+        assert accepted >= 5
+
+    @pytest.mark.parametrize("n", [5, 31, 101])
+    def test_inside_the_entropy_window_on_rings(self, n):
+        """Rings from coupling 1e-6, whose modes' det sigma_i sit 5e-13 above 1, to 1e6."""
+        for coupling in (1e-6, 1e-3, 2.0, 1e6):
+            cm = harmonic_ground_state(ring_potential(n, coupling))
+            self.assert_inside_window(cm, to_standard_form(cm))
 
 
 class TestLogNegativity:

@@ -523,6 +523,10 @@ class TestPurity:
         require_pure(cm)
         monkeypatch.setenv("GF_TOL_OVERRIDE", "1")
         assert not is_pure(cm)
+        os.environ["GF_TOL_OVERRIDE"] = "100"  # a plain write after import; teardown restores the variable
+        assert is_pure(cm)
+        del os.environ["GF_TOL_OVERRIDE"]
+        assert not is_pure(cm)
 
     def test_tol_override_change_between_calls_takes_effect(self, monkeypatch):
         """The environment is read at every call, so a change after import takes effect."""
@@ -587,7 +591,9 @@ class TestOverrideRead:
             assert scale_or_refusal() == expected
 
     def test_through_os_environ(self, monkeypatch):
-        monkeypatch.delenv("GF_TOL_OVERRIDE", raising=False)  # restored at teardown
+        # setenv records the variable as found, so teardown restores it after the plain writes
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "1")
+        monkeypatch.delenv("GF_TOL_OVERRIDE")
         for raw, expected in OVERRIDE_SEQUENCE:
             if raw is None:
                 del os.environ["GF_TOL_OVERRIDE"]
@@ -633,15 +639,21 @@ class TestOverrideRead:
             os.environ.get("GF_TOL_OVERRIDE")
         assert tolerances.scale() == expected
 
-    def test_replaced_environ_is_read(self, monkeypatch):
-        """``os.environ`` is looked up at each call, not kept from import."""
+    @pytest.mark.parametrize("kind", ["os._Environ", "dict"])
+    def test_replaced_environ_is_read(self, kind, monkeypatch):
+        """``os.environ`` is looked up at each call, not kept from import.  A plain ``dict``
+        in its place, as ``mock.patch("os.environ", {...})`` puts there, has no backing
+        dict and is read through its ``get``."""
         environ = os.environ
-        key, value = environ.encodekey("GF_TOL_OVERRIDE"), environ.encodevalue("4")
-        replaced = os._Environ(
-            {key: value}, environ.encodekey, environ.decodekey, environ.encodevalue, environ.decodevalue
-        )
-        monkeypatch.setattr(os, "environ", replaced)
-        assert tolerances.scale() == 4.0
+        for raw, expected in OVERRIDE_SEQUENCE:
+            variables = {} if raw is None else {"GF_TOL_OVERRIDE": raw}
+            if kind == "os._Environ":
+                variables = os._Environ(
+                    {environ.encodekey(k): environ.encodevalue(v) for k, v in variables.items()},
+                    environ.encodekey, environ.decodekey, environ.encodevalue, environ.decodevalue,
+                )
+            monkeypatch.setattr(os, "environ", variables)
+            assert scale_or_refusal() == expected
 
 
 class TestReducedCm:
