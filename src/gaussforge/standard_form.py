@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tolerances
 from .errors import InfeasibleError, NotInGenericClassError, _integer
@@ -164,6 +165,91 @@ def _strict_upper(n_modes: int) -> np.ndarray:
     return ~np.tri(n_modes, dtype=bool)
 
 
+def _cyclic_shifts(row: np.ndarray) -> np.ndarray:
+    """Read-only strided view of the circulant matrix whose entry (i, j) is ``row[(j - i) % N]``."""
+    n = len(row)
+    return sliding_window_view(np.concatenate([row, row]), n)[n:0:-1]
+
+
+def _circulant_row(matrix: np.ndarray):
+    """Row 0 of ``matrix`` if it has at least 3 rows, is not diagonal, and each row is an exact
+    cyclic shift of row 0; None otherwise.  Row 1 rejects most other matrices in O(N) before
+    the full compare.  Every 2x2 matrix with a constant diagonal is circulant, so two modes
+    never qualify; nor does a diagonal matrix, which the dense routes keep exactly diagonal."""
+    n = len(matrix)
+    if n < 3:
+        return None
+    row = matrix[0]
+    if not np.any(row[1:]) or matrix[1, 0] != row[-1]:
+        return None
+    if not np.array_equal(matrix[1, 1:], row[:-1]) or not np.array_equal(matrix, _cyclic_shifts(row)):
+        return None
+    return row
+
+
+def _circulant_diagonal(spectrum: np.ndarray, n_modes: int) -> float:
+    """The root d of ``mean_k 1/(d + s_k) = d``, the mean over all N eigenvalues s_k of a
+    symmetric circulant with zero diagonal, given its real FFT ``spectrum``.
+
+    The left side minus d, f(d), is convex and strictly decreasing on (-min s, inf), from
+    +inf; at 1 - min s every d + s_k is at least 1, so f is not positive there.  The root
+    is bracketed by these two ends.  Newton's first step from the right end lands left of
+    the root (f is convex), and from there climbs to it monotonically; a step that leaves
+    the bracket, or is not finite, is replaced by bisection.  The loop stops once a step
+    moves d by at most 4 eps relative, whatever the scale of the coupling.
+    """
+    weights = np.full(len(spectrum), 2.0 / n_modes)  # k and N - k share s_k
+    weights[0] = 1.0 / n_modes
+    if n_modes % 2 == 0:
+        weights[-1] = 1.0 / n_modes
+    low = -float(spectrum.min())
+    d = high = 1.0 + low
+    with np.errstate(all="ignore"):  # an iterate near the lower end may overflow; bisected
+        for _ in range(tolerances.NEWTON_MAX_ITER):
+            reciprocals = 1.0 / (d + spectrum)
+            value = float(weights @ reciprocals) - d
+            if value > 0.0:
+                low = d
+            elif value < 0.0:
+                high = d
+            else:
+                return d
+            following = d + value / (float(weights @ (reciprocals * reciprocals)) + 1.0)
+            if abs(following - d) <= 4.0 * np.finfo(float).eps * d:
+                return following
+            d = following if low < following < high else low + (high - low) / 2.0
+    return d
+
+
+def _circulant_completion(coupling: np.ndarray):
+    """The standard form ``coupling + d I`` of an exactly circulant coupling, from the scalar
+    condition of :func:`_circulant_diagonal`, with V_P from one inverse real FFT; None when
+    the coupling is not circulant or the result cannot be certified (no Cholesky factor, a
+    value that is not finite, a residual above ``tolerances.newton`` or a class check that
+    fails)."""
+    row = _circulant_row(coupling)
+    if row is None:
+        return None
+    n = len(row)
+    spectrum = np.fft.rfft(row).real
+    d = _circulant_diagonal(spectrum, n)
+    with np.errstate(all="ignore"):  # refused below, without a warning
+        inverse_row = np.fft.irfft(1.0 / (d + spectrum), n)
+    vq = coupling.copy()
+    np.fill_diagonal(vq, d)
+    # entry 0 of the inverse row is diag(V_Q^{-1}) at every mode
+    if (
+        not np.all(np.isfinite(inverse_row))
+        or not abs(inverse_row[0] - d) <= tolerances.newton(d)
+        or _cholesky(vq) is None
+    ):
+        return None
+    try:
+        return StandardForm._with_inverse(n, vq, _cyclic_shifts(inverse_row))
+    except ValueError:  # an entry above tolerances.MAX_ENTRY, or a Williamson gap
+        return None
+
+
 def read_vq_document(doc) -> tuple:
     """Schema-check a ``{"n_modes", "vq"}`` document; return ``(n_modes, vq)``."""
     n_modes = _read_header(doc, "standard-form", ("n_modes", "vq"))
@@ -277,20 +363,6 @@ def _newton_system(vq: np.ndarray, inverse: np.ndarray) -> tuple:
     return np.diag(inverse) - np.diag(vq), negated_jacobian
 
 
-def reconstruction_jacobian(vq: np.ndarray) -> np.ndarray:
-    """Jacobian of ``diag(V_Q^{-1}) - d`` with respect to the diagonal d.
-
-    With W = V_Q^{-1}, perturbing d_j by e moves W by -e W e_j e_j^T W, so
-    the (i, j) entry is ``-(W_ij)^2 - delta_ij``.
-    """
-    return -_newton_system(vq, np.linalg.inv(vq))[1]
-
-
-def condition_residual(vq: np.ndarray) -> np.ndarray:
-    """Williamson condition residual ``diag(V_Q^{-1}) - diag(V_Q)``."""
-    return _newton_system(vq, np.linalg.inv(vq))[0]
-
-
 def reconstruct_diagonal(
     offdiag, n_modes: int, max_iter: int = tolerances.NEWTON_MAX_ITER
 ) -> StandardForm:
@@ -309,13 +381,26 @@ def reconstruct_diagonal(
     toward the anchor, as any Newton step is, while it leaves the
     positive-definite cone.  Each iterate is factored once, by that cone's
     Cholesky test, and inverted once from the factor; its residual and the
-    Jacobian of :func:`reconstruction_jacobian` are both read from that
+    Jacobian W∘W + I of :func:`_newton_system` are both read from that
     inverse, and the converged iterate's inverse becomes ``vp``.
+
+    An exactly circulant coupling of at least 3 modes, such as a
+    translation-invariant ring's, takes the Fourier route instead: by
+    symmetry its diagonal is one number d, and its N conditions are the one
+    scalar equation ``mean_k 1/(d + c_k) = d`` over the coupling's
+    eigenvalues c_k, one real FFT of its first row (see
+    :func:`_circulant_diagonal`).  Then V_Q = C + d I passes one Cholesky
+    test, and ``vp`` is the circulant of one inverse real FFT of
+    ``1/(d + c_k)``.  A result that cannot be certified (no factor, a value
+    that is not finite, a residual above ``tolerances.newton``) falls back
+    to the Newton solve.  Every argument check and the anchor's overflow
+    refusal run first, on both routes.
 
     Args:
         offdiag: the N(N-1)/2 strict upper-triangle entries, row-major, finite.
         n_modes: number of modes N, at least 1.
-        max_iter: Newton iteration budget, an integer >= 0.
+        max_iter: iteration budget of the Newton solve, an integer >= 0; the
+            Fourier route does not draw on it.
 
     Raises:
         ValueError: for ``n_modes`` not an integer >= 1, ``max_iter`` not an integer >= 0, or
@@ -347,6 +432,9 @@ def reconstruct_diagonal(
         estimate = np.sqrt(1.0 + np.sum(coupling**2, axis=1))
     if not np.all(np.isfinite(d)):  # row sums overflowed: no finite start
         raise InfeasibleError(float("inf"), 0)
+    completed = _circulant_completion(coupling)
+    if completed is not None:
+        return completed
     # the first step leads from the anchor d to the estimate, and is halved like a Newton step
     step = d - estimate if np.all(np.isfinite(estimate)) else np.zeros(n_modes)
     last_residual = float("inf")
@@ -409,7 +497,14 @@ def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:
 
     The position block is V^{-1/2} and the momentum block V^{1/2}, both
     derived from one spectral decomposition, so the output is pure to
-    machine precision.
+    machine precision.  A general V is decomposed by ``np.linalg.eigh``.  An
+    exactly circulant V of at least 3 modes, such as a ring's, is decomposed
+    by the Fourier transform: its eigenvalues are one real FFT of its first
+    row, and the first rows of both blocks are inverse real FFTs of their
+    powers -1/2 and 1/2.  Both blocks are then exactly symmetric circulants,
+    whose N(N-1)/2 correlations take floor(N/2) values (``gmps.theta``).  The
+    conditioning rule of ``tolerances.POTENTIAL_RESOLUTION`` and its
+    refusals are the same on both routes.
 
     Args:
         potential: symmetric positive-definite N x N coupling matrix V, with
@@ -422,8 +517,13 @@ def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:
         raise ValueError(f"potential must be nonempty and square, got shape {potential.shape}")
     _bounded_norm("potential", potential)
     _check_symmetric("potential", potential)
-    eigenvalues, eigenvectors = np.linalg.eigh(potential)
-    lowest, largest = eigenvalues[0], max(abs(eigenvalues[0]), abs(eigenvalues[-1]))
+    row = _circulant_row(potential)
+    if row is None:
+        eigenvalues, eigenvectors = np.linalg.eigh(potential)
+    else:  # half of the spectrum: the eigenvalues at k and N - k coincide
+        eigenvalues = np.fft.rfft(row).real
+    lowest = eigenvalues.min()
+    largest = max(abs(lowest), abs(eigenvalues.max()))
     resolution = tolerances.POTENTIAL_RESOLUTION * np.finfo(float).eps * largest
     if lowest < -resolution:
         raise ValueError(f"potential is not positive definite (min eigenvalue {lowest:.3e})")
@@ -433,6 +533,11 @@ def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:
             f"is not resolved against its largest {largest:.3e}"
         )
     roots = np.sqrt(eigenvalues)
+    if row is not None:  # _from_blocks makes each circulant exactly symmetric
+        n = len(row)
+        return _from_blocks(
+            _cyclic_shifts(np.fft.irfft(1.0 / roots, n)), _cyclic_shifts(np.fft.irfft(roots, n))
+        )
     return _from_blocks(
         (eigenvectors / roots) @ eigenvectors.T, (eigenvectors * roots) @ eigenvectors.T
     )

@@ -51,8 +51,9 @@ def _check_mode_indices(n_modes: int, *indices) -> None:
 
 def _bounded_norm(what: str, *matrices) -> float:
     """Largest absolute entry of the matrices, refused unless finite and at most ``tolerances.MAX_ENTRY``."""
-    norm = max(float(np.max(np.abs(matrix))) for matrix in matrices)
-    if not norm <= tolerances.MAX_ENTRY:  # also refuses nan
+    norms = [float(np.max(np.abs(matrix))) for matrix in matrices]
+    norm = max(norms)  # which drops a nan that follows a number, so each norm is bounded
+    if not all(value <= tolerances.MAX_ENTRY for value in norms):  # also refuses nan
         raise ValueError(
             f"{what} entries must be finite and at most {tolerances.MAX_ENTRY:g} in magnitude"
         )
@@ -76,12 +77,13 @@ def _from_blocks(vq: np.ndarray, vp: np.ndarray) -> CovarianceMatrix:
     hold by construction, so neither 4N^2 scan is repeated.
     """
     n = len(vq)
+    vq, vp = (vq + vq.T) / 2.0, (vp + vp.T) / 2.0
+    norm = _bounded_norm("covariance matrix", vq, vp)  # the zero q-p blocks add nothing
     data = np.zeros((2 * n, 2 * n))
-    data[0::2, 0::2] = (vq + vq.T) / 2.0
-    data[1::2, 1::2] = (vp + vp.T) / 2.0
+    data[0::2, 0::2] = vq
+    data[1::2, 1::2] = vp
     data.flags.writeable = False
     cm = CovarianceMatrix.__new__(CovarianceMatrix)
-    norm = _bounded_norm("covariance matrix", data)
     vars(cm).update(n_modes=n, data=data, _inf_norm=norm, _qp_free=True)
     return cm
 

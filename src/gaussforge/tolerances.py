@@ -20,10 +20,14 @@ RANK = 1e-6
 MAX_ENTRY = 1e150
 
 # a potential's smallest eigenvalue must exceed this many units of eps times
-# its largest: eigh resolves eigenvalues only to about eps * largest, and on
-# rings (couplings 1e0..1e17, N in {3, 64}) the ground state's relative error
-# grew as ~0.3 * eps * largest / smallest, so accepted states stay within
-# ~3e-9; a conditioning limit, not a residual, so GF_TOL_OVERRIDE does not scale it
+# its largest.  The error model is the eigh route's: eigh resolves eigenvalues
+# only to about eps * largest, and on rings (couplings 1e0..1e17, N in {3, 64})
+# its ground state's relative error grew as ~0.3 * eps * largest / smallest, so
+# accepted states stay within ~3e-9.  Exactly circulant potentials, rings
+# among them, take the Fourier route, which is accurate to a few eps at every
+# accepted coupling; the same limit applies to them, so the refusals do not
+# depend on the route.  A conditioning limit, not a residual, so
+# GF_TOL_OVERRIDE does not scale it
 POTENTIAL_RESOLUTION = 1e8
 
 # engineering restarts the running product of a splitter chain's cos factors

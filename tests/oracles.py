@@ -7,7 +7,9 @@ symplectic matrices for squeezers and beam splitters, congruences
 determinants, and the gate schedule behind the paper's N(N-1)/2 free
 parameters.  They check their inputs with the library's own rules
 (``_dense_data``, ``_check_mode_indices``, ``tolerances.symplectic``), so
-their refusals read as the library's.
+their refusals read as the library's.  The Williamson conditions of the
+diagonal reconstruction and their Jacobian are here too, each from a fresh
+``np.linalg.inv`` of V_Q.
 """
 
 from dataclasses import dataclass
@@ -15,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from gaussforge import tolerances
+from gaussforge.standard_form import _newton_system
 from gaussforge.symplectic import (
     CovarianceMatrix,
     _check_mode_indices,
@@ -35,6 +38,21 @@ def mode_block(cm: CovarianceMatrix, mode_i: int, mode_j: int | None = None) -> 
     mode_j = mode_i if mode_j is None else mode_j
     _check_mode_indices(cm.n_modes, mode_i, mode_j)
     return np.array(cm.data[_mode_rows(mode_i), _mode_rows(mode_j)])
+
+
+def reconstruction_jacobian(vq: np.ndarray) -> np.ndarray:
+    """Jacobian of ``diag(V_Q^{-1}) - d`` with respect to the diagonal d, as the library's
+    Newton system reads it, at ``np.linalg.inv(vq)``.
+
+    With W = V_Q^{-1}, perturbing d_j by e moves W by -e W e_j e_j^T W, so
+    the (i, j) entry is ``-(W_ij)^2 - delta_ij``.
+    """
+    return -_newton_system(vq, np.linalg.inv(vq))[1]
+
+
+def condition_residual(vq: np.ndarray) -> np.ndarray:
+    """Williamson condition residual ``diag(V_Q^{-1}) - diag(V_Q)``, by ``np.linalg.inv``."""
+    return np.diag(np.linalg.inv(vq)) - np.diag(vq)
 
 
 def block_dets(sigma: np.ndarray, i, j) -> np.ndarray:

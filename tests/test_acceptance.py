@@ -27,19 +27,24 @@ from gaussforge.entanglement import (
 )
 from gaussforge.gmps import parity_table
 from gaussforge.standard_form import (
-    condition_residual,
     det_identity_residual,
     extract_parameters,
     harmonic_ground_state,
     reconstruct_diagonal,
-    reconstruction_jacobian,
     ring_potential,
     to_standard_form,
 )
 from gaussforge.symplectic import is_pure, williamson_spectrum
 
 from conftest import random_local_symplectic
-from oracles import apply_symplectic, free_parameter_audit, mode_block, reduced_cm
+from oracles import (
+    apply_symplectic,
+    condition_residual,
+    free_parameter_audit,
+    mode_block,
+    reconstruction_jacobian,
+    reduced_cm,
+)
 
 SWEEP_MODES = range(2, 11)
 SWEEP_SIZE = 100

@@ -7,6 +7,7 @@ import pytest
 
 from gaussforge import standard_form, symplectic, tolerances
 from gaussforge.engineering import Recipe, engineer_state, random_recipe
+from gaussforge.gmps import theta
 from gaussforge.errors import (
     InfeasibleError,
     InputFormatError,
@@ -15,12 +16,10 @@ from gaussforge.errors import (
 )
 from gaussforge.standard_form import (
     StandardForm,
-    condition_residual,
     det_identity_residual,
     extract_parameters,
     harmonic_ground_state,
     reconstruct_diagonal,
-    reconstruction_jacobian,
     ring_potential,
     standard_form_to_cm,
     to_standard_form,
@@ -35,7 +34,21 @@ from conftest import (
     random_spd,
     record_calls,
 )
-from oracles import SymplecticMatrix, apply_symplectic, block_dets, mode_block, reduced_cm
+from oracles import (
+    SymplecticMatrix,
+    apply_symplectic,
+    block_dets,
+    condition_residual,
+    mode_block,
+    reconstruction_jacobian,
+    reduced_cm,
+)
+
+def graded_ring(n: int, coupling: float) -> np.ndarray:
+    """A ring potential with on-site terms graded from 0 to 0.3: not circulant, so its
+    ground state and reconstruction take the dense routes, as every generic state does."""
+    return ring_potential(n, coupling) + np.diag(np.linspace(0.0, 0.3, n))
+
 
 TMS = Recipe(2, np.sqrt(2.0))  # two-mode squeezed state with a = 1.25, c = 0.75
 
@@ -155,7 +168,7 @@ class TestToStandardForm:
 
     @pytest.mark.xfail(strict=True, raises=NotInGenericClassError)
     def test_exact_local_unitary_normalisation_of_two_modes(self):
-        """ROADMAP.md item 1: every generic local frame is refused today, already at two modes.
+        """ROADMAP.md item 2: every generic local frame is refused today, already at two modes.
 
         The comparison is modulo the residual gauge (a sign per mode and the
         V_Q <-> V_P swap), which in two modes only flips the off-diagonal's sign.
@@ -405,8 +418,8 @@ class TestQpFreeRoute:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: to_standard_form(harmonic_ground_state(ring_potential(31, 0.5))),
-            lambda: to_standard_form(harmonic_ground_state(ring_potential(64, 2.0))),
+            lambda: to_standard_form(harmonic_ground_state(graded_ring(31, 0.5))),
+            lambda: to_standard_form(harmonic_ground_state(graded_ring(64, 2.0))),
             lambda: to_standard_form(engineer_state(random_recipe(8, seed=1, s_max=15.0))),
         ],
         ids=["ring-31", "ring-64", "engineered-8-squeezed"],
@@ -414,7 +427,8 @@ class TestQpFreeRoute:
     def test_reconstruction_factors_each_candidate_once(self, make, monkeypatch):
         """One Cholesky per candidate the Newton loop tries, and none in the constructor:
         every candidate that has a factor is inverted once, from that factor, and no
-        other matrix is factored."""
+        other matrix is factored.  The rings are graded: an exact ring takes the circulant
+        completion, which factors its one candidate and inverts none."""
         sf = make()
         factored, refused, inverted = [], [], []
         cholesky, factor_inverse = np.linalg.cholesky, standard_form._factor_inverse
@@ -490,7 +504,7 @@ class TestFactorInverse:
         """A candidate that passes Cholesky but whose factor inverse overflows ends the
         solve with the residual of the iterate before it, as a singular inverse does."""
         n = 40
-        params = extract_parameters(to_standard_form(harmonic_ground_state(ring_potential(n, 0.5))))
+        params = extract_parameters(to_standard_form(harmonic_ground_state(graded_ring(n, 0.5))))
         factored = []
         cholesky = np.linalg.cholesky
 
@@ -639,8 +653,8 @@ class TestReconstructDiagonal:
     @pytest.mark.parametrize("n", [31, 64])
     @pytest.mark.parametrize("coupling", [0.1, 0.5, 2.0])
     def test_ring_reconstruction_inverts_at_most_four_iterates(self, monkeypatch, n, coupling):
-        """The start sqrt(1 + sum_j v_ij^2) leaves a ring at most three Newton steps."""
-        ring = harmonic_ground_state(ring_potential(n, coupling))
+        """The start sqrt(1 + sum_j v_ij^2) leaves a graded ring at most three Newton steps."""
+        ring = harmonic_ground_state(graded_ring(n, coupling))
         params = extract_parameters(to_standard_form(ring))
         calls = record_calls(monkeypatch, standard_form, "_factor_inverse")
         reconstruct_diagonal(params, n)
@@ -833,7 +847,8 @@ class TestHarmonicGroundState:
     @pytest.mark.parametrize("n", [3, 64])
     @pytest.mark.parametrize("exponent", range(8, 18))
     def test_unresolved_ring_couplings_are_refused(self, n, exponent):
-        """At 1e16 the computed smallest eigenvalue of the N=3 ring is -2, not 1."""
+        """At 1e16 the stored 1 + 2c rounds to 2c, so the N=3 ring's smallest eigenvalue
+        is 0, not 1 (the FFT reads 0; a dense eigh read -2)."""
         with pytest.raises(ValueError, match="ill-conditioned"):
             harmonic_ground_state(ring_potential(n, 10.0**exponent))
 
@@ -856,6 +871,153 @@ class TestHarmonicGroundState:
         potential[0, 1] += 1e-12
         with pytest.raises(ValueError, match="potential must be symmetric"):
             harmonic_ground_state(potential)
+
+
+RING_MODES = [3, 4, 5, 9, 31, 64]
+RING_COUPLINGS = [0.1, 0.5, 2.0]
+
+
+def ring_standard_form(n: int, coupling: float) -> StandardForm:
+    return to_standard_form(harmonic_ground_state(ring_potential(n, coupling)))
+
+
+class TestCirculantRoute:
+    """Exactly circulant potentials and couplings of at least 3 modes take the Fourier route:
+    a real FFT for the ground state, and one scalar equation for the reconstruction."""
+
+    @pytest.mark.parametrize("n", RING_MODES)
+    @pytest.mark.parametrize("coupling", RING_COUPLINGS)
+    def test_ring_has_theta_distinct_parameters(self, n, coupling):
+        """The paper's count for a translation-invariant ring: its N(N-1)/2 correlations are
+        theta(N) = floor(N/2) numbers r_k = r_{N-k}, gathered exactly by ring distance.
+
+        The theta(N) values are distinct wherever they stand above the rounding of the
+        Fourier sums.  A 64-mode ring at coupling 0.5 or below has correlations that decay
+        below 1e-16 before half-way round; those are rounding, and two of them are exact
+        zeros, so it shows fewer than theta(N) distinct values.
+        """
+        sf = ring_standard_form(n, coupling)
+        params = extract_parameters(sf)
+        row = sf.vq[0, 1 : theta(n) + 1]
+        i, j = np.nonzero(np.triu(np.ones((n, n), dtype=bool), 1))  # row-major, as extracted
+        distance = np.minimum(j - i, n - (j - i))
+        assert np.array_equal(params, row[distance - 1])
+        resolved = row[np.abs(row) > 1e-14 * sf.vq[0, 0]]
+        assert len(np.unique(resolved)) == len(resolved)
+        assert len(np.unique(params)) == len(np.unique(row))
+
+    @pytest.mark.parametrize(
+        "n, coupling",
+        [(n, c) for n in (3, 4, 5, 9) for c in RING_COUPLINGS] + [(31, 0.5), (31, 2.0), (64, 2.0)],
+    )
+    def test_resolved_ring_has_exactly_theta_distinct_parameters(self, n, coupling):
+        """Where every r_k stands above rounding, the count is exactly theta(N)."""
+        params = extract_parameters(ring_standard_form(n, coupling))
+        assert len(np.unique(params)) == theta(n)
+
+    @pytest.mark.parametrize("n", RING_MODES)
+    @pytest.mark.parametrize("coupling", RING_COUPLINGS + [1e3, 1e6])
+    def test_ground_state_matches_the_closed_form_spectrum(self, n, coupling):
+        """V_Q and V_P are the plane-wave sums of lambda_k^(-/+1/2), with the ring's
+        spectrum lambda_k = 1 + 4c sin^2(pi k / N) written out, not computed from V."""
+        k = np.arange(n)
+        lam = 1.0 + 4.0 * coupling * np.sin(np.pi * k / n) ** 2
+        waves = np.cos(2.0 * np.pi * np.outer(k, k) / n)  # real part of the DFT; lam_k = lam_(N-k)
+        cm = harmonic_ground_state(ring_potential(n, coupling))
+        for block, power in ((cm.data[0::2, 0::2], -0.5), (cm.data[1::2, 1::2], 0.5)):
+            row = waves @ lam**power / n
+            expected = np.array([np.roll(row, i) for i in range(n)])
+            assert np.max(np.abs(block - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n", RING_MODES)
+    @pytest.mark.parametrize("coupling", RING_COUPLINGS + [1e3, 1e6])
+    def test_scalar_completion_rebuilds_the_ring(self, n, coupling):
+        sf = ring_standard_form(n, coupling)
+        rebuilt = reconstruct_diagonal(extract_parameters(sf), n)
+        assert np.max(np.abs(rebuilt.vq - sf.vq)) <= 1e-13 * np.max(np.abs(sf.vq))
+        assert np.max(np.abs(rebuilt.vq @ rebuilt.vp - np.eye(n))) <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 31, 64, 101])
+    def test_exact_ring_inverts_nothing_and_takes_no_newton_iterate(self, n, monkeypatch):
+        params = extract_parameters(ring_standard_form(n, 0.5))
+        forbid(monkeypatch, standard_form, "_factor_inverse", "_newton_system")
+        forbid(monkeypatch, np.linalg, "eigh", "inv")
+        rebuilt = reconstruct_diagonal(params, n)
+        cm = harmonic_ground_state(ring_potential(n, 0.5))
+        for block in (rebuilt.vq, rebuilt.vp, *cm._vq_vp):  # exactly symmetric circulants
+            assert standard_form._circulant_row(block) is not None
+            assert np.array_equal(block, block.T)
+
+    @pytest.mark.parametrize("n", [3, 31, 64])
+    def test_non_circulant_potential_keeps_the_eigh_bits(self, n, monkeypatch):
+        """One eigh, and the blocks (U L^(-/+1/2) U^T), symmetrized, to the bit."""
+        potential = graded_ring(n, 0.5)
+        eigenvalues, eigenvectors = np.linalg.eigh(potential)
+        roots = np.sqrt(eigenvalues)
+        calls = record_calls(monkeypatch, np.linalg, "eigh")
+        cm = harmonic_ground_state(potential)
+        assert len(calls) == 1
+        for block, product in (
+            (cm.data[0::2, 0::2], (eigenvectors / roots) @ eigenvectors.T),
+            (cm.data[1::2, 1::2], (eigenvectors * roots) @ eigenvectors.T),
+        ):
+            assert block.tobytes() == ((product + product.T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("coupling", [0.1, 2.0, 1e3])
+    def test_two_modes_stay_on_eigh_and_newton(self, coupling, monkeypatch):
+        """Every 2x2 matrix with a constant diagonal is circulant; two modes keep the
+        dense routes, and their bits."""
+        eighs = record_calls(monkeypatch, np.linalg, "eigh")
+        sf = ring_standard_form(2, coupling)
+        iterates = record_calls(monkeypatch, standard_form, "_newton_system")
+        reconstruct_diagonal(extract_parameters(sf), 2)
+        assert len(eighs) == 1 and len(iterates) >= 1
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [lambda d: d * (1.0 + 1e-9), lambda d: 5.0, None],
+        ids=["residual-only", "class-check", "no-factor"],
+    )
+    def test_uncertified_completion_falls_back_to_newton(self, spoil, monkeypatch):
+        """A scalar root that fails certification is dropped for the Newton solve, with the
+        Newton bits and no new error: off by 1e-9 relative it passes the class check and
+        fails only the residual check, at 5 it fails the Williamson gap, and a V_Q whose
+        first Cholesky test is refused is not used either."""
+        n = 31
+        params = extract_parameters(ring_standard_form(n, 0.5))
+        monkeypatch.setattr(standard_form, "_circulant_row", lambda matrix: None)
+        newton = reconstruct_diagonal(params, n)
+        monkeypatch.undo()
+        if spoil is None:
+            cholesky, tested = standard_form._cholesky, []
+
+            def first_refused(vq):
+                tested.append(vq)
+                return None if len(tested) == 1 else cholesky(vq)
+
+            monkeypatch.setattr(standard_form, "_cholesky", first_refused)
+        else:
+            root = standard_form._circulant_diagonal
+            monkeypatch.setattr(
+                standard_form,
+                "_circulant_diagonal",
+                lambda spectrum, n_modes: spoil(root(spectrum, n_modes)),
+            )
+        rebuilt = reconstruct_diagonal(params, n)
+        assert rebuilt.vq.tobytes() == newton.vq.tobytes()
+        assert rebuilt.vp.tobytes() == newton.vp.tobytes()
+
+    def test_detection_is_exact(self):
+        ring = ring_potential(7, 0.5)
+        assert np.array_equal(standard_form._circulant_row(ring), ring[0])
+        assert standard_form._circulant_row(ring_potential(2, 0.5)) is None
+        assert standard_form._circulant_row(ring_potential(7, 0.0)) is None  # diagonal: kept exact
+        toeplitz = ring.copy()
+        toeplitz[0, -1] = toeplitz[-1, 0] = 0.0  # an open chain: row 1 already differs
+        assert standard_form._circulant_row(toeplitz) is None
+        last = ring.copy()
+        last[-1, -1] = np.nextafter(last[-1, -1], 3.0)  # only the full compare sees it
+        assert standard_form._circulant_row(last) is None
 
 
 class TestRingPotential:

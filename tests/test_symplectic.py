@@ -430,6 +430,18 @@ class TestFromBlocks:
             symplectic._from_blocks(vq, vp)
         assert str(built.value) == str(dense.value)
 
+    @pytest.mark.parametrize("huge", [1e160, np.nan, np.inf])
+    def test_bound_of_the_momentum_block_refused(self, huge):
+        """Each block is bounded on its own: a nan in V_P, after V_Q's finite largest
+        entry, is not dropped by the max over the two."""
+        with pytest.raises(ValueError, match="covariance matrix entries must be finite"):
+            symplectic._from_blocks(np.eye(2), np.diag([1.0, huge]))
+
+    def test_norm_is_the_dense_inf_norm(self, rng):
+        vq = random_spd(9, rng)
+        cm = symplectic._from_blocks(vq, np.linalg.inv(vq))
+        assert cm.inf_norm() == float(np.max(np.abs(cm.data)))
+
 
 class TestBonaFide:
     def test_vacuum_and_squeezed_accepted(self):
