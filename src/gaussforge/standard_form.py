@@ -41,16 +41,18 @@ class StandardForm:
     Attributes:
         n_modes: number of modes N.
         vq: symmetric positive-definite N x N matrix of <q_i q_j>.
-        vp: V_P = V_Q^{-1} from V_Q's Cholesky factor (:func:`_factor_inverse`), symmetrized.
+        vp: V_P = (W + W^T) / 2 for an inverse W of V_Q.
 
     The constructor checks its inputs at the boundary (``n_modes`` an
     integer, ``vq`` copied to a float N x N array, exactly symmetric and
-    positive definite), then the class: entries at most
-    ``tolerances.MAX_ENTRY`` and the Williamson diagonal conditions
+    positive definite) and inverts V_Q from its Cholesky factor.  Builders
+    inside the package skip those checks: their V_Q is fresh, symmetric by
+    construction and Cholesky-tested, and they supply W themselves, from the
+    factor or, on the Fourier route, from one inverse real FFT.  Every route
+    ends in :meth:`_seal`, which checks the class: entries at most
+    ``tolerances.MAX_ENTRY``, then the Williamson diagonal conditions
     ``(V_Q^{-1})_ii = (V_Q)_ii`` within ``tolerances.block`` of the larger
-    block norm.  Standard forms built inside the package run the class checks
-    only: their V_Q is a fresh float array, symmetric by construction, and
-    its builder has already factored it and inverted it from that factor.
+    block norm.
     """
 
     n_modes: int
@@ -70,27 +72,25 @@ class StandardForm:
     @classmethod
     def _with_inverse(cls, n_modes: int, vq: np.ndarray, inverse: np.ndarray) -> "StandardForm":
         """Construct with only the class checks, from a fresh, exactly symmetric ``vq``
-        that has passed a Cholesky test and its :func:`_factor_inverse` ``inverse``."""
+        that has passed a Cholesky test and an ``inverse`` W of it."""
         sf = cls.__new__(cls)
         sf._seal(n_modes, vq, inverse)
         return sf
 
     def _seal(self, n_modes: int, vq: np.ndarray, inverse: np.ndarray) -> None:
-        """Take ``vq`` without a copy, read-only, and vp from ``inverse``; then check the class."""
-        vq.flags.writeable = False
+        """Take ``vq`` without a copy and V_P = (W + W^T) / 2 from W = ``inverse``, both
+        read-only; then refuse entries above ``tolerances.MAX_ENTRY`` and a Williamson gap."""
+        vp = (inverse + inverse.T) / 2.0
+        vq.flags.writeable = vp.flags.writeable = False
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "vq", vq)
-        object.__setattr__(self, "vp", _momentum_block(inverse))
-        self._check_class()
-
-    def _check_class(self) -> None:
-        """Refuse entries above ``tolerances.MAX_ENTRY`` and a Williamson diagonal gap."""
-        norm = _bounded_norm("standard-form", self.vq, self.vp)
-        diag_gap = float(np.max(np.abs(np.diag(self.vp) - np.diag(self.vq))))
-        if diag_gap > tolerances.block(norm):
+        object.__setattr__(self, "vp", vp)
+        tol = tolerances.block(_bounded_norm("standard-form", vq, vp))
+        diag_gap = float(np.max(np.abs(np.diag(vp) - np.diag(vq))))
+        if diag_gap > tol:
             raise ValueError(
                 f"Williamson diagonal conditions violated: |diag(vq^-1) - diag(vq)| "
-                f"= {diag_gap:.3e} exceeds {tolerances.block(norm):.3e}"
+                f"= {diag_gap:.3e} exceeds {tol:.3e}"
             )
 
     @cached_property
@@ -153,13 +153,6 @@ def _triangular_inverse(lower: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _momentum_block(inverse: np.ndarray) -> np.ndarray:
-    """V_P from an inverse of V_Q: symmetrized and read-only."""
-    vp = (inverse + inverse.T) / 2.0
-    vp.flags.writeable = False
-    return vp
-
-
 def _strict_upper(n_modes: int) -> np.ndarray:
     """Boolean mask of the strict upper triangle; indexing with it reads row-major order."""
     return ~np.tri(n_modes, dtype=bool)
@@ -196,7 +189,8 @@ def _circulant_diagonal(spectrum: np.ndarray, n_modes: int) -> float:
     is bracketed by these two ends.  Newton's first step from the right end lands left of
     the root (f is convex), and from there climbs to it monotonically; a step that leaves
     the bracket, or is not finite, is replaced by bisection.  The loop stops once a step
-    moves d by at most 4 eps relative, whatever the scale of the coupling.
+    moves d by at most ``tolerances.CIRCULANT_STEP`` relative, whatever the scale of the
+    coupling.
     """
     weights = np.full(len(spectrum), 2.0 / n_modes)  # k and N - k share s_k
     weights[0] = 1.0 / n_modes
@@ -215,7 +209,7 @@ def _circulant_diagonal(spectrum: np.ndarray, n_modes: int) -> float:
             else:
                 return d
             following = d + value / (float(weights @ (reciprocals * reciprocals)) + 1.0)
-            if abs(following - d) <= 4.0 * np.finfo(float).eps * d:
+            if abs(following - d) <= tolerances.CIRCULANT_STEP * d:
                 return following
             d = following if low < following < high else low + (high - low) / 2.0
     return d
@@ -270,18 +264,6 @@ def _balance(q: np.ndarray, p: np.ndarray) -> tuple:
     return (q + q.T) / 2.0, (p + p.T) / 2.0, t
 
 
-def _qp_free_normalization(cm: CovarianceMatrix) -> tuple:
-    """Balance each mode of a state whose q-p block is exactly zero (``cm._qp_free``).
-
-    No mode of such a state turns: its q-p diagonal is zero, within any
-    ``tolerances.rotation``.  So :func:`_local_normalization` would mix no row
-    and return a q-p block of exact zeros; this gives its V_Q and V_P, bit for
-    bit, without the rotation stage or the cross block.
-    """
-    # + 0.0 turns -0 into +0, as the dense identity congruence does; the blocks are symmetric
-    return _balance(*(block + 0.0 for block in cm._vq_vp))[:2]
-
-
 def _local_normalization(cm: CovarianceMatrix) -> tuple:
     """Rotate and balance each mode so its 2x2 block becomes c_k * identity.
 
@@ -333,7 +315,10 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
     """
     require_pure(cm)
     if cm._qp_free:
-        vq, p_block = _qp_free_normalization(cm)
+        # no mode turns (its q-p diagonal is zero), so _local_normalization would mix no row and
+        # return exact-zero cross terms: balancing alone gives its V_Q and V_P bit for bit.
+        # + 0.0 turns -0 into +0, as the dense identity congruence does; the blocks are symmetric
+        vq, p_block, _ = _balance(*(block + 0.0 for block in cm._vq_vp))
         tol = tolerances.block(_bounded_norm("covariance matrix", vq, p_block))
     else:
         vq, p_block, cross_block = _local_normalization(cm)

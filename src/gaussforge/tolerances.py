@@ -12,6 +12,7 @@ is not an ``os._Environ``.
 """
 
 import os
+import sys
 
 # symplectic eigenvalues within RANK of 1 count as vacuum normal modes
 RANK = 1e-6
@@ -43,6 +44,13 @@ DEGENERACY_MARGIN = 1e-3
 # Newton solver budget for diagonal reconstruction
 NEWTON_MAX_ITER = 200
 NEWTON_MAX_BACKTRACK = 40
+
+# the Fourier route's scalar Newton solve for a circulant's diagonal d stops once a
+# step moves d by at most this fraction of d: a step that small is the roundoff of the
+# sums that form it, at every coupling scale.  A stopping rule, like NEWTON_MAX_ITER,
+# not a residual, so GF_TOL_OVERRIDE does not scale it; eps comes from sys, since gmps
+# and --help load this module without numpy
+CIRCULANT_STEP = 4.0 * sys.float_info.epsilon
 
 
 # the override's key as ``os.environ`` stores it in the dict behind it

@@ -310,15 +310,16 @@ class TestRing:
         assert "1001" in result.stderr and "1000" in result.stderr
 
     def test_one_purity_check(self, runner, monkeypatch):
-        """One purity verdict (``require_pure``, which no longer calls ``is_pure``) and one
-        purity product for the ring state."""
+        """One purity product for the ring state; each printed entropy's verdict
+        (``require_pure``, which no longer calls ``is_pure``) reads its cached residual."""
         from gaussforge import entanglement, symplectic
 
         verdicts = record_calls(monkeypatch, entanglement, "require_pure")
         products = record_calls(monkeypatch, symplectic, "_block_purity_product")
         result = runner.invoke(main, ["ring", "--n", "9", "--coupling", "0.5"])
         assert result.exit_code == 0
-        assert [cm.n_modes for cm in verdicts] == [9] and [len(vq) for vq in products] == [9]
+        assert [cm.n_modes for cm in verdicts] == [9] * 9 and len({id(cm) for cm in verdicts}) == 1
+        assert [len(vq) for vq in products] == [9]
 
     @pytest.mark.parametrize("n", ["3", "64"])
     @pytest.mark.parametrize("coupling", ["1e16", "1e17", "1e308"])

@@ -186,6 +186,16 @@ class TestBosonicEntropy:
             with pytest.raises(ValueError, match=r"^symplectic eigenvalue .* lies outside"):
                 bosonic_entropy(nu)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError)
+    def test_accurate_at_large_eigenvalues(self):
+        """ROADMAP.md item 4 (CHANGES.md line 72): the two halves of the formula cancel above
+        2^53, so nu = 1e16 gives 0.0 today; the log1p form keeps every digit."""
+        nu = 1e16
+        down = (nu - 1.0) / 2.0
+        expected = math.log2((nu + 1.0) / 2.0) + down * math.log1p(1.0 / down) / math.log(2.0)
+        assert expected == pytest.approx(53.5935, abs=1e-4)
+        assert bosonic_entropy(nu) == pytest.approx(expected, rel=1e-12)
+
     def test_window_follows_tol_override_from_one_read(self, monkeypatch):
         """The lower edge scales with the override, read once per call for both thresholds."""
         with pytest.raises(ValueError, match=r"^symplectic eigenvalue 0\.99999 lies outside "):

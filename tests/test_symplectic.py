@@ -488,6 +488,15 @@ class TestPurity:
         # -Omega sigma Omega sigma = 4*identity, so the residual is 3
         assert result.residual == pytest.approx(3.0, abs=1e-14)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError)
+    def test_squeezed_thermal_not_pure(self):
+        """ROADMAP.md item 4: the thermal state above, squeezed by 316, passes today, though its
+        Williamson spectrum (2,) has rank 1; at a squeezing of 100 it is refused."""
+        s = 316.0
+        cm = CovarianceMatrix(1, np.diag([2.0 * s**2, 2.0 / s**2]))
+        assert williamson_spectrum(cm).rank == 1
+        assert not is_pure(cm).pure
+
     @pytest.mark.parametrize("seed", range(8))
     def test_engineered_states_pure(self, seed):
         cm = engineer_state(random_recipe(4, seed))
