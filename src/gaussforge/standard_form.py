@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tolerances
 from .errors import InfeasibleError, NotInGenericClassError, _integer
@@ -45,10 +44,12 @@ class StandardForm:
 
     The constructor checks its inputs at the boundary (``n_modes`` an
     integer, ``vq`` copied to a float N x N array, exactly symmetric and
-    positive definite) and inverts V_Q from its Cholesky factor.  Builders
-    inside the package skip those checks: their V_Q is fresh, symmetric by
-    construction and Cholesky-tested, and they supply W themselves, from the
-    factor or, on the Fourier route, from one inverse real FFT.  Every route
+    positive definite) and inverts V_Q by :func:`_inverse`: one inverse real
+    FFT for an exact circulant such as a ring's, else from the Cholesky factor.
+    Builders inside the package skip those checks: their V_Q is fresh,
+    symmetric by construction and Cholesky-tested, and they supply W
+    themselves (by :func:`_inverse`, from a Newton iterate's factor, or by one
+    inverse real FFT in the Fourier completion).  Every route
     ends in :meth:`_seal`, which checks the class: entries at most
     ``tolerances.MAX_ENTRY``, then the Williamson diagonal conditions
     ``(V_Q^{-1})_ii = (V_Q)_ii`` within ``tolerances.block`` of the larger
@@ -67,7 +68,7 @@ class StandardForm:
         factor = _cholesky(vq)
         if factor is None:
             raise ValueError("vq must be positive definite")
-        self._seal(n, vq, _factor_inverse(vq, factor))
+        self._seal(n, vq, _inverse(vq, factor))
 
     @classmethod
     def _with_inverse(cls, n_modes: int, vq: np.ndarray, inverse: np.ndarray) -> "StandardForm":
@@ -160,24 +161,41 @@ def _strict_upper(n_modes: int) -> np.ndarray:
 
 def _cyclic_shifts(row: np.ndarray) -> np.ndarray:
     """Read-only strided view of the circulant matrix whose entry (i, j) is ``row[(j - i) % N]``."""
-    n = len(row)
-    return sliding_window_view(np.concatenate([row, row]), n)[n:0:-1]
+    n, step = len(row), row.itemsize  # row i starts at entry N - i of the doubled row
+    shifts = np.ndarray((n, n), row.dtype, np.concatenate([row, row]), n * step, (-step, step))
+    shifts.flags.writeable = False
+    return shifts
 
 
 def _circulant_row(matrix: np.ndarray):
     """Row 0 of ``matrix`` if it has at least 3 rows, is not diagonal, and each row is an exact
-    cyclic shift of row 0; None otherwise.  Row 1 rejects most other matrices in O(N) before
-    the full compare.  Every 2x2 matrix with a constant diagonal is circulant, so two modes
-    never qualify; nor does a diagonal matrix, which the dense routes keep exactly diagonal."""
+    cyclic shift of row 0; None otherwise.  Entry (1, 0), then row 1, reject most other matrices
+    in O(1) and O(N) before the full compare.  Every 2x2 matrix with a constant diagonal is
+    circulant, so two modes never qualify; nor does a diagonal matrix, which the dense routes
+    keep exactly diagonal."""
     n = len(matrix)
     if n < 3:
         return None
     row = matrix[0]
-    if not np.any(row[1:]) or matrix[1, 0] != row[-1]:
+    if matrix[1, 0] != row[-1] or not np.any(row[1:]):
         return None
     if not np.array_equal(matrix[1, 1:], row[:-1]) or not np.array_equal(matrix, _cyclic_shifts(row)):
         return None
     return row
+
+
+def _inverse(vq: np.ndarray, factor: np.ndarray) -> np.ndarray:
+    """V_Q^{-1}: for an exact circulant with positive real-FFT eigenvalues, the circulant of one
+    inverse real FFT of their reciprocals if it is finite; else :func:`_factor_inverse`."""
+    row = _circulant_row(vq)
+    if row is not None:
+        spectrum = np.fft.rfft(row).real
+        if spectrum.min() > 0.0:
+            with np.errstate(all="ignore"):  # an overflow falls back below
+                inverse_row = np.fft.irfft(1.0 / spectrum, len(row))
+            if np.all(np.isfinite(inverse_row)):
+                return _cyclic_shifts(inverse_row)
+    return _factor_inverse(vq, factor)
 
 
 def _circulant_diagonal(spectrum: np.ndarray, n_modes: int) -> float:
@@ -295,14 +313,15 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
 
     Performs per-mode Williamson normalization on the N x N blocks (O(N^2)),
     checks that the q-p block vanishes, and verifies the momentum block
-    against V_Q^{-1}, inverted from the Cholesky factor that tests V_Q (or,
-    without one, by ``np.linalg.inv``).  A state whose q-p block is exactly
-    zero (every state this package builds) is only balanced: no mode of it
-    turns and its normalized q-p block is exactly zero, so the rotation stage
-    and the cross-block check are skipped.  The result is built without the
-    public constructor's boundary checks: V_Q is a fresh float array,
-    symmetric by construction, and the positive-definiteness test runs here,
-    since purity and the class checks pass the two-mode -I.
+    against V_Q^{-1}, inverted by :func:`_inverse` (one inverse real FFT for
+    a ring's exactly circulant V_Q, else from the Cholesky factor that tests
+    V_Q) or, without a factor, by ``np.linalg.inv``.  A state whose q-p block
+    is exactly zero (every state this package builds) is only balanced: no
+    mode of it turns and its normalized q-p block is exactly zero, so the
+    rotation stage and the cross-block check are skipped.  The result is built
+    without the public constructor's boundary checks: V_Q is a fresh float
+    array, symmetric by construction, and the positive-definiteness test runs
+    here, since purity and the class checks pass the two-mode -I.
 
     Raises:
         NotPureError: for mixed inputs.
@@ -327,7 +346,7 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
         if cross > tol:
             raise NotInGenericClassError(cross, tol)
     factor = _cholesky(vq)
-    inverse = np.linalg.inv(vq) if factor is None else _factor_inverse(vq, factor)
+    inverse = np.linalg.inv(vq) if factor is None else _inverse(vq, factor)
     gap = float(np.max(np.abs(p_block - inverse)))
     if gap > tol:
         raise NotInGenericClassError(gap, tol)
@@ -414,12 +433,13 @@ def reconstruct_diagonal(
 
     with np.errstate(over="ignore"):
         d = 1.0 + np.sum(np.abs(coupling), axis=1)
-        estimate = np.sqrt(1.0 + np.sum(coupling**2, axis=1))
     if not np.all(np.isfinite(d)):  # row sums overflowed: no finite start
         raise InfeasibleError(float("inf"), 0)
     completed = _circulant_completion(coupling)
     if completed is not None:
         return completed
+    with np.errstate(over="ignore"):
+        estimate = np.sqrt(1.0 + np.sum(coupling**2, axis=1))
     # the first step leads from the anchor d to the estimate, and is halved like a Newton step
     step = d - estimate if np.all(np.isfinite(estimate)) else np.zeros(n_modes)
     last_residual = float("inf")

@@ -259,17 +259,22 @@ class TestLocalNormalization:
                 assert not refused
 
     @pytest.mark.parametrize(
-        "make",
+        "make, fourier",
         [
-            lambda: harmonic_ground_state(ring_potential(101, 0.5)),
-            lambda: harmonic_ground_state(ring_potential(160, 2.0)),
-            lambda: engineer_state(random_recipe(48, seed=48)),
-            lambda: engineer_state(random_recipe(80, seed=80)),
-            lambda: harmonic_ground_state(ring_potential(64, 0.5) + np.diag(np.linspace(0.0, 3.0, 64))),
-            lambda: vacuum_cm(3),
-            lambda: CovarianceMatrix(3, np.where(np.eye(6) == 1.0, 1.0, -0.0)),
-            lambda: harmonic_ground_state(ring_potential(9, 0.0)),
-            lambda: harmonic_ground_state(np.diag([1.0, 4.0, 0.25, 9.0])),
+            (lambda: harmonic_ground_state(ring_potential(101, 0.5)), True),
+            (lambda: harmonic_ground_state(ring_potential(160, 2.0)), True),
+            (lambda: engineer_state(random_recipe(48, seed=48)), False),
+            (lambda: engineer_state(random_recipe(80, seed=80)), False),
+            (
+                lambda: harmonic_ground_state(
+                    ring_potential(64, 0.5) + np.diag(np.linspace(0.0, 3.0, 64))
+                ),
+                False,
+            ),
+            (lambda: vacuum_cm(3), False),
+            (lambda: CovarianceMatrix(3, np.where(np.eye(6) == 1.0, 1.0, -0.0)), False),
+            (lambda: harmonic_ground_state(ring_potential(9, 0.0)), False),
+            (lambda: harmonic_ground_state(np.diag([1.0, 4.0, 0.25, 9.0])), False),
         ],
         ids=[
             "ring-101",
@@ -283,17 +288,26 @@ class TestLocalNormalization:
             "product",
         ],
     )
-    def test_standard_form_bits_at_lattice_sizes(self, make):
-        """vq, vp and the normalized momentum block byte for byte, signed zeros included;
-        vp is the inverse from V_Q's Cholesky factor, as the public constructor's vp."""
+    def test_standard_form_bits_at_lattice_sizes(self, make, fourier):
+        """vq, vp and the normalized momentum block byte for byte, signed zeros included,
+        and vp as the public constructor's.  vp is the inverse from V_Q's Cholesky factor,
+        or, for a coupled ring, whose balanced V_Q is an exact circulant, the circulant of
+        one inverse real FFT of the reciprocal spectrum, within 1e-13 of the factor's."""
         cm = make()
+        n = cm.n_modes
         q_block, p_block, _ = symplectic._blocks(per_mode_normalization(cm).data)
         vq = (q_block + q_block.T) / 2.0
         inverse = standard_form._factor_inverse(vq, np.linalg.cholesky(vq))
+        if fourier:
+            row = np.fft.irfft(1.0 / np.fft.rfft(vq[0]).real, n)
+            fft_inverse = np.array([np.roll(row, i) for i in range(n)])
+            scale = np.max(np.abs(inverse))
+            assert np.max(np.abs(fft_inverse - inverse)) <= 1e-13 * scale
+            inverse = fft_inverse
         sf = to_standard_form(cm)
         assert sf.vq.tobytes() == vq.tobytes()
         assert sf.vp.tobytes() == ((inverse + inverse.T) / 2.0).tobytes()
-        assert sf.vp.tobytes() == StandardForm(cm.n_modes, sf.vq).vp.tobytes()
+        assert sf.vp.tobytes() == StandardForm(n, sf.vq).vp.tobytes()
         normalized_p = standard_form._local_normalization(cm)[1]
         assert normalized_p.tobytes() == ((p_block + p_block.T) / 2.0).tobytes()
 
@@ -1049,6 +1063,80 @@ class TestCirculantRoute:
         last = ring.copy()
         last[-1, -1] = np.nextafter(last[-1, -1], 3.0)  # only the full compare sees it
         assert standard_form._circulant_row(last) is None
+
+    @pytest.mark.parametrize("n", [3, 5, 31, 64, 101, 160])
+    @pytest.mark.parametrize("coupling", [0.1, 0.5, 2.0, 1e3])
+    def test_exact_ring_standard_form_inverts_by_one_fft(self, n, coupling, monkeypatch):
+        """to_standard_form of a ring: V_Q is balanced as before, one Cholesky test decides
+        positive definiteness, and vp is the symmetrized circulant of one inverse real FFT,
+        with no dense inverse; the public constructor takes the same route, to the bit."""
+        cm = harmonic_ground_state(ring_potential(n, coupling))
+        forbid(monkeypatch, standard_form, "_factor_inverse", "_triangular_inverse")
+        forbid(monkeypatch, np.linalg, "inv")
+        factored = record_calls(monkeypatch, np.linalg, "cholesky")
+        sf = to_standard_form(cm)
+        assert len(factored) == 1
+        balanced = standard_form._balance(*(block + 0.0 for block in cm._vq_vp))[0]
+        assert sf.vq.tobytes() == balanced.tobytes()
+        row = sf.vp[0]
+        assert np.array_equal(sf.vp, np.array([np.roll(row, i) for i in range(n)]))
+        assert np.array_equal(sf.vp, sf.vp.T)
+        assert sf.vp.tobytes() == StandardForm(n, sf.vq).vp.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: harmonic_ground_state(graded_ring(31, 0.5)),
+            lambda: harmonic_ground_state(graded_ring(101, 2.0)),
+            lambda: engineer_state(random_recipe(5, seed=5)),
+            lambda: harmonic_ground_state(ring_potential(2, 0.5)),
+        ],
+        ids=["graded-31", "graded-101", "engineered-5", "ring-2"],
+    )
+    def test_other_states_keep_the_factor_inverse_bits(self, make):
+        """As TestLocalNormalization's lattice-size states, which include diagonal ones: the
+        dense inverse's bits, on both sides of the direct-inverse size and at two modes."""
+        cm = make()
+        sf = to_standard_form(cm)
+        inverse = standard_form._factor_inverse(sf.vq, np.linalg.cholesky(sf.vq))
+        assert sf.vp.tobytes() == ((inverse + inverse.T) / 2.0).tobytes()
+
+    @pytest.mark.parametrize("n", [3, 31, 101])
+    @pytest.mark.parametrize("coupling", [1e3, 1e6])
+    def test_spoiled_ring_momentum_block_is_refused(self, n, coupling, monkeypatch):
+        """V_P scaled by 1 + 1e-6 still passes the purity check at these norms; the gap to the
+        Fourier inverse refuses it."""
+        cm = harmonic_ground_state(ring_potential(n, coupling))
+        data = cm.data.copy()
+        data[1::2, 1::2] *= 1.0 + 1e-6
+        forbid(monkeypatch, standard_form, "_factor_inverse")
+        with pytest.raises(NotInGenericClassError):
+            to_standard_form(CovarianceMatrix(n, data))
+
+    @pytest.mark.parametrize(
+        "vq",
+        [
+            ring_potential(5, 0.5) - 1.5 * np.eye(5),  # an eigenvalue of -0.5
+            np.full((3, 3), 1e-320) + np.diag(np.full(3, 1e-320)),  # 1 / 1e-320 overflows
+        ],
+        ids=["indefinite", "overflow"],
+    )
+    def test_circulant_inverse_falls_back_to_the_factor(self, vq, monkeypatch):
+        """A circulant with an FFT eigenvalue that is not positive, or whose inverse row is
+        not finite, is inverted from the factor, as before."""
+        monkeypatch.setattr(standard_form, "_factor_inverse", lambda vq, factor: "factor")
+        assert standard_form._circulant_row(vq) is not None
+        assert standard_form._inverse(vq, None) == "factor"
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 100])
+    def test_cyclic_shifts_match_the_sliding_window_reference(self, n, rng):
+        row = rng.standard_normal(n)
+        reference = np.lib.stride_tricks.sliding_window_view(np.concatenate([row, row]), n)[n:0:-1]
+        shifts = standard_form._cyclic_shifts(row)
+        assert shifts.shape == (n, n) and shifts.tobytes() == reference.tobytes()
+        assert not shifts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            shifts[0, 0] = 1.0
 
 
 class TestRingPotential:
