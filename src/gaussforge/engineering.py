@@ -158,10 +158,12 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
     the state then degenerates toward a product across that link but remains
     valid.  Of each kind of missing, unexpected or malformed entry the first
     five are named and the rest only counted.  Squeezings and pairs share one
-    coverage pass, which reads each entry once and looks for missing ones only
-    when some are missing, so the cost and the message size follow the
-    recipe's entries, not N.  :func:`engineer_state` and ``gaussforge
-    engineer`` run this check once per recipe and build from its outcome.
+    coverage pass: keys that list the whole schedule in order as plain ints, as
+    :meth:`Recipe.to_dict` writes them, are compared with it, and other keys are
+    each mapped once to a schedule slot, with missing ones looked for only when
+    some are missing.  Either way the cost and the message size follow the
+    recipe's entries, not N.  :func:`engineer_state` and ``gaussforge engineer``
+    run this check once per recipe and build from its outcome.
     """
     try:
         n = _integer(recipe.n_modes, "n_modes", 2)
@@ -175,7 +177,7 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
         errors.append(f"seed squeezing s must be positive, got {recipe.s}")
 
     keys, values = list(recipe.r), list(recipe.r.values())
-    order = _coverage(keys, [_mode_slot(key, n) for key in keys], n - 2, n, _SQUEEZINGS, errors)
+    order = _coverage(keys, n - 2, n, _SQUEEZINGS, errors)
     for k in order[~(_reals(values)[order] > 0.0)]:  # nan where not a number
         if _real(values[k]) is None:
             errors.append(f"r[{keys[k]}] must be a number, got {values[k]!r}")
@@ -183,7 +185,7 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
             errors.append(f"r[{keys[k]}] must be positive, got {values[k]}")
 
     keys, values = list(recipe.b), list(recipe.b.values())
-    order = _coverage(keys, _slots(keys, n), (n - 1) * (n - 2) // 2, n, _PAIRS, errors)
+    order = _coverage(keys, (n - 1) * (n - 2) // 2, n, _PAIRS, errors)
     t = _reals(values)[order]  # nan where not a number
     margin = tolerances.DEGENERACY_MARGIN
     for k in np.flatnonzero(~((t >= margin) & (t <= 1.0 - margin))):  # errors and warnings
@@ -200,13 +202,22 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
     return RecipeValidation(tuple(errors), tuple(warnings), None if errors else t)
 
 
-def _coverage(keys: list, slots: list, size: int, n: int, kind: tuple, errors: list) -> np.ndarray:
+def _coverage(keys: list, size: int, n: int, kind: tuple, errors: list) -> np.ndarray:
     """Positions of the scheduled ``keys`` in schedule order; the others are named in ``errors``.
 
-    ``slots`` holds each key's slot in 0..size-1, or a code; ``kind`` is ``_SQUEEZINGS`` or
-    ``_PAIRS``.  Each key is read once; missing slots are looked for only if some are missing.
+    ``kind`` is ``_SQUEEZINGS`` or ``_PAIRS``.  Keys that are its whole schedule in order, as plain
+    ``int``s or pairs of them, are taken as they stand (count and end keys compared in O(1) first,
+    then all typed exactly: ``Decimal(2) == 2`` is malformed).  Others are each read once, into a
+    slot in 0..size-1 or a code; missing slots are looked for only if some are missing.
     """
-    noun, name, slot_key, schedule_order, malformed = kind
+    noun, name, slot_key, schedule_order, malformed, slots_of, schedule = kind
+    # end keys by hash: a dict key hashes safely and equal keys hash equal, but == may raise
+    if (
+        size and len(keys) == size and hash(keys[0]) == hash(slot_key(0))
+        and hash(keys[-1]) == hash(slot_key(size - 1)) and _plain(keys) and keys == schedule(n)
+    ):
+        return np.arange(size)
+    slots = slots_of(keys, n)
     try:
         slots = np.fromiter(slots, np.int64, len(slots))
     except OverflowError:  # slots of registers beyond ~4e9 modes
@@ -228,6 +239,14 @@ def _coverage(keys: list, slots: list, size: int, n: int, kind: tuple, errors: l
 
 
 _UNEXPECTED, _MALFORMED = -1, -2  # slot codes of keys that are not in the schedule
+
+
+def _plain(keys: list) -> bool:
+    """Whether the keys are all ``int``s or all tuples of ``int``s, by exact type."""
+    types = set(map(type, keys))
+    if types == {tuple}:
+        types = set(map(type, itertools.chain.from_iterable(keys)))
+    return types == {int}
 
 
 def _pair(slot: int) -> tuple:
@@ -280,14 +299,17 @@ def _slots(keys: list, n: int) -> list:
     return [_slot(key, n) for key in keys]
 
 
-# how messages name each kind of entry: its noun, a key, the key of a schedule slot,
-# the schedule order of unexpected keys, and the text of a malformed key
+# each kind of entry: how messages name it (its noun, a key, the key of a schedule slot,
+# the schedule order of unexpected keys, the text of a malformed key), the slots of a key
+# list, and the schedule's keys in order
 _SQUEEZINGS = (
     "mode squeezing",
     "r[{}]".format,
     lambda slot: slot + 3,
     _index,
     "r key {!r} is not an integer mode index",
+    lambda keys, n: [_mode_slot(key, n) for key in keys],
+    lambda n: list(range(3, n + 1)),
 )
 _PAIRS = (
     "pair",
@@ -295,6 +317,8 @@ _PAIRS = (
     _pair,
     lambda pair: (_index(pair[1]), _index(pair[0])),
     "pair key {!r} is not two integer mode indices",
+    _slots,
+    lambda n: [(j, i) for i in range(3, n + 1) for j in range(2, i)],
 )
 
 
@@ -392,7 +416,7 @@ def _engineer(recipe: Recipe, check: RecipeValidation) -> CovarianceMatrix:
         # single-mode block proportional to the identity
         t = (np.diagonal(blocks[1]) / np.diagonal(blocks[0])) ** 0.25
         blocks *= np.stack([np.outer(t, t), np.outer(1.0 / t, 1.0 / t)])
-        largest = float(np.max(np.abs(blocks)))
+        largest = float(abs(blocks).max())
     if not largest <= tolerances.MAX_ENTRY:
         raise RecipeError(
             f"squeezing too extreme: covariance entries reach {largest:.3e} "

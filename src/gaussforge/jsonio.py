@@ -34,7 +34,9 @@ def dumps(doc, digits: int = 17) -> str:
 
     ``doc`` is built from dicts with string keys, lists, tuples, strings, finite
     floats, ints, bools and None; inf and nan raise ``ValueError``, other types ``TypeError``.
+    ``digits`` is an integer in 1..17 (numpy integers pass; bools and floats raise ``ValueError``).
     """
+    digits = _integer(digits, "digits")
     if not 1 <= digits <= 17:
         raise ValueError(f"digits must be in 1..17, got {digits}")
     spec = f".{digits}g"

@@ -87,7 +87,7 @@ class StandardForm:
         object.__setattr__(self, "vq", vq)
         object.__setattr__(self, "vp", vp)
         tol = tolerances.block(_bounded_norm("standard-form", vq, vp))
-        diag_gap = float(np.max(np.abs(np.diag(vp) - np.diag(vq))))
+        diag_gap = float(abs(vp.diagonal() - vq.diagonal()).max())
         if diag_gap > tol:
             raise ValueError(
                 f"Williamson diagonal conditions violated: |diag(vq^-1) - diag(vq)| "
@@ -133,7 +133,7 @@ def _factor_inverse(vq: np.ndarray, factor: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
         lower_inverse = _triangular_inverse(factor)
         inverse = lower_inverse.T @ lower_inverse
-    if not np.all(np.isfinite(inverse)):
+    if not np.isfinite(inverse).all():
         raise np.linalg.LinAlgError("the inverse of the Cholesky factor is not finite")
     return inverse
 
@@ -276,7 +276,7 @@ def _balance(q: np.ndarray, p: np.ndarray) -> tuple:
     Returns the balanced V_Q and V_P, and t.
     """
     # scalar pow: numpy's SIMD ** 0.25 differs from libm's in the last bit on some inputs
-    t = np.array([ratio**0.25 for ratio in (np.diag(p) / np.diag(q)).tolist()])
+    t = np.array([ratio**0.25 for ratio in (p.diagonal() / q.diagonal()).tolist()])
     u = 1.0 / t
     q, p = t[:, None] * q * t, u[:, None] * p * u
     return (q + q.T) / 2.0, (p + p.T) / 2.0, t
@@ -342,12 +342,12 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
     else:
         vq, p_block, cross_block = _local_normalization(cm)
         tol = tolerances.block(_bounded_norm("covariance matrix", vq, p_block, cross_block))
-        cross = float(np.max(np.abs(cross_block)))
+        cross = float(abs(cross_block).max())
         if cross > tol:
             raise NotInGenericClassError(cross, tol)
     factor = _cholesky(vq)
     inverse = np.linalg.inv(vq) if factor is None else _inverse(vq, factor)
-    gap = float(np.max(np.abs(p_block - inverse)))
+    gap = float(abs(p_block - inverse).max())
     if gap > tol:
         raise NotInGenericClassError(gap, tol)
     if factor is None:
@@ -360,11 +360,11 @@ def extract_parameters(sf: StandardForm) -> np.ndarray:
     return sf.vq[_strict_upper(sf.n_modes)]
 
 
-def _newton_system(vq: np.ndarray, inverse: np.ndarray) -> tuple:
-    """Condition residual at ``vq`` and its negated Jacobian W∘W + I, read from W = ``inverse``."""
+def _newton_system(d: np.ndarray, inverse: np.ndarray) -> tuple:
+    """Condition residual at the diagonal ``d`` and its negated Jacobian W∘W + I, from W = ``inverse``."""
     negated_jacobian = inverse * inverse
-    negated_jacobian.reshape(-1)[:: len(vq) + 1] += 1.0
-    return np.diag(inverse) - np.diag(vq), negated_jacobian
+    negated_jacobian.reshape(-1)[:: len(d) + 1] += 1.0
+    return inverse.diagonal() - d, negated_jacobian
 
 
 def reconstruct_diagonal(
@@ -447,7 +447,7 @@ def reconstruct_diagonal(
         for _ in range(tolerances.NEWTON_MAX_BACKTRACK + 1):
             candidate = d - step
             vq = coupling.copy()
-            np.fill_diagonal(vq, candidate)
+            vq.reshape(-1)[:: n_modes + 1] = candidate
             factor = _cholesky(vq)
             if factor is not None:
                 break
@@ -459,9 +459,9 @@ def reconstruct_diagonal(
             inverse = _factor_inverse(vq, factor)
         except np.linalg.LinAlgError:  # singular or not finite, yet it passed Cholesky
             raise InfeasibleError(last_residual, iteration) from None
-        residual, negated_jacobian = _newton_system(vq, inverse)
-        last_residual = float(np.max(np.abs(residual)))
-        if last_residual <= tolerances.newton(float(np.max(np.abs(d)))):
+        residual, negated_jacobian = _newton_system(d, inverse)
+        last_residual = float(abs(residual).max())
+        if last_residual <= tolerances.newton(float(abs(d).max())):
             # the coupling with diagonal d is exactly symmetric and passed the Cholesky above
             return StandardForm._with_inverse(n_modes, vq, inverse)
         if iteration == max_iter:

@@ -51,7 +51,7 @@ def _check_mode_indices(n_modes: int, *indices) -> None:
 
 def _bounded_norm(what: str, *matrices) -> float:
     """Largest absolute entry of the matrices, refused unless finite and at most ``tolerances.MAX_ENTRY``."""
-    norms = [float(np.max(np.abs(matrix))) for matrix in matrices]
+    norms = [float(abs(matrix).max()) for matrix in matrices]
     norm = max(norms)  # which drops a nan that follows a number, so each norm is bounded
     if not all(value <= tolerances.MAX_ENTRY for value in norms):  # also refuses nan
         raise ValueError(

@@ -9,7 +9,8 @@ parameters.  They check their inputs with the library's own rules
 (``_dense_data``, ``_check_mode_indices``, ``tolerances.symplectic``), so
 their refusals read as the library's.  The Williamson conditions of the
 diagonal reconstruction and their Jacobian are here too, each from a fresh
-``np.linalg.inv`` of V_Q.
+``np.linalg.inv`` of V_Q, and so is that reconstruction's Newton loop spelled out
+with numpy's wrapper functions, which the library's loop must match bit for bit.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from gaussforge import tolerances
-from gaussforge.standard_form import _newton_system
+from gaussforge.errors import InfeasibleError
+from gaussforge.standard_form import (
+    StandardForm,
+    _cholesky,
+    _circulant_completion,
+    _factor_inverse,
+    _newton_system,
+    _strict_upper,
+)
 from gaussforge.symplectic import (
     CovarianceMatrix,
     _check_mode_indices,
@@ -47,12 +56,64 @@ def reconstruction_jacobian(vq: np.ndarray) -> np.ndarray:
     With W = V_Q^{-1}, perturbing d_j by e moves W by -e W e_j e_j^T W, so
     the (i, j) entry is ``-(W_ij)^2 - delta_ij``.
     """
-    return -_newton_system(vq, np.linalg.inv(vq))[1]
+    return -_newton_system(np.diag(vq), np.linalg.inv(vq))[1]
 
 
 def condition_residual(vq: np.ndarray) -> np.ndarray:
     """Williamson condition residual ``diag(V_Q^{-1}) - diag(V_Q)``, by ``np.linalg.inv``."""
     return np.diag(np.linalg.inv(vq)) - np.diag(vq)
+
+
+def reference_reconstruct(offdiag, n_modes: int, max_iter: int = tolerances.NEWTON_MAX_ITER):
+    """``reconstruct_diagonal`` of finite off-diagonals, spelled out with ``np.fill_diagonal``,
+    ``np.diag`` and ``np.max(np.abs(...))``, its Newton system read from ``vq``."""
+    offdiag = np.asarray(offdiag, dtype=float)
+    coupling = np.zeros((n_modes, n_modes))
+    coupling[_strict_upper(n_modes)] = offdiag
+    coupling = coupling + coupling.T
+
+    with np.errstate(over="ignore"):
+        d = 1.0 + np.sum(np.abs(coupling), axis=1)
+    if not np.all(np.isfinite(d)):  # row sums overflowed: no finite start
+        raise InfeasibleError(float("inf"), 0)
+    completed = _circulant_completion(coupling)
+    if completed is not None:
+        return completed
+    with np.errstate(over="ignore"):
+        estimate = np.sqrt(1.0 + np.sum(coupling**2, axis=1))
+    # the first step leads from the anchor d to the estimate, and is halved like a Newton step
+    step = d - estimate if np.all(np.isfinite(estimate)) else np.zeros(n_modes)
+    last_residual = float("inf")
+    for iteration in range(max_iter + 1):
+        for _ in range(tolerances.NEWTON_MAX_BACKTRACK + 1):
+            candidate = d - step
+            vq = coupling.copy()
+            np.fill_diagonal(vq, candidate)
+            factor = _cholesky(vq)
+            if factor is not None:
+                break
+            step = step / 2.0
+        else:
+            raise InfeasibleError(last_residual, iteration)
+        d = candidate
+        try:
+            inverse = _factor_inverse(vq, factor)
+        except np.linalg.LinAlgError:  # singular or not finite, yet it passed Cholesky
+            raise InfeasibleError(last_residual, iteration) from None
+        negated_jacobian = inverse * inverse
+        negated_jacobian.reshape(-1)[:: len(vq) + 1] += 1.0
+        residual = np.diag(inverse) - np.diag(vq)
+        last_residual = float(np.max(np.abs(residual)))
+        if last_residual <= tolerances.newton(float(np.max(np.abs(d)))):
+            # the coupling with diagonal d is exactly symmetric and passed the Cholesky above
+            return StandardForm._with_inverse(n_modes, vq, inverse)
+        if iteration == max_iter:
+            break
+        try:
+            step = -np.linalg.solve(negated_jacobian, residual)
+        except np.linalg.LinAlgError:  # the Jacobian rounded to singular
+            raise InfeasibleError(last_residual, iteration) from None
+    raise InfeasibleError(last_residual, max_iter)
 
 
 def block_dets(sigma: np.ndarray, i, j) -> np.ndarray:

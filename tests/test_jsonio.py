@@ -41,6 +41,23 @@ def test_rejects_bad_digit_count():
         jsonio.dumps({"x": 1.0}, digits=20)
 
 
+@pytest.mark.parametrize("digits", [True, 5.0, 17.0, "5", None])
+def test_digit_count_that_is_not_an_integer_is_named(digits):
+    """A bool or float count would reach the format spec as '.Trueg' or '.5.0g'."""
+    with pytest.raises(ValueError, match=f"^digits must be an integer, got {digits!r}$"):
+        jsonio.dumps([1.5], digits)
+
+
+@pytest.mark.parametrize("digits", [0, -3, 18, np.int64(18)])
+def test_digit_count_out_of_range_keeps_its_message(digits):
+    with pytest.raises(ValueError, match=rf"^digits must be in 1\.\.17, got {digits}$"):
+        jsonio.dumps([1.5], digits)
+
+
+def test_numpy_integer_digit_count_is_an_int():
+    assert jsonio.dumps([2.0 / 3.0], np.int64(5)) == jsonio.dumps([2.0 / 3.0], 5)
+
+
 GOLDEN_DOC = {
     "nested": {"empty_list": [], "empty_object": {}, "rows": [[1, 2.0], {"none": None}]},
     "floats": [-0.0, 1e22, 2.0, 2.0 / 3.0],

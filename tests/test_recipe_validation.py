@@ -9,6 +9,7 @@ The library reads each entry once; errors, warnings and states must not change.
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -188,6 +189,125 @@ def test_corpus_matches_the_three_pass_check(seed):
         assert (check.errors, check.warnings) == reference_validate(recipe), recipe
 
 
+KEY_KINDS = ["int", "numpy", "float", "decimal"]
+
+
+def scheduled_recipe(rng, kind):
+    """A complete recipe with its keys in schedule order, some values spoiled or at the margins,
+    one pair key and sometimes one squeezing key retyped as ``kind`` (only ``int`` changes no
+    type, so only it takes the schedule route)."""
+    n = int(rng.integers(2, 14))
+    base = random_recipe(n, int(rng.integers(2**31)))
+    s, r, b = base.s, dict(base.r), dict(base.b)
+    if rng.random() < 0.2:
+        s = SPECIAL_SQUEEZING[rng.integers(len(SPECIAL_SQUEEZING))]
+    if r and rng.random() < 0.3:
+        for key in rng.choice(list(r), size=rng.integers(1, len(r) + 1)):
+            r[int(key)] = SPECIAL_SQUEEZING[rng.integers(len(SPECIAL_SQUEEZING))]
+    if b and rng.random() < 0.6:
+        keys = list(b)
+        for k in rng.integers(0, len(keys), size=rng.integers(1, 10)):
+            b[keys[k]] = SPECIAL_T[rng.integers(len(SPECIAL_T))]
+    retype = {"int": int, "numpy": np.int64, "float": float, "decimal": Decimal}[kind]
+    if r and rng.random() < 0.5:
+        spoilt = int(rng.choice(list(r)))
+        r = {(retype(k) if k == spoilt else k): v for k, v in r.items()}
+    if b:
+        spoilt = list(b)[rng.integers(len(b))]
+        b = {((retype(j), i) if (j, i) == spoilt else (j, i)): t for (j, i), t in b.items()}
+    return Recipe(n, s, r, b)
+
+
+def slot_route(monkeypatch):
+    """Record the key lists that ``validate_recipe`` maps to schedule slots."""
+    mapped = []
+    for name in ("_SQUEEZINGS", "_PAIRS"):
+        *messages, slots_of, schedule = getattr(engineering, name)
+
+        def recorded(keys, n, slots_of=slots_of):
+            mapped.append(keys)
+            return slots_of(keys, n)
+
+        monkeypatch.setattr(engineering, name, (*messages, recorded, schedule))
+    return mapped
+
+
+def slots_only(monkeypatch):
+    """Make ``validate_recipe`` map every key list to slots, as if none listed the schedule."""
+    for name in ("_SQUEEZINGS", "_PAIRS"):
+        monkeypatch.setattr(engineering, name, (*getattr(engineering, name)[:-1], lambda n: None))
+
+
+@pytest.mark.parametrize("kind", KEY_KINDS)
+def test_schedule_ordered_keys_match_the_slot_route(kind, monkeypatch):
+    """Keys listed in schedule order are compared with the schedule instead of being mapped
+    to slots; errors, warnings and the kept transmittivities are those of the slot route and
+    of the three-pass check.  A Decimal key equals its int, yet only the slot route reads it,
+    as malformed, which the three-pass check does not know."""
+    rng = np.random.default_rng([KEY_KINDS.index(kind), 29])
+    recipes = [scheduled_recipe(rng, kind) for _ in range(150)]
+    mapped = slot_route(monkeypatch)
+    checks = [validate_recipe(recipe) for recipe in recipes]
+    mapped = [keys for keys in mapped if keys]
+    slots_only(monkeypatch)
+    for recipe, check in zip(recipes, checks):
+        slot_check = validate_recipe(recipe)
+        errors, warnings, kept = slot_check.errors, slot_check.warnings, slot_check._transmittivity
+        assert (check.errors, check.warnings) == (errors, warnings), recipe
+        assert (check._transmittivity is None) == (kept is None)
+        assert kept is None or np.array_equal(check._transmittivity, kept)
+        if kind == "decimal":
+            assert any(error.startswith(("pair key", "r key")) for error in errors) or not recipe.b
+            continue
+        assert (check.errors, check.warnings) == reference_validate(recipe), recipe
+        if check:
+            n = recipe.n_modes
+            want = [recipe.b[(j, i)] for i in range(3, n + 1) for j in range(2, i)]
+            assert np.array_equal(check._transmittivity, want)
+    # a plain schedule is never mapped to slots; a retyped key sends its entry there
+    pairs = [keys for keys in mapped if type(keys[0]) is tuple]
+    assert (len(mapped) == 0) if kind == "int" else (len(pairs) == sum(bool(r.b) for r in recipes))
+
+
+def reordered(items, order, rng):
+    """The (key, value) items in the given order; a shuffle moves the first key off the front."""
+    if order == "reversed":
+        return items[::-1]
+    if order == "middle swapped":
+        return items[:1] + items[2:3] + items[1:2] + items[3:]
+    rest = [items[k] for k in 1 + rng.permutation(len(items) - 1)]
+    return rest[: len(rest) // 2] + items[:1] + rest[len(rest) // 2 :]
+
+
+@pytest.mark.parametrize("order", ["reversed", "shuffled", "middle swapped"])
+def test_keys_out_of_schedule_order_are_typed_once(order, monkeypatch):
+    """Complete keys in any other order miss on their count and end keys: no full key list is
+    typed and no schedule built before the slot route.  With the ends in place but two middle
+    keys swapped, the full comparison misses instead.  Either way the verdict is the slot
+    route's and the three-pass check's."""
+    typed, built = [], []
+    plain = engineering._plain
+    monkeypatch.setattr(engineering, "_plain", lambda keys: typed.append(len(keys)) or plain(keys))
+    for name in ("_SQUEEZINGS", "_PAIRS"):
+        *rest, schedule = getattr(engineering, name)
+        recorded = lambda n, schedule=schedule: built.append(n) or schedule(n)  # noqa: E731
+        monkeypatch.setattr(engineering, name, (*rest, recorded))
+    rng = np.random.default_rng(29)
+    for n in (6, 8, 16, 32, 48):
+        base = random_recipe(n, n)
+        r = reordered(list(base.r.items()), order, rng)
+        b = reordered(list(base.b.items()), order, rng)
+        recipe = Recipe(n, base.s, dict(r), dict(b))
+        typed.clear(), built.clear()
+        check = validate_recipe(recipe)
+        if order == "middle swapped":
+            assert typed == [len(r), len(b)] and built == [n, n]
+        else:
+            assert typed == built == []
+        assert (check.errors, check.warnings) == reference_validate(recipe) == ((), ())
+        assert np.array_equal(check._transmittivity, validate_recipe(base)._transmittivity)
+
+
 @pytest.mark.parametrize(
     "recipe",
     [
@@ -260,6 +380,20 @@ def test_header_only_huge_recipe_is_checked_in_little_memory():
         tracemalloc.stop()
     assert (check.errors, check.warnings) == want
     assert str(info.value) == "; ".join(want[0])
+    assert peak < 2**20
+
+
+def test_plain_keys_of_a_huge_register_build_no_schedule():
+    """Keys in schedule order but too few: the counts differ, so no schedule list is built."""
+    recipe = Recipe(46490, 1.5, {3: 1.1, 4: 1.2}, {(2, 3): 0.5, (2, 4): 0.5, (3, 4): 0.5})
+    want = reference_validate(recipe)
+    tracemalloc.start()
+    try:
+        check = validate_recipe(recipe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (check.errors, check.warnings) == want
     assert peak < 2**20
 
 

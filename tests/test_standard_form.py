@@ -43,6 +43,7 @@ from oracles import (
     mode_block,
     reconstruction_jacobian,
     reduced_cm,
+    reference_reconstruct,
 )
 
 def graded_ring(n: int, coupling: float) -> np.ndarray:
@@ -720,6 +721,28 @@ class TestReconstructDiagonal:
         np.testing.assert_array_equal(np.diag(tried[0]), estimate)
         np.testing.assert_array_equal(np.diag(tried[1]), anchor - (anchor - estimate) / 2.0)
         np.testing.assert_allclose(np.diag(rebuilt.vq), np.diag(sf.vq), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8, 16, 33, 40])
+    def test_newton_loop_keeps_the_reference_bits(self, n):
+        """The loop without wrapper calls gives the written-out loop's V_Q and V_P bytes, or
+        its refusal text, on ladder states that converge and states that exhaust the solver."""
+        converged = 0
+        for seed in range(8):
+            for s_max in (4.0, 15.0, 30.0, 100.0):
+                sf = to_standard_form(engineer_state(random_recipe(n, seed, s_max)))
+                params = extract_parameters(sf)
+                try:
+                    want = reference_reconstruct(params, n)
+                except InfeasibleError as exc:
+                    with pytest.raises(InfeasibleError) as info:
+                        reconstruct_diagonal(params, n)
+                    assert str(info.value) == str(exc)
+                    continue
+                got = reconstruct_diagonal(params, n)
+                assert got.vq.tobytes() == want.vq.tobytes()
+                assert got.vp.tobytes() == want.vp.tobytes()
+                converged += 1
+        assert converged >= 8  # every s_max = 4 state converges
 
 
 class TestStandardFormToCm:
