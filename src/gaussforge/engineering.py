@@ -62,16 +62,19 @@ class Recipe:
     def to_dict(self) -> dict:
         """JSON-ready document with string keys for ``r`` and a pair list for ``b``.
 
-        Mode counts and indices are written as Python ``int``s, so numpy integers serialise.
+        The mode count and the keys are written as Python ``int``s, the keys as
+        :func:`validate_recipe` reads them: ``3.0``, ``np.int64(3)`` and ``Fraction(3)`` all
+        write as 3.  A key that the check calls malformed raises ``ValueError``.
         """
+        r = {_index(key): float(v) for key, v in self.r.items()}
+        b = {_pair_indices(key): float(t) for key, t in self.b.items()}
+        if None in r or None in b:
+            raise ValueError("r keys must be integral numbers and b keys pairs of them")
         return {
             "n_modes": operator.index(self.n_modes),
             "s": float(self.s),
-            "r": {str(i): float(v) for i, v in sorted(self.r.items())},
-            "b": [
-                {"j": operator.index(j), "i": operator.index(i), "t": float(t)}
-                for (j, i), t in sorted(self.b.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-            ],
+            "r": {str(i): r[i] for i in sorted(r)},
+            "b": [{"j": j, "i": i, "t": b[j, i]} for j, i in sorted(b, key=lambda pair: pair[::-1])],
         }
 
     @classmethod
@@ -158,12 +161,12 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
     the state then degenerates toward a product across that link but remains
     valid.  Of each kind of missing, unexpected or malformed entry the first
     five are named and the rest only counted.  Squeezings and pairs share one
-    coverage pass: keys that list the whole schedule in order as plain ints, as
-    :meth:`Recipe.to_dict` writes them, are compared with it, and other keys are
-    each mapped once to a schedule slot, with missing ones looked for only when
-    some are missing.  Either way the cost and the message size follow the
-    recipe's entries, not N.  :func:`engineer_state` and ``gaussforge engineer``
-    run this check once per recipe and build from its outcome.
+    coverage pass, which reads each key once, into its schedule slot; slots
+    already in schedule order, as :meth:`Recipe.to_dict` writes them, are taken
+    as they stand, others are sorted, and missing ones are looked for only when
+    some are missing.  So the cost and the message size follow the recipe's
+    entries, not N.  :func:`engineer_state` and ``gaussforge engineer`` run this
+    check once per recipe and build from its outcome.
     """
     try:
         n = _integer(recipe.n_modes, "n_modes", 2)
@@ -205,19 +208,15 @@ def validate_recipe(recipe: Recipe) -> RecipeValidation:
 def _coverage(keys: list, size: int, n: int, kind: tuple, errors: list) -> np.ndarray:
     """Positions of the scheduled ``keys`` in schedule order; the others are named in ``errors``.
 
-    ``kind`` is ``_SQUEEZINGS`` or ``_PAIRS``.  Keys that are its whole schedule in order, as plain
-    ``int``s or pairs of them, are taken as they stand (count and end keys compared in O(1) first,
-    then all typed exactly: ``Decimal(2) == 2`` is malformed).  Others are each read once, into a
-    slot in 0..size-1 or a code; missing slots are looked for only if some are missing.
+    ``kind`` is ``_SQUEEZINGS`` or ``_PAIRS``.  Each key is read once, into a slot in 0..size-1 or
+    a code.  Slots that are exactly 0..size-1 give the order as it stands (the count and end slots
+    are compared first, in O(1)); others are sorted, and missing slots are looked for only if some
+    are missing.
     """
-    noun, name, slot_key, schedule_order, malformed, slots_of, schedule = kind
-    # end keys by hash: a dict key hashes safely and equal keys hash equal, but == may raise
-    if (
-        size and len(keys) == size and hash(keys[0]) == hash(slot_key(0))
-        and hash(keys[-1]) == hash(slot_key(size - 1)) and _plain(keys) and keys == schedule(n)
-    ):
-        return np.arange(size)
+    noun, name, slot_key, schedule_order, malformed, slots_of = kind
     slots = slots_of(keys, n)
+    if len(slots) == size and slots[:1] == [0] and slots[-1] == size - 1 and slots == [*range(size)]:
+        return np.arange(size)
     try:
         slots = np.fromiter(slots, np.int64, len(slots))
     except OverflowError:  # slots of registers beyond ~4e9 modes
@@ -239,14 +238,6 @@ def _coverage(keys: list, size: int, n: int, kind: tuple, errors: list) -> np.nd
 
 
 _UNEXPECTED, _MALFORMED = -1, -2  # slot codes of keys that are not in the schedule
-
-
-def _plain(keys: list) -> bool:
-    """Whether the keys are all ``int``s or all tuples of ``int``s, by exact type."""
-    types = set(map(type, keys))
-    if types == {tuple}:
-        types = set(map(type, itertools.chain.from_iterable(keys)))
-    return types == {int}
 
 
 def _pair(slot: int) -> tuple:
@@ -274,13 +265,21 @@ def _mode_slot(key, n: int) -> int:
     return index - 3 if 3 <= index <= n else _UNEXPECTED
 
 
+def _pair_indices(key):
+    """A pair key as two :func:`_index` ``int``s (j, i), else None."""
+    if isinstance(key, tuple) and len(key) == 2:
+        j, i = map(_index, key)
+        if j is not None and i is not None:
+            return j, i
+    return None
+
+
 def _slot(key, n: int) -> int:
     """Schedule slot (i-3)(i-2)/2 + (j-2) of a pair key (j, i) with 2 <= j < i <= n, else a code."""
-    if not (isinstance(key, tuple) and len(key) == 2):
+    pair = _pair_indices(key)
+    if pair is None:
         return _MALFORMED
-    j, i = map(_index, key)
-    if j is None or i is None:
-        return _MALFORMED
+    j, i = pair
     return (i - 3) * (i - 2) // 2 + j - 2 if 2 <= j < i <= n else _UNEXPECTED
 
 
@@ -300,16 +299,18 @@ def _slots(keys: list, n: int) -> list:
 
 
 # each kind of entry: how messages name it (its noun, a key, the key of a schedule slot,
-# the schedule order of unexpected keys, the text of a malformed key), the slots of a key
-# list, and the schedule's keys in order
+# the schedule order of unexpected keys, the text of a malformed key), and the slots of a
+# key list, with plain int keys, as documents give, read inline
 _SQUEEZINGS = (
     "mode squeezing",
     "r[{}]".format,
     lambda slot: slot + 3,
     _index,
     "r key {!r} is not an integer mode index",
-    lambda keys, n: [_mode_slot(key, n) for key in keys],
-    lambda n: list(range(3, n + 1)),
+    lambda keys, n: [
+        (key - 3 if 3 <= key <= n else _UNEXPECTED) if type(key) is int else _mode_slot(key, n)
+        for key in keys
+    ],
 )
 _PAIRS = (
     "pair",
@@ -318,7 +319,6 @@ _PAIRS = (
     lambda pair: (_index(pair[1]), _index(pair[0])),
     "pair key {!r} is not two integer mode indices",
     _slots,
-    lambda n: [(j, i) for i in range(3, n + 1) for j in range(2, i)],
 )
 
 

@@ -99,11 +99,6 @@ def block(sigma_norm: float) -> float:
     return 1e-8 * (1.0 + sigma_norm) * scale()
 
 
-def symplectic(s_norm: float) -> float:
-    """Tolerance on the symplectic-condition defect of a matrix of given norm."""
-    return 1e-10 * max(1.0, s_norm) ** 2 * scale()
-
-
 def rank() -> float:
     """Threshold separating unit from non-unit symplectic eigenvalues."""
     return RANK * scale()

@@ -6,11 +6,13 @@ symplectic matrices for squeezers and beam splitters, congruences
 ``sigma -> S^T sigma S``, partial traces, 2x2 mode blocks and their
 determinants, and the gate schedule behind the paper's N(N-1)/2 free
 parameters.  They check their inputs with the library's own rules
-(``_dense_data``, ``_check_mode_indices``, ``tolerances.symplectic``), so
-their refusals read as the library's.  The Williamson conditions of the
-diagonal reconstruction and their Jacobian are here too, each from a fresh
-``np.linalg.inv`` of V_Q, and so is that reconstruction's Newton loop spelled out
-with numpy's wrapper functions, which the library's loop must match bit for bit.
+(``_dense_data``, ``_check_mode_indices``, the ``GF_TOL_OVERRIDE`` scale of
+``tolerances.scale``), so their refusals read as the library's; the tolerance
+on a symplectic matrix's defect, which only these oracles draw, is here.  The
+Williamson conditions of the diagonal reconstruction and their Jacobian are
+here too, each from a fresh ``np.linalg.inv`` of V_Q, and so is that
+reconstruction's Newton loop spelled out with numpy's wrapper functions, which
+the library's loop must match bit for bit.
 """
 
 from dataclasses import dataclass
@@ -123,6 +125,12 @@ def block_dets(sigma: np.ndarray, i, j) -> np.ndarray:
     return sigma[q, p] * sigma[q + 1, p + 1] - sigma[q, p + 1] * sigma[q + 1, p]
 
 
+def symplectic_tolerance(s_norm: float) -> float:
+    """Tolerance on the symplectic-condition defect of a matrix of given norm, scaled by
+    ``GF_TOL_OVERRIDE`` as the library's residual tolerances are."""
+    return 1e-10 * max(1.0, s_norm) ** 2 * tolerances.scale()
+
+
 @dataclass(frozen=True, eq=False)
 class SymplecticMatrix:
     """Phase-space action of a Gaussian unitary.
@@ -142,10 +150,10 @@ class SymplecticMatrix:
         if not norm < np.inf:  # also refuses nan
             raise ValueError("symplectic matrix entries must be finite")
         defect = float(np.max(np.abs(data.T @ _omega(data) - omega)))
-        if not defect <= tolerances.symplectic(norm):  # a nan defect is refused too
+        if not defect <= symplectic_tolerance(norm):  # a nan defect is refused too
             raise ValueError(
                 f"matrix is not symplectic: defect {defect:.3e} exceeds "
-                f"{tolerances.symplectic(norm):.3e}"
+                f"{symplectic_tolerance(norm):.3e}"
             )
         data.flags.writeable = False
         object.__setattr__(self, "data", data)

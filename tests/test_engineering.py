@@ -3,6 +3,8 @@
 import json
 import math
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -291,6 +293,34 @@ class TestRecipeJson:
         assert type(doc["n_modes"]) is int
         assert all(type(entry[k]) is int for entry in doc["b"] for k in ("j", "i"))
         assert Recipe.from_dict(json.loads(jsonio.dumps(doc))) == Recipe(3, 1.5, {3: 1.2}, {(2, 3): 0.6})
+
+    @pytest.mark.parametrize("key", [int, np.int64, float, Fraction], ids=lambda key: key.__name__)
+    def test_keys_round_trip_as_the_check_reads_them(self, key):
+        """Every key the check reads as an index is written as that int: the document is the
+        plain recipe's, in any key order, and its parsed recipe engineers the same bytes."""
+        plain = random_recipe(5, 12)
+        recipe = Recipe(5, plain.s, {key(i): v for i, v in reversed(plain.r.items())},
+                        {(key(j), key(i)): t for (j, i), t in reversed(plain.b.items())})
+        doc = recipe.to_dict()
+        assert doc == plain.to_dict()
+        clone = Recipe.from_dict(json.loads(jsonio.dumps(doc)))
+        assert clone == plain
+        assert engineer_state(clone).data.tobytes() == engineer_state(recipe).data.tobytes()
+
+    def test_mixed_key_types_round_trip(self):
+        doc = {"n_modes": 3, "s": 1.5, "r": {"3": 1.2}, "b": [{"j": 2, "i": 3, "t": 0.6}]}
+        assert Recipe(3, 1.5, {3: 1.2}, {(2.0, 3): 0.6}).to_dict() == doc
+        assert Recipe(3, 1.5, {3.0: 1.2}, {(2, np.int32(3)): 0.6}).to_dict() == doc
+
+    @pytest.mark.parametrize("r, b", [({2.5: 1.2}, {}), ({Decimal(3): 1.2}, {}), ({"3": 1.2}, {}),
+                                      ({}, {(2, 3, 4): 0.6}), ({}, {3: 0.6}), ({}, {(2, math.nan): 0.6})],
+                             ids=["half", "decimal", "string", "triple", "bare-index", "nan-index"])
+    def test_malformed_keys_are_refused(self, r, b):
+        """Keys the check calls malformed have no document form."""
+        recipe = Recipe(3, 1.5, r, b)
+        assert any("is not" in error for error in validate_recipe(recipe).errors)
+        with pytest.raises(ValueError, match="r keys must be integral numbers and b keys pairs of them"):
+            recipe.to_dict()
 
     def test_document_shape(self):
         doc = Recipe(3, 1.5, {3: 1.2}, {(2, 3): 0.6}).to_dict()

@@ -13,6 +13,8 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from click.testing import CliRunner
 
@@ -194,8 +196,7 @@ KEY_KINDS = ["int", "numpy", "float", "decimal"]
 
 def scheduled_recipe(rng, kind):
     """A complete recipe with its keys in schedule order, some values spoiled or at the margins,
-    one pair key and sometimes one squeezing key retyped as ``kind`` (only ``int`` changes no
-    type, so only it takes the schedule route)."""
+    one pair key and sometimes one squeezing key retyped as ``kind``."""
     n = int(rng.integers(2, 14))
     base = random_recipe(n, int(rng.integers(2**31)))
     s, r, b = base.s, dict(base.r), dict(base.b)
@@ -218,55 +219,34 @@ def scheduled_recipe(rng, kind):
     return Recipe(n, s, r, b)
 
 
-def slot_route(monkeypatch):
-    """Record the key lists that ``validate_recipe`` maps to schedule slots."""
-    mapped = []
-    for name in ("_SQUEEZINGS", "_PAIRS"):
-        *messages, slots_of, schedule = getattr(engineering, name)
-
-        def recorded(keys, n, slots_of=slots_of):
-            mapped.append(keys)
-            return slots_of(keys, n)
-
-        monkeypatch.setattr(engineering, name, (*messages, recorded, schedule))
-    return mapped
-
-
-def slots_only(monkeypatch):
-    """Make ``validate_recipe`` map every key list to slots, as if none listed the schedule."""
-    for name in ("_SQUEEZINGS", "_PAIRS"):
-        monkeypatch.setattr(engineering, name, (*getattr(engineering, name)[:-1], lambda n: None))
+def same_outcome(check, other):
+    """Equal errors, warnings and kept transmittivities, to the bit."""
+    kept, other_kept = check._transmittivity, other._transmittivity
+    return (check.errors, check.warnings) == (other.errors, other.warnings) and (
+        kept is other_kept is None
+        or kept is not None and other_kept is not None and kept.tobytes() == other_kept.tobytes()
+    )
 
 
 @pytest.mark.parametrize("kind", KEY_KINDS)
-def test_schedule_ordered_keys_match_the_slot_route(kind, monkeypatch):
-    """Keys listed in schedule order are compared with the schedule instead of being mapped
-    to slots; errors, warnings and the kept transmittivities are those of the slot route and
-    of the three-pass check.  A Decimal key equals its int, yet only the slot route reads it,
-    as malformed, which the three-pass check does not know."""
+def test_retyped_keys_in_schedule_order_match_the_three_pass_check(kind):
+    """Keys in schedule order give the outcome of the same keys reversed and of the three-pass
+    check, whatever their numeric type.  A Decimal key equals its int, yet is not a real number
+    to the check: it is malformed, which the three-pass check does not know."""
     rng = np.random.default_rng([KEY_KINDS.index(kind), 29])
-    recipes = [scheduled_recipe(rng, kind) for _ in range(150)]
-    mapped = slot_route(monkeypatch)
-    checks = [validate_recipe(recipe) for recipe in recipes]
-    mapped = [keys for keys in mapped if keys]
-    slots_only(monkeypatch)
-    for recipe, check in zip(recipes, checks):
-        slot_check = validate_recipe(recipe)
-        errors, warnings, kept = slot_check.errors, slot_check.warnings, slot_check._transmittivity
-        assert (check.errors, check.warnings) == (errors, warnings), recipe
-        assert (check._transmittivity is None) == (kept is None)
-        assert kept is None or np.array_equal(check._transmittivity, kept)
+    for recipe in (scheduled_recipe(rng, kind) for _ in range(150)):
+        check = validate_recipe(recipe)
+        backwards = Recipe(recipe.n_modes, recipe.s, dict(reversed(recipe.r.items())),
+                           dict(reversed(recipe.b.items())))
+        assert same_outcome(check, validate_recipe(backwards)), recipe
         if kind == "decimal":
-            assert any(error.startswith(("pair key", "r key")) for error in errors) or not recipe.b
+            assert any(error.startswith(("pair key", "r key")) for error in check.errors) or not recipe.b
             continue
         assert (check.errors, check.warnings) == reference_validate(recipe), recipe
         if check:
             n = recipe.n_modes
             want = [recipe.b[(j, i)] for i in range(3, n + 1) for j in range(2, i)]
             assert np.array_equal(check._transmittivity, want)
-    # a plain schedule is never mapped to slots; a retyped key sends its entry there
-    pairs = [keys for keys in mapped if type(keys[0]) is tuple]
-    assert (len(mapped) == 0) if kind == "int" else (len(pairs) == sum(bool(r.b) for r in recipes))
 
 
 def reordered(items, order, rng):
@@ -280,32 +260,76 @@ def reordered(items, order, rng):
 
 
 @pytest.mark.parametrize("order", ["reversed", "shuffled", "middle swapped"])
-def test_keys_out_of_schedule_order_are_typed_once(order, monkeypatch):
-    """Complete keys in any other order miss on their count and end keys: no full key list is
-    typed and no schedule built before the slot route.  With the ends in place but two middle
-    keys swapped, the full comparison misses instead.  Either way the verdict is the slot
-    route's and the three-pass check's."""
-    typed, built = [], []
-    plain = engineering._plain
-    monkeypatch.setattr(engineering, "_plain", lambda keys: typed.append(len(keys)) or plain(keys))
+def test_keys_in_any_order_are_read_once(order, monkeypatch):
+    """Each key list is read into schedule slots once.  Complete keys reversed, or with the first
+    key moved, miss the schedule on an end slot, in O(1): no list of every slot is built to compare
+    with.  With the ends in place but two middle keys swapped, the full comparison misses instead.
+    Either way the outcome is that of schedule order and of the three-pass check."""
+    read, compared = [], []
     for name in ("_SQUEEZINGS", "_PAIRS"):
-        *rest, schedule = getattr(engineering, name)
-        recorded = lambda n, schedule=schedule: built.append(n) or schedule(n)  # noqa: E731
-        monkeypatch.setattr(engineering, name, (*rest, recorded))
+        *messages, slots_of = getattr(engineering, name)
+        recorded = lambda keys, n, slots_of=slots_of: read.append(len(keys)) or slots_of(keys, n)  # noqa: E731
+        monkeypatch.setattr(engineering, name, (*messages, recorded))
     rng = np.random.default_rng(29)
     for n in (6, 8, 16, 32, 48):
         base = random_recipe(n, n)
+        want = validate_recipe(base)
         r = reordered(list(base.r.items()), order, rng)
         b = reordered(list(base.b.items()), order, rng)
         recipe = Recipe(n, base.s, dict(r), dict(b))
-        typed.clear(), built.clear()
-        check = validate_recipe(recipe)
-        if order == "middle swapped":
-            assert typed == [len(r), len(b)] and built == [n, n]
-        else:
-            assert typed == built == []
+        read.clear(), compared.clear()
+        # the schedule's slots 0..size-1, listed to compare with, are built only through range
+        with monkeypatch.context() as patch:
+            patch.setattr(engineering, "range", lambda size: compared.append(size) or range(size), raising=False)
+            check = validate_recipe(recipe)
+        assert read == [len(r), len(b)]
+        assert compared == ([len(r), len(b)] if order == "middle swapped" else [])
         assert (check.errors, check.warnings) == reference_validate(recipe) == ((), ())
-        assert np.array_equal(check._transmittivity, validate_recipe(base)._transmittivity)
+        assert same_outcome(check, want)
+
+
+@st.composite
+def keys_in_two_orders(draw):
+    """A complete or spoiled recipe with well-formed keys listed in schedule order, and the same
+    recipe with its ``r`` and ``b`` keys in any order: entries dropped, added out of range, and
+    values at and around every boundary the check draws."""
+    n = draw(st.integers(2, 16))
+    base = random_recipe(n, draw(st.integers(0, 2**31 - 1)))
+    s, r, b = base.s, dict(base.r), dict(base.b)
+    if draw(st.booleans()):  # else every entry is there, once
+        for entries in (r, b):
+            for key in draw(st.sets(st.sampled_from(sorted(entries)), max_size=3)) if entries else ():
+                del entries[key]
+        for k in draw(st.lists(st.integers(-3, n + 8), max_size=3)):
+            r[k] = 1.1
+        pairs = st.tuples(st.integers(-2, n + 3), st.integers(-2, n + 5))
+        for pair in draw(st.lists(st.one_of(pairs, st.sampled_from(EXTRA_PAIRS)), max_size=4)):
+            b[pair] = 0.5
+    if draw(st.booleans()):
+        s = draw(st.sampled_from(SPECIAL_SQUEEZING))
+    for entries, special in ((r, SPECIAL_SQUEEZING), (b, SPECIAL_T)):
+        keys = sorted(entries)
+        for key, value in draw(st.lists(st.tuples(st.sampled_from(keys), st.sampled_from(special)),
+                                        max_size=4)) if keys else ():
+            entries[key] = value
+    r_items = sorted(r.items())
+    b_items = sorted(b.items(), key=lambda item: item[0][::-1])
+    ordered = Recipe(n, s, dict(r_items), dict(b_items))
+    permuted = Recipe(n, s, dict(draw(st.permutations(r_items))), dict(draw(st.permutations(b_items))))
+    return ordered, permuted
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(keys_in_two_orders())
+def test_any_key_order_gives_the_outcome_of_schedule_order(recipes):
+    ordered, permuted = recipes
+    check = validate_recipe(ordered)
+    assert same_outcome(validate_recipe(permuted), check)
+    assert (check.errors, check.warnings) == reference_validate(permuted)
+    if check:
+        n = ordered.n_modes
+        want = [ordered.b[(j, i)] for i in range(3, n + 1) for j in range(2, i)]
+        assert np.array_equal(check._transmittivity, want)
 
 
 @pytest.mark.parametrize(
@@ -395,6 +419,17 @@ def test_plain_keys_of_a_huge_register_build_no_schedule():
         tracemalloc.stop()
     assert (check.errors, check.warnings) == want
     assert peak < 2**20
+
+
+def test_end_keys_of_a_huge_register_build_no_schedule(monkeypatch):
+    """The first and last keys alone: their slots are the schedule's ends, but the counts differ,
+    so no list of the 1.08e9 slots is built to compare with."""
+    compared = []
+    monkeypatch.setattr(engineering, "range", lambda size: compared.append(size) or range(0), raising=False)
+    recipe = Recipe(46490, 1.5, {3: 1.1, 46490: 1.2}, {(2, 3): 0.5, (46489, 46490): 0.5})
+    check = validate_recipe(recipe)
+    assert compared == []
+    assert (check.errors, check.warnings) == reference_validate(recipe)
 
 
 def test_slot_to_pair_map_inverts_the_schedule_slot():

@@ -199,6 +199,15 @@ class TestSymplecticMatrixValidation:
         with pytest.raises(ValueError, match="not symplectic"):
             SymplecticMatrix(1, np.diag([2.0, 2.0]))
 
+    def test_defect_tolerance_follows_the_override(self, monkeypatch):
+        """diag(2, 2) has defect 3 against 1e-10 * 2^2; GF_TOL_OVERRIDE scales that bound."""
+        monkeypatch.delenv("GF_TOL_OVERRIDE", raising=False)
+        with pytest.raises(ValueError) as info:
+            SymplecticMatrix(1, np.diag([2.0, 2.0]))
+        assert str(info.value) == "matrix is not symplectic: defect 3.000e+00 exceeds 4.000e-10"
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "1e10")
+        assert SymplecticMatrix(1, np.diag([2.0, 2.0])).inf_norm() == 2.0
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_entries(self, bad):
         """A nan defect compares false with any tolerance, so it must not pass as small."""
