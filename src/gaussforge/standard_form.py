@@ -44,12 +44,16 @@ class StandardForm:
 
     The constructor checks its inputs at the boundary (``n_modes`` an
     integer, ``vq`` copied to a float N x N array, exactly symmetric and
-    positive definite) and inverts V_Q by :func:`_inverse`: one inverse real
-    FFT for an exact circulant such as a ring's, else from the Cholesky factor.
-    Builders inside the package skip those checks: their V_Q is fresh,
-    symmetric by construction and Cholesky-tested, and they supply W
-    themselves (by :func:`_inverse`, from a Newton iterate's factor, or by one
-    inverse real FFT in the Fourier completion).  Every route
+    positive definite).  An exact circulant such as a ring's is certified
+    positive definite by its real-FFT spectrum and inverted by one inverse real
+    FFT (:func:`_circulant_inverse`), and its blocks are held as views of their
+    first rows.  Any other V_Q, and a circulant whose spectrum does not clear
+    the certificate's margin, passes a Cholesky test and is inverted by
+    :func:`_inverse`: ``np.linalg.inv`` up to 32 modes, else from the Cholesky
+    factor.  Builders inside the package skip the input checks: their V_Q is
+    fresh, symmetric by construction and certified or Cholesky-tested, and
+    they supply W themselves (by :func:`_inverse`, from a Newton iterate's
+    factor, or by one inverse real FFT on a ring's rows).  Every route
     ends in :meth:`_seal`, which checks the class: entries at most
     ``tolerances.MAX_ENTRY``, then the Williamson diagonal conditions
     ``(V_Q^{-1})_ii = (V_Q)_ii`` within ``tolerances.block`` of the larger
@@ -65,29 +69,43 @@ class StandardForm:
         if vq.shape != (n, n):
             raise ValueError(f"expected a {n}x{n} matrix, got {vq.shape}")
         _check_symmetric("vq", vq)
+        row = _circulant_row(vq)
+        inverse_row = None if row is None else _circulant_inverse(row, np.fft.rfft(row).real)
+        if inverse_row is not None:
+            self._seal(n, row, inverse_row, circulant=True)
+            return
         factor = _cholesky(vq)
         if factor is None:
             raise ValueError("vq must be positive definite")
         self._seal(n, vq, _inverse(vq, factor))
 
     @classmethod
-    def _with_inverse(cls, n_modes: int, vq: np.ndarray, inverse: np.ndarray) -> "StandardForm":
-        """Construct with only the class checks, from a fresh, exactly symmetric ``vq``
-        that has passed a Cholesky test and an ``inverse`` W of it."""
+    def _with_inverse(cls, n_modes: int, vq, inverse, circulant: bool = False) -> "StandardForm":
+        """Construct with only the class checks, from a fresh, exactly symmetric, positive-definite
+        ``vq`` and an ``inverse`` W of it; with ``circulant``, both are first rows of circulants."""
         sf = cls.__new__(cls)
-        sf._seal(n_modes, vq, inverse)
+        sf._seal(n_modes, vq, inverse, circulant)
         return sf
 
-    def _seal(self, n_modes: int, vq: np.ndarray, inverse: np.ndarray) -> None:
+    def _seal(self, n_modes: int, vq: np.ndarray, inverse: np.ndarray, circulant: bool = False) -> None:
         """Take ``vq`` without a copy and V_P = (W + W^T) / 2 from W = ``inverse``, both
-        read-only; then refuse entries above ``tolerances.MAX_ENTRY`` and a Williamson gap."""
-        vp = (inverse + inverse.T) / 2.0
+        read-only; then refuse entries above ``tolerances.MAX_ENTRY`` and a Williamson gap.
+        With ``circulant``, ``vq`` (symmetric) and W are the first rows of exact circulants,
+        which the checks read, and the blocks are cyclic-shift views of the rows."""
+        if circulant:  # a row holds every entry of its circulant, and entry 0 is the diagonal
+            vp = (inverse + _mirror(inverse)) / 2.0
+            diagonals = vq[:1], vp[:1]
+        else:
+            vp = (inverse + inverse.T) / 2.0
+            diagonals = vq.diagonal(), vp.diagonal()
+        tol = tolerances.block(_bounded_norm("standard-form", vq, vp))
+        diag_gap = float(abs(diagonals[1] - diagonals[0]).max())
+        if circulant:
+            vq, vp = _cyclic_shifts(vq), _cyclic_shifts(vp)
         vq.flags.writeable = vp.flags.writeable = False
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "vq", vq)
         object.__setattr__(self, "vp", vp)
-        tol = tolerances.block(_bounded_norm("standard-form", vq, vp))
-        diag_gap = float(abs(vp.diagonal() - vq.diagonal()).max())
         if diag_gap > tol:
             raise ValueError(
                 f"Williamson diagonal conditions violated: |diag(vq^-1) - diag(vq)| "
@@ -167,6 +185,11 @@ def _cyclic_shifts(row: np.ndarray) -> np.ndarray:
     return shifts
 
 
+def _mirror(row: np.ndarray) -> np.ndarray:
+    """``row[(-k) % N]``: the first row of the transpose of the circulant of ``row``."""
+    return np.concatenate((row[:1], row[:0:-1]))
+
+
 def _circulant_row(matrix: np.ndarray):
     """Row 0 of ``matrix`` if it has at least 3 rows, is not diagonal, and each row is an exact
     cyclic shift of row 0; None otherwise.  Entry (1, 0), then row 1, reject most other matrices
@@ -184,18 +207,26 @@ def _circulant_row(matrix: np.ndarray):
     return row
 
 
+def _circulant_inverse(row: np.ndarray, eigenvalues: np.ndarray, certify: bool = True):
+    """The first row of the inverse of the exact symmetric circulant with first row ``row`` and
+    real-FFT ``eigenvalues``, one inverse real FFT of their reciprocals; None unless it is finite
+    and the least eigenvalue is positive or, with ``certify``, certifies the circulant positive
+    definite by clearing ``tolerances.CERTIFIED_SPECTRUM * N^2 * ||row||_1``."""
+    n = len(row)
+    margin = tolerances.CERTIFIED_SPECTRUM * n * n * float(abs(row).sum()) if certify else 0.0
+    if not eigenvalues.min() > margin:
+        return None
+    with np.errstate(all="ignore"):  # an overflow is refused below
+        inverse = np.fft.irfft(1.0 / eigenvalues, n)
+    return inverse if np.all(np.isfinite(inverse)) else None
+
+
 def _inverse(vq: np.ndarray, factor: np.ndarray) -> np.ndarray:
     """V_Q^{-1}: for an exact circulant with positive real-FFT eigenvalues, the circulant of one
     inverse real FFT of their reciprocals if it is finite; else :func:`_factor_inverse`."""
     row = _circulant_row(vq)
-    if row is not None:
-        spectrum = np.fft.rfft(row).real
-        if spectrum.min() > 0.0:
-            with np.errstate(all="ignore"):  # an overflow falls back below
-                inverse_row = np.fft.irfft(1.0 / spectrum, len(row))
-            if np.all(np.isfinite(inverse_row)):
-                return _cyclic_shifts(inverse_row)
-    return _factor_inverse(vq, factor)
+    inverse = None if row is None else _circulant_inverse(row, np.fft.rfft(row).real, certify=False)
+    return _factor_inverse(vq, factor) if inverse is None else _cyclic_shifts(inverse)
 
 
 def _circulant_diagonal(spectrum: np.ndarray, n_modes: int) -> float:
@@ -235,29 +266,24 @@ def _circulant_diagonal(spectrum: np.ndarray, n_modes: int) -> float:
 
 def _circulant_completion(coupling: np.ndarray):
     """The standard form ``coupling + d I`` of an exactly circulant coupling, from the scalar
-    condition of :func:`_circulant_diagonal`, with V_P from one inverse real FFT; None when
-    the coupling is not circulant or the result cannot be certified (no Cholesky factor, a
-    value that is not finite, a residual above ``tolerances.newton`` or a class check that
-    fails)."""
+    condition of :func:`_circulant_diagonal`, built on first rows, with V_P from one inverse
+    real FFT; None when the coupling is not circulant or the result cannot be certified (a
+    spectrum that does not certify V_Q positive definite, a value that is not finite, a
+    residual above ``tolerances.newton`` or a class check that fails)."""
     row = _circulant_row(coupling)
     if row is None:
         return None
     n = len(row)
     spectrum = np.fft.rfft(row).real
     d = _circulant_diagonal(spectrum, n)
-    with np.errstate(all="ignore"):  # refused below, without a warning
-        inverse_row = np.fft.irfft(1.0 / (d + spectrum), n)
-    vq = coupling.copy()
-    np.fill_diagonal(vq, d)
+    vq = row.copy()
+    vq[0] = d
+    inverse = _circulant_inverse(vq, d + spectrum)
     # entry 0 of the inverse row is diag(V_Q^{-1}) at every mode
-    if (
-        not np.all(np.isfinite(inverse_row))
-        or not abs(inverse_row[0] - d) <= tolerances.newton(d)
-        or _cholesky(vq) is None
-    ):
+    if inverse is None or not abs(inverse[0] - d) <= tolerances.newton(d):
         return None
     try:
-        return StandardForm._with_inverse(n, vq, _cyclic_shifts(inverse_row))
+        return StandardForm._with_inverse(n, vq, inverse, circulant=True)
     except ValueError:  # an entry above tolerances.MAX_ENTRY, or a Williamson gap
         return None
 
@@ -280,6 +306,33 @@ def _balance(q: np.ndarray, p: np.ndarray) -> tuple:
     u = 1.0 / t
     q, p = t[:, None] * q * t, u[:, None] * p * u
     return (q + q.T) / 2.0, (p + p.T) / 2.0, t
+
+
+def _ring_standard_form(cm: CovarianceMatrix):
+    """:func:`to_standard_form` of a q-p-free state whose blocks are exact circulants, on their
+    first rows: :func:`_balance`'s operations on the same numbers, with one t for every mode and
+    the mirrored row for the transpose, and V_Q certified by its spectrum.  None, for the dense
+    route to decide, if V_Q would turn complex or diagonal or its spectrum does not certify it."""
+    q, p = cm._vq_vp
+    q = _circulant_row(q)
+    p = None if q is None else _circulant_row(p)  # most states fail at q, in O(1)
+    if p is None:
+        return None
+    ratio = float(p[0] / q[0])
+    if not 0.0 < ratio < np.inf:
+        return None
+    t = ratio**0.25
+    u = 1.0 / t
+    q, p = (t * (q + 0.0)) * t, (u * (p + 0.0)) * u
+    vq, p = (q + _mirror(q)) / 2.0, (p + _mirror(p)) / 2.0
+    tol = tolerances.block(_bounded_norm("covariance matrix", vq, p))
+    inverse = _circulant_inverse(vq, np.fft.rfft(vq).real) if np.any(vq[1:]) else None
+    if inverse is None:
+        return None
+    gap = float(abs(p - inverse).max())
+    if gap > tol:
+        raise NotInGenericClassError(gap, tol)
+    return StandardForm._with_inverse(cm.n_modes, vq, inverse, circulant=True)
 
 
 def _local_normalization(cm: CovarianceMatrix) -> tuple:
@@ -313,15 +366,20 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
 
     Performs per-mode Williamson normalization on the N x N blocks (O(N^2)),
     checks that the q-p block vanishes, and verifies the momentum block
-    against V_Q^{-1}, inverted by :func:`_inverse` (one inverse real FFT for
-    a ring's exactly circulant V_Q, else from the Cholesky factor that tests
-    V_Q) or, without a factor, by ``np.linalg.inv``.  A state whose q-p block
-    is exactly zero (every state this package builds) is only balanced: no
-    mode of it turns and its normalized q-p block is exactly zero, so the
-    rotation stage and the cross-block check are skipped.  The result is built
-    without the public constructor's boundary checks: V_Q is a fresh float
-    array, symmetric by construction, and the positive-definiteness test runs
-    here, since purity and the class checks pass the two-mode -I.
+    against V_Q^{-1}, inverted by :func:`_inverse` (from the Cholesky factor
+    that tests V_Q) or, without a factor, by ``np.linalg.inv``.  A state whose
+    q-p block is exactly zero (every state this package builds) is only
+    balanced: no mode of it turns and its normalized q-p block is exactly
+    zero, so the rotation stage and the cross-block check are skipped.  When
+    both of its blocks are exact circulants, as a ring's are, every step runs
+    on their first rows (:func:`_ring_standard_form`): V_Q's real-FFT spectrum
+    certifies it positive definite with no Cholesky test, and one inverse real
+    FFT inverts it, to the bits of the dense route; a spectrum inside the
+    certificate's margin is left to the dense route and its Cholesky test.
+    The result is built without the public constructor's boundary checks:
+    V_Q is a fresh float array, symmetric by construction, and the
+    positive-definiteness test runs here, since purity and the class checks
+    pass the two-mode -I.
 
     Raises:
         NotPureError: for mixed inputs.
@@ -334,6 +392,9 @@ def to_standard_form(cm: CovarianceMatrix) -> StandardForm:
     """
     require_pure(cm)
     if cm._qp_free:
+        ring = _ring_standard_form(cm)
+        if ring is not None:
+            return ring
         # no mode turns (its q-p diagonal is zero), so _local_normalization would mix no row and
         # return exact-zero cross terms: balancing alone gives its V_Q and V_P bit for bit.
         # + 0.0 turns -0 into +0, as the dense identity congruence does; the blocks are symmetric
@@ -393,11 +454,12 @@ def reconstruct_diagonal(
     symmetry its diagonal is one number d, and its N conditions are the one
     scalar equation ``mean_k 1/(d + c_k) = d`` over the coupling's
     eigenvalues c_k, one real FFT of its first row (see
-    :func:`_circulant_diagonal`).  Then V_Q = C + d I passes one Cholesky
-    test, and ``vp`` is the circulant of one inverse real FFT of
-    ``1/(d + c_k)``.  A result that cannot be certified (no factor, a value
-    that is not finite, a residual above ``tolerances.newton``) falls back
-    to the Newton solve.  Every argument check and the anchor's overflow
+    :func:`_circulant_diagonal`).  Then the spectrum d + c_k certifies
+    V_Q = C + d I positive definite, with no Cholesky test, and ``vp`` is the
+    circulant of one inverse real FFT of ``1/(d + c_k)``, both built on first
+    rows.  A result that cannot be certified (a spectrum inside the
+    certificate's margin, a value that is not finite, a residual above
+    ``tolerances.newton``) falls back to the Newton solve.  Every argument check and the anchor's overflow
     refusal run first, on both routes.
 
     Args:

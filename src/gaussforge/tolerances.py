@@ -52,6 +52,14 @@ NEWTON_MAX_BACKTRACK = 40
 # and --help load this module without numpy
 CIRCULANT_STEP = 4.0 * sys.float_info.epsilon
 
+# an exact symmetric circulant is certified positive definite, with no Cholesky test, once the
+# least of its real-FFT eigenvalues exceeds CERTIFIED_SPECTRUM * N^2 * ||row||_1.  That bounds
+# the FFT's error plus the least eigenvalue at which a Cholesky test can break down, about
+# N (N + 1) (eps / 2) row[0] for a constant diagonal row[0] (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2nd ed., ch. 10).  A conditioning limit, not a residual, so
+# GF_TOL_OVERRIDE does not scale it
+CERTIFIED_SPECTRUM = 8.0 * sys.float_info.epsilon
+
 
 # the override's key as ``os.environ`` stores it in the dict behind it
 _OVERRIDE_KEY = os.environ.encodekey("GF_TOL_OVERRIDE")

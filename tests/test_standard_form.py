@@ -7,7 +7,7 @@ import pytest
 
 from gaussforge import standard_form, symplectic, tolerances
 from gaussforge.engineering import Recipe, engineer_state, random_recipe
-from gaussforge.entanglement import entropy_one_vs_rest
+from gaussforge.entanglement import entropy_one_vs_rest, entropy_via_pairwise
 from gaussforge.gmps import theta
 from gaussforge.errors import (
     InfeasibleError,
@@ -369,28 +369,35 @@ class TestOneInverse:
 
 class TestQpFreeRoute:
     """States with an exactly zero q-p block are balanced without the rotation stage,
-    with the bits of the general route, and built into a standard form with one Cholesky."""
+    with the bits of the general route, and built into a standard form with one Cholesky,
+    or none for a ring, whose spectrum certifies it."""
 
     def test_same_bits_as_rotation_then_balance(self, monkeypatch):
-        """The V_Q and V_P that to_standard_form balances are the general route's, bit for bit."""
+        """The V_Q and V_P that to_standard_form balances, as its class bound reads them, are the
+        general route's, bit for bit; a ring's are read there as the first rows of circulants."""
         states = block_route_states()
         general = [standard_form._local_normalization(cm) for cm in states]
         balanced = []
-        original = standard_form._balance
+        original = standard_form._bounded_norm
 
-        def recorded(q, p):
-            balanced.append(original(q, p))
-            return balanced[-1]
+        def recorded(what, *blocks):
+            balanced.append(blocks)
+            return original(what, *blocks)
 
-        monkeypatch.setattr(standard_form, "_balance", recorded)
+        monkeypatch.setattr(standard_form, "_bounded_norm", recorded)
         forbid(monkeypatch, standard_form, "_local_normalization")
+        rings = 0
         for cm, (general_q, general_p, cross) in zip(states, general):
             to_standard_form(cm)
-            ((vq, vp, _),) = balanced
+            vq, vp = balanced[0]  # the balanced blocks, before the seal's bound
             balanced.clear()
+            if vq.ndim == 1:
+                rings += 1
+                vq, vp = standard_form._cyclic_shifts(vq), standard_form._cyclic_shifts(vp)
             assert vq.tobytes() == general_q.tobytes()
             assert vp.tobytes() == general_p.tobytes()
             assert not np.any(cross) and not np.any(np.signbit(cross))
+        assert rings == 12  # every ring of block_route_states, and nothing else
 
     def test_negative_zero_qp_block_takes_the_free_route(self, monkeypatch):
         cm = CovarianceMatrix(3, np.where(np.eye(6) == 1.0, 1.0, -0.0))
@@ -407,21 +414,21 @@ class TestQpFreeRoute:
         assert sf.vq.tobytes() == np.eye(2).tobytes()
 
     @pytest.mark.parametrize(
-        "make",
+        "make, choleskys",
         [
-            lambda: engineer_state(random_recipe(2, seed=2)),
-            lambda: engineer_state(random_recipe(16, seed=16, s_max=30.0)),
-            lambda: harmonic_ground_state(ring_potential(31, 0.5)),
+            (lambda: engineer_state(random_recipe(2, seed=2)), 1),
+            (lambda: engineer_state(random_recipe(16, seed=16, s_max=30.0)), 1),
+            (lambda: harmonic_ground_state(ring_potential(31, 0.5)), 0),
         ],
         ids=["engineered-2", "engineered-16", "ring-31"],
     )
-    def test_no_rotation_and_one_cholesky(self, make, monkeypatch):
+    def test_no_rotation_and_one_cholesky(self, make, choleskys, monkeypatch):
         cm = make()
         forbid(monkeypatch, standard_form, "_local_normalization")
         forbid(monkeypatch, np, "arctan2")
         calls = record_calls(monkeypatch, np.linalg, "cholesky")
         sf = to_standard_form(cm)
-        assert len(calls) == 1 and calls[0] is sf.vq
+        assert len(calls) == choleskys and all(call is sf.vq for call in calls)
 
     def test_two_mode_minus_identity_is_refused_by_the_cholesky(self):
         """-I passes purity and the class checks; the Cholesky is its only refusal."""
@@ -949,6 +956,35 @@ def ring_standard_form(n: int, coupling: float) -> StandardForm:
     return to_standard_form(harmonic_ground_state(ring_potential(n, coupling)))
 
 
+def dense_form(vq: np.ndarray, vp: np.ndarray) -> StandardForm:
+    """A standard form that holds the dense blocks as given, with no seal."""
+    sf = StandardForm.__new__(StandardForm)
+    for name, value in (("n_modes", len(vq)), ("vq", vq), ("vp", vp)):
+        object.__setattr__(sf, name, value)
+    return sf
+
+
+def dense_completion(offdiag: np.ndarray, n: int) -> StandardForm:
+    """The Fourier completion with dense blocks: the coupling copied with its diagonal filled
+    by the scalar root, and V_P = (W + W^T) / 2 for the circulant W of the inverse row."""
+    upper = np.zeros((n, n))
+    upper[np.triu_indices(n, 1)] = offdiag  # row-major, as extract_parameters reads it
+    coupling = upper + upper.T
+    spectrum = np.fft.rfft(coupling[0]).real
+    d = standard_form._circulant_diagonal(spectrum, n)
+    vq = coupling.copy()
+    np.fill_diagonal(vq, d)
+    inverse = standard_form._cyclic_shifts(np.fft.irfft(1.0 / (d + spectrum), n))
+    return dense_form(vq, (inverse + inverse.T) / 2.0)
+
+
+def circulant_state(row: np.ndarray) -> CovarianceMatrix:
+    """The pure q-p-free state whose V_Q is the circulant of a symmetric first ``row`` and
+    V_P the circulant of one inverse real FFT of its reciprocal real-FFT eigenvalues."""
+    inverse = np.fft.irfft(1.0 / np.fft.rfft(row).real, len(row))
+    return symplectic._from_blocks(*map(standard_form._cyclic_shifts, (row, inverse)))
+
+
 class TestCirculantRoute:
     """Exactly circulant potentials and couplings of at least 3 modes take the Fourier route:
     a real FFT for the ground state, and one scalar equation for the reconstruction."""
@@ -1044,26 +1080,20 @@ class TestCirculantRoute:
     @pytest.mark.parametrize(
         "spoil",
         [lambda d: d * (1.0 + 1e-9), lambda d: 5.0, None],
-        ids=["residual-only", "class-check", "no-factor"],
+        ids=["residual-only", "class-check", "no-certificate"],
     )
     def test_uncertified_completion_falls_back_to_newton(self, spoil, monkeypatch):
         """A scalar root that fails certification is dropped for the Newton solve, with the
         Newton bits and no new error: off by 1e-9 relative it passes the class check and
         fails only the residual check, at 5 it fails the Williamson gap, and a V_Q whose
-        first Cholesky test is refused is not used either."""
+        spectrum does not certify it positive definite is not used either."""
         n = 31
         params = extract_parameters(ring_standard_form(n, 0.5))
         monkeypatch.setattr(standard_form, "_circulant_row", lambda matrix: None)
         newton = reconstruct_diagonal(params, n)
         monkeypatch.undo()
-        if spoil is None:
-            cholesky, tested = standard_form._cholesky, []
-
-            def first_refused(vq):
-                tested.append(vq)
-                return None if len(tested) == 1 else cholesky(vq)
-
-            monkeypatch.setattr(standard_form, "_cholesky", first_refused)
+        if spoil is None:  # a margin that no spectrum clears
+            monkeypatch.setattr(tolerances, "CERTIFIED_SPECTRUM", np.inf)
         else:
             root = standard_form._circulant_diagonal
             monkeypatch.setattr(
@@ -1090,21 +1120,95 @@ class TestCirculantRoute:
     @pytest.mark.parametrize("n", [3, 5, 31, 64, 101, 160])
     @pytest.mark.parametrize("coupling", [0.1, 0.5, 2.0, 1e3])
     def test_exact_ring_standard_form_inverts_by_one_fft(self, n, coupling, monkeypatch):
-        """to_standard_form of a ring: V_Q is balanced as before, one Cholesky test decides
-        positive definiteness, and vp is the symmetrized circulant of one inverse real FFT,
-        with no dense inverse; the public constructor takes the same route, to the bit."""
+        """to_standard_form of a ring: V_Q is balanced as before, its spectrum certifies it
+        positive definite with no Cholesky test, and vp is the symmetrized circulant of one
+        inverse real FFT, with no dense inverse; the public constructor takes the same route,
+        to the bit."""
         cm = harmonic_ground_state(ring_potential(n, coupling))
         forbid(monkeypatch, standard_form, "_factor_inverse", "_triangular_inverse")
         forbid(monkeypatch, np.linalg, "inv")
         factored = record_calls(monkeypatch, np.linalg, "cholesky")
         sf = to_standard_form(cm)
-        assert len(factored) == 1
+        assert not factored
         balanced = standard_form._balance(*(block + 0.0 for block in cm._vq_vp))[0]
         assert sf.vq.tobytes() == balanced.tobytes()
         row = sf.vp[0]
         assert np.array_equal(sf.vp, np.array([np.roll(row, i) for i in range(n)]))
         assert np.array_equal(sf.vp, sf.vp.T)
         assert sf.vp.tobytes() == StandardForm(n, sf.vq).vp.tobytes()
+
+    @pytest.mark.parametrize("n", [3, 5, 9, 31, 64, 101, 160, 400])
+    @pytest.mark.parametrize("coupling", [0.1, 0.5, 2.0, 1e3, 1e6])
+    @pytest.mark.parametrize("jitter", [1.0, 1.0321], ids=["exact", "jittered"])
+    def test_ring_rows_give_the_dense_bytes(self, n, coupling, jitter, monkeypatch):
+        """Both ring routes work on first rows, with no Cholesky test, and every output has
+        the bytes of the dense route: _balance, V_P = (W + W^T) / 2 of the inverse W, and the
+        dense completion."""
+        cm = harmonic_ground_state(ring_potential(n, coupling * jitter))
+        factored = record_calls(monkeypatch, np.linalg, "cholesky")
+        sf = to_standard_form(cm)
+        rebuilt = reconstruct_diagonal(extract_parameters(sf), n)
+        assert not factored
+        monkeypatch.undo()
+        vq = standard_form._balance(*(block + 0.0 for block in cm._vq_vp))[0]
+        inverse = standard_form._inverse(vq, np.linalg.cholesky(vq))
+        reference = dense_form(vq, (inverse + inverse.T) / 2.0)
+        cases = ((sf, reference), (rebuilt, dense_completion(extract_parameters(reference), n)))
+        for ours, dense in cases:
+            for array, expected in (
+                (ours.vq, dense.vq),
+                (ours.vp, dense.vp),
+                (ours._pairwise_sums, dense._pairwise_sums),
+                (extract_parameters(ours), extract_parameters(dense)),
+                (standard_form_to_cm(ours).data, standard_form_to_cm(dense).data),
+            ):
+                assert array.tobytes() == expected.tobytes()
+            entropies = [entropy_via_pairwise(form, k) for form in (ours, dense) for k in range(1, n + 1)]
+            assert entropies[:n] == entropies[n:]
+
+    def test_indefinite_circulant_is_refused(self):
+        """V_Q = I - 0.6 (S + S^T) on 5 modes, eigenvalues 1 - 1.2 cos(2 pi k / 5), -0.2 at k = 0,
+        and V_P its exact circulant inverse: a pure q-p-free state whose blocks are exact
+        circulants.  Its spectrum certifies nothing, and both builders refuse it as before."""
+        shift = np.roll(np.eye(5), 1, axis=1)
+        vq = np.eye(5) - 0.6 * (shift + shift.T)
+        state = circulant_state(vq[0])
+        assert is_pure(state) and np.array_equal(state._vq_vp[0], vq)
+        assert all(standard_form._circulant_row(block) is not None for block in state._vq_vp)
+        for build in (lambda: to_standard_form(state), lambda: StandardForm(5, vq)):
+            with pytest.raises(ValueError, match=r"^vq must be positive definite$"):
+                build()
+
+    @pytest.mark.parametrize("least, choleskys", [(1e-13, 0), (2e-14, 1)])
+    def test_spectrum_inside_the_margin_takes_the_dense_route(self, least, choleskys, monkeypatch):
+        """Eigenvalues (least, 1, 1, 1, 1): 1e-13 clears the margin 8 N^2 eps ||row||_1 of the
+        balanced V_Q and 2e-14 does not, so only the latter is handed to the dense route and
+        its one Cholesky test.  Both are refused by the V_P gap (ROADMAP item 15), with the
+        dense route's message."""
+        state = circulant_state(np.fft.irfft([least, 1.0, 1.0], 5))
+        calls = record_calls(monkeypatch, np.linalg, "cholesky")
+        with pytest.raises(NotInGenericClassError) as refused:
+            to_standard_form(state)
+        assert len(calls) == choleskys
+        monkeypatch.setattr(standard_form, "_ring_standard_form", lambda cm: None)
+        with pytest.raises(NotInGenericClassError) as dense:
+            to_standard_form(state)
+        assert str(refused.value) == str(dense.value)
+
+    @pytest.mark.parametrize("n", [5, 64])
+    def test_margin_above_the_spectrum_keeps_the_bytes(self, n, monkeypatch):
+        """A margin raised just above a ring's least eigenvalue hands it to the dense route:
+        one Cholesky test, and the certified route's bytes."""
+        cm = harmonic_ground_state(ring_potential(n, 0.5))
+        certified = to_standard_form(cm)
+        row = certified.vq[0]
+        margin = np.fft.rfft(row).real.min() * (1.0 + 1e-9) / (n * n * abs(row).sum())
+        monkeypatch.setattr(tolerances, "CERTIFIED_SPECTRUM", margin)
+        calls = record_calls(monkeypatch, np.linalg, "cholesky")
+        sf = to_standard_form(cm)
+        assert len(calls) == 1
+        assert sf.vq.tobytes() == certified.vq.tobytes()
+        assert sf.vp.tobytes() == certified.vp.tobytes()
 
     @pytest.mark.parametrize(
         "make",
