@@ -21,6 +21,7 @@ from .standard_form import StandardForm, _strict_upper
 from .symplectic import (
     CovarianceMatrix,
     _check_mode_indices,
+    _mode_entry,
     _pair_blocks,
     _positive_mode_det,
     require_pure,
@@ -152,20 +153,34 @@ def schmidt_parameter(cm: CovarianceMatrix, mode_index: int) -> float:
     Equals the single non-unit symplectic eigenvalue of the complementary
     (N-1)-mode reduction.
 
-    Raises:
+    Raises, in this order:
+        ValueError: if ``GF_TOL_OVERRIDE`` is set but not a positive finite float.
         NotPureError: for mixed inputs.
+        ValueError: if ``mode_index`` is not an integer in 1..N; bools and floats are not.
         ValueError: if det sigma_i is not positive (the purity identity lets such states through).
     """
     require_pure(cm)
-    _check_mode_indices(cm.n_modes, mode_index)
     return math.sqrt(_positive_mode_det(cm, mode_index))
 
 
 def entropy_one_vs_rest(
     cm: CovarianceMatrix, mode_index: int, nats: bool = False
 ) -> float:
-    """Entropy of entanglement between one mode and the remaining N-1."""
-    return bosonic_entropy(schmidt_parameter(cm, mode_index), nats=nats)
+    """Entropy of entanglement between one mode and the remaining N-1: the :func:`bosonic_entropy`
+    of :func:`schmidt_parameter`, from one read of the tolerance scale.
+
+    Raises, in this order:
+        ValueError: if ``GF_TOL_OVERRIDE`` is set but not a positive finite float.
+        NotPureError: for mixed inputs.
+        ValueError: if ``mode_index`` is not an integer in 1..N; bools and floats are not.
+        ValueError: if det sigma_i is not positive.
+        ValueError: if sqrt(det sigma_i) lies outside :func:`bosonic_entropy`'s window.
+    """
+    factor = tolerances.scale()
+    require_pure(cm, factor)
+    nu = math.sqrt(_positive_mode_det(cm, mode_index))
+    value = _entropy(nu, *tolerances.entropy_window(factor))
+    return value * _LN2 if nats else value
 
 
 def entropy_via_pairwise(
@@ -177,13 +192,14 @@ def entropy_via_pairwise(
     form, where ``det eps_ij = vq_ij * vp_ij``; the sums of all modes are
     kept by the standard form.
 
-    Raises:
-        ValueError: if the accumulated determinant turns out negative, or
-            its square root lies outside :func:`bosonic_entropy`'s window;
-            either signals numerically inconsistent input.
+    Raises, in this order:
+        ValueError: if ``mode_index`` is not an integer in 1..N; bools and floats are not.
+        ValueError: if the accumulated determinant turns out negative.
+        ValueError: if ``GF_TOL_OVERRIDE`` is set but not a positive finite float.
+        ValueError: if its square root lies outside :func:`bosonic_entropy`'s window.
+        Either determinant refusal signals numerically inconsistent input.
     """
-    _check_mode_indices(sf.n_modes, mode_index)
-    det_block = 1.0 - float(sf._pairwise_sums[mode_index - 1])
+    det_block = 1.0 - _mode_entry(sf._pairwise_sums, mode_index)
     if det_block < 0.0:
         raise ValueError(
             f"pairwise accounting gave a negative determinant ({det_block:.3e}); "
@@ -217,17 +233,21 @@ def full_report(cm: CovarianceMatrix, schmidt_mode: int = 1) -> EntanglementRepo
         cm: pure covariance matrix.
         schmidt_mode: 1-based mode defining the reported one-vs-rest
             Schmidt parameter.
+
+    Each distinct Schmidt value's entropy is computed once, in mode order: a ring's one.
     """
-    require_pure(cm)
+    factor = tolerances.scale()
+    require_pure(cm, factor)
     n = cm.n_modes
     _check_mode_indices(n, schmidt_mode)
     schmidt = [math.sqrt(_positive_mode_det(cm, k)) for k in range(1, n + 1)]
     rows, cols = np.nonzero(_strict_upper(n))
     logneg = np.zeros((n, n))
     logneg[rows, cols] = logneg[cols, rows] = _log_negativities(cm, rows, cols)
-    low, unit = tolerances.entropy_window()
+    low, unit = tolerances.entropy_window(factor)
+    entropies = {nu: _entropy(nu, low, unit) for nu in dict.fromkeys(schmidt)}
     return EntanglementReport(
-        per_mode_entropy=tuple(_entropy(v, low, unit) for v in schmidt),
+        per_mode_entropy=tuple(map(entropies.__getitem__, schmidt)),
         schmidt_parameter=schmidt[schmidt_mode - 1],
         pairwise_logneg=logneg,
         pairwise_detblocks=np.where(np.eye(n, dtype=bool), 0.0, cm._dets),

@@ -24,9 +24,11 @@ from .symplectic import (
     CovarianceMatrix,
     _blocks,
     _bounded_norm,
-    _check_mode_indices,
     _check_symmetric,
+    _cyclic_shifts,
     _from_blocks,
+    _mirror,
+    _mode_entry,
     _positive_mode_det,
     read_matrix,
     require_pure,
@@ -113,13 +115,11 @@ class StandardForm:
             )
 
     @cached_property
-    def _pairwise_sums(self) -> np.ndarray:
-        """Read-only vector of each mode's ``sum_{j != i} vq_ij * vp_ij``."""
+    def _pairwise_sums(self) -> tuple:
+        """Each mode's ``sum_{j != i} vq_ij * vp_ij`` as a float."""
         products = self.vq * self.vp
         np.fill_diagonal(products, 0.0)
-        sums = products.sum(axis=1)
-        sums.flags.writeable = False
-        return sums
+        return tuple(products.sum(axis=1).tolist())
 
     def to_dict(self) -> dict:
         return {"n_modes": self.n_modes, "vq": self.vq.tolist()}
@@ -175,19 +175,6 @@ def _triangular_inverse(lower: np.ndarray) -> np.ndarray:
 def _strict_upper(n_modes: int) -> np.ndarray:
     """Boolean mask of the strict upper triangle; indexing with it reads row-major order."""
     return ~np.tri(n_modes, dtype=bool)
-
-
-def _cyclic_shifts(row: np.ndarray) -> np.ndarray:
-    """Read-only strided view of the circulant matrix whose entry (i, j) is ``row[(j - i) % N]``."""
-    n, step = len(row), row.itemsize  # row i starts at entry N - i of the doubled row
-    shifts = np.ndarray((n, n), row.dtype, np.concatenate([row, row]), n * step, (-step, step))
-    shifts.flags.writeable = False
-    return shifts
-
-
-def _mirror(row: np.ndarray) -> np.ndarray:
-    """``row[(-k) % N]``: the first row of the transpose of the circulant of ``row``."""
-    return np.concatenate((row[:1], row[:0:-1]))
 
 
 def _circulant_row(matrix: np.ndarray):
@@ -311,13 +298,15 @@ def _balance(q: np.ndarray, p: np.ndarray) -> tuple:
 def _ring_standard_form(cm: CovarianceMatrix):
     """:func:`to_standard_form` of a q-p-free state whose blocks are exact circulants, on their
     first rows: :func:`_balance`'s operations on the same numbers, with one t for every mode and
-    the mirrored row for the transpose, and V_Q certified by its spectrum.  None, for the dense
+    the mirrored row for the transpose, and V_Q certified by its spectrum.  The rows are those a
+    ring's ground state carries, else those :func:`_circulant_row` finds.  None, for the dense
     route to decide, if V_Q would turn complex or diagonal or its spectrum does not certify it."""
-    q, p = cm._vq_vp
-    q = _circulant_row(q)
-    p = None if q is None else _circulant_row(p)  # most states fail at q, in O(1)
-    if p is None:
-        return None
+    q, p = cm._rows or cm._vq_vp
+    if cm._rows is None:
+        q = _circulant_row(q)
+        p = None if q is None else _circulant_row(p)  # most states fail at q, in O(1)
+        if p is None:
+            return None
     ratio = float(p[0] / q[0])
     if not 0.0 < ratio < np.inf:
         return None
@@ -549,14 +538,16 @@ def det_identity_residual(cm: CovarianceMatrix, mode_index: int) -> float:
     by local symplectics: the state is not normalized first.  The state
     keeps the row sums of its block determinants, so a call is a lookup.
 
-    Raises:
+    Raises, in this order:
+        ValueError: if ``mode_index`` is not an integer in 1..N; bools and floats are not.
+        ValueError: if ``GF_TOL_OVERRIDE`` is set but not a positive finite float.
         NotPureError: for mixed inputs.
         ValueError: if det sigma_i is not positive (the purity identity lets such states through).
     """
-    _check_mode_indices(cm.n_modes, mode_index)
+    row_sum = _mode_entry(cm._det_row_sums, mode_index)
     require_pure(cm)
     _positive_mode_det(cm, mode_index)
-    return cm._det_row_sums[mode_index - 1] - 1.0
+    return row_sum - 1.0
 
 
 def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:
@@ -600,11 +591,9 @@ def harmonic_ground_state(potential: np.ndarray) -> CovarianceMatrix:
             f"is not resolved against its largest {largest:.3e}"
         )
     roots = np.sqrt(eigenvalues)
-    if row is not None:  # _from_blocks makes each circulant exactly symmetric
+    if row is not None:  # _from_blocks makes each circulant exactly symmetric, and keeps the rows
         n = len(row)
-        return _from_blocks(
-            _cyclic_shifts(np.fft.irfft(1.0 / roots, n)), _cyclic_shifts(np.fft.irfft(roots, n))
-        )
+        return _from_blocks(np.fft.irfft(1.0 / roots, n), np.fft.irfft(roots, n), circulant=True)
     return _from_blocks(
         (eigenvectors / roots) @ eigenvectors.T, (eigenvectors * roots) @ eigenvectors.T
     )

@@ -8,7 +8,8 @@ Omega for the antisymmetric form Omega.
 
 A CM whose q-p block is exactly zero is V_Q (+) V_P, and its purity
 residual and Williamson spectrum are computed on those two N x N blocks;
-every other CM is handled as the dense 2N x 2N matrix.
+every other CM is handled as the dense 2N x 2N matrix.  A ring's ground
+state also keeps its two circulant blocks' first rows.
 """
 
 from __future__ import annotations
@@ -49,6 +50,14 @@ def _check_mode_indices(n_modes: int, *indices) -> None:
             raise ValueError(f"mode index {mode_index} out of range for {n_modes} modes")
 
 
+def _mode_entry(entries, mode_index):
+    """``entries[mode_index - 1]``, one entry per mode, for a 1-based index refused as
+    :func:`_check_mode_indices` refuses it; a plain ``int`` in range costs one compare."""
+    if type(mode_index) is not int or not 0 < mode_index <= len(entries):
+        _check_mode_indices(len(entries), mode_index)
+    return entries[mode_index - 1]
+
+
 def _bounded_norm(what: str, *matrices) -> float:
     """Largest absolute entry of the matrices, refused unless finite and at most ``tolerances.MAX_ENTRY``."""
     norms = [float(abs(matrix).max()) for matrix in matrices]
@@ -65,26 +74,47 @@ def _check_symmetric(what: str, matrix: np.ndarray) -> None:
         raise ValueError(f"{what} must be symmetric")
 
 
+def _cyclic_shifts(row: np.ndarray) -> np.ndarray:
+    """Read-only strided view of the circulant matrix whose entry (i, j) is ``row[(j - i) % N]``."""
+    n, step = len(row), row.itemsize  # row i starts at entry N - i of the doubled row
+    shifts = np.ndarray((n, n), row.dtype, np.concatenate([row, row]), n * step, (-step, step))
+    shifts.flags.writeable = False
+    return shifts
+
+
+def _mirror(row: np.ndarray) -> np.ndarray:
+    """``row[(-k) % N]``: the first row of the transpose of the circulant of ``row``."""
+    return np.concatenate((row[:1], row[:0:-1]))
+
+
 def _blocks(sigma: np.ndarray) -> tuple:
     """Views of V_Q, V_P and the q-p cross block X (rows q, columns p) of a CM."""
     return sigma[0::2, 0::2], sigma[1::2, 1::2], sigma[0::2, 1::2]
 
 
-def _from_blocks(vq: np.ndarray, vp: np.ndarray) -> CovarianceMatrix:
+def _from_blocks(vq: np.ndarray, vp: np.ndarray, circulant: bool = False) -> CovarianceMatrix:
     """The q-p block-diagonal state V_Q (+) V_P, each block symmetrized.
+
+    With ``circulant``, ``vq`` and ``vp`` are first rows of circulants, each symmetrized as
+    ``(row + _mirror(row)) / 2``, the bits of (X + X^T) / 2; unless either is diagonal, the
+    state keeps them as ``_rows``, as :func:`_circulant_row` would find them.
 
     Only the constructor's bound check runs: symmetry and the zero q-p block
     hold by construction, so neither 4N^2 scan is repeated.
     """
     n = len(vq)
-    vq, vp = (vq + vq.T) / 2.0, (vp + vp.T) / 2.0
+    flip = _mirror if circulant else np.transpose
+    vq, vp = (vq + flip(vq)) / 2.0, (vp + flip(vp)) / 2.0
     norm = _bounded_norm("covariance matrix", vq, vp)  # the zero q-p blocks add nothing
     data = np.zeros((2 * n, 2 * n))
-    data[0::2, 0::2] = vq
-    data[1::2, 1::2] = vp
+    data[0::2, 0::2] = _cyclic_shifts(vq) if circulant else vq
+    data[1::2, 1::2] = _cyclic_shifts(vp) if circulant else vp
     data.flags.writeable = False
     cm = CovarianceMatrix.__new__(CovarianceMatrix)
     vars(cm).update(n_modes=n, data=data, _inf_norm=norm, _qp_free=True)
+    if circulant and np.any(vq[1:]) and np.any(vp[1:]):
+        vq.flags.writeable = vp.flags.writeable = False
+        vars(cm)["_rows"] = vq, vp
     return cm
 
 
@@ -104,12 +134,15 @@ class CovarianceMatrix:
             vacuum variance 1, entries finite and at most
             ``tolerances.MAX_ENTRY`` in magnitude; read-only, as the object
             keeps its inf-norm, purity residual, 2x2 block determinants and
-            their row sums, and whether its q-p block is zero (re-enabling
-            writes leaves them stale).
+            their row sums, whether its q-p block is zero and a ring's first
+            rows (re-enabling writes leaves them stale).
     """
 
     n_modes: int
     data: np.ndarray
+
+    # a ring's ground state keeps the read-only first rows of V_Q and V_P (see _from_blocks)
+    _rows = None
 
     def __post_init__(self):
         data = _dense_data(self)
@@ -136,7 +169,8 @@ class CovarianceMatrix:
     @cached_property
     def _purity_residual(self) -> float:
         if self._qp_free:
-            return _block_purity_product(*self._vq_vp)
+            vq, vp = self._vq_vp  # a ring's circulant V_Q V_P: row 0 holds every entry
+            return _block_purity_product(vq if self._rows is None else vq[:1], vp)
         return _purity_product(self.data)
 
     @cached_property
@@ -147,6 +181,14 @@ class CovarianceMatrix:
         dets = d[0::2, 0::2] * d[1::2, 1::2] - d[0::2, 1::2] * d[1::2, 0::2]
         dets.flags.writeable = False
         return dets
+
+    @cached_property
+    def _mode_dets(self) -> tuple:
+        """Each mode's det sigma_i as a float, from the block diagonals, as in ``_dets``."""
+        d = self.data
+        diagonal = d.diagonal()
+        dets = diagonal[0::2] * diagonal[1::2] - d.diagonal(1)[0::2] * d.diagonal(-1)[0::2]
+        return tuple(dets.tolist())
 
     @cached_property
     def _det_row_sums(self) -> tuple:
@@ -311,8 +353,9 @@ def is_bona_fide(cm: CovarianceMatrix) -> bool:
 
 
 def _identity_residual(product: np.ndarray) -> float:
-    """Inf-norm of ``product - I``; ``product`` is a fresh array and is changed in place."""
-    product[np.diag_indices_from(product)] -= 1.0
+    """Inf-norm of ``product - I`` over the rows ``product`` holds; ``product`` is a fresh
+    array and is changed in place."""
+    product.flat[:: product.shape[1] + 1] -= 1.0  # entries (k, k), in row-major order
     return float(np.max(np.abs(product)))
 
 
@@ -322,15 +365,10 @@ def _purity_product(sigma: np.ndarray) -> float:
 
 
 def _block_purity_product(vq: np.ndarray, vp: np.ndarray) -> float:
-    """Inf-norm of V_Q V_P - I: for sigma = V_Q (+) V_P, -Omega sigma Omega sigma - I is
-    (V_P V_Q - I) (+) (V_Q V_P - I), and the two parts are transposes of each other."""
+    """Inf-norm of V_Q V_P - I over the rows of ``vq``: for sigma = V_Q (+) V_P,
+    -Omega sigma Omega sigma - I is (V_P V_Q - I) (+) (V_Q V_P - I), and the two parts are
+    transposes of each other."""
     return _identity_residual(vq @ vp)
-
-
-def _purity(cm: CovarianceMatrix) -> tuple:
-    """The purity verdict, residual and tolerance; the tolerance scales with the squared CM norm."""
-    residual, tol = cm._purity_residual, tolerances.purity(cm._inf_norm)
-    return residual <= tol, residual, tol
 
 
 def is_pure(cm: CovarianceMatrix) -> PurityResult:
@@ -340,21 +378,22 @@ def is_pure(cm: CovarianceMatrix) -> PurityResult:
         A truthy :class:`PurityResult` carrying the residual norm; the
         verdict uses a tolerance that scales with the squared CM norm.
     """
-    pure, residual, _ = _purity(cm)
-    return PurityResult(pure, residual)
+    residual = cm._purity_residual
+    return PurityResult(residual <= tolerances.purity(cm._inf_norm), residual)
 
 
-def require_pure(cm: CovarianceMatrix) -> None:
-    """Raise :class:`NotPureError` unless ``cm`` passes :func:`is_pure`, with no ``PurityResult``."""
-    pure, residual, tol = _purity(cm)
-    if not pure:
+def require_pure(cm: CovarianceMatrix, factor: float | None = None) -> None:
+    """Raise :class:`NotPureError` unless ``cm`` passes :func:`is_pure` at tolerance scale
+    ``factor``."""
+    residual, tol = cm._purity_residual, tolerances.purity(cm._inf_norm, factor)
+    if not residual <= tol:
         raise NotPureError(residual, tol)
 
 
-def _positive_mode_det(cm: CovarianceMatrix, mode_index: int) -> float:
-    """det sigma_i of a 1-based mode, read from the state's block determinants, refused
-    unless positive: the purity identity alone passes indefinite states."""
-    det = float(cm._dets[mode_index - 1, mode_index - 1])
+def _positive_mode_det(cm: CovarianceMatrix, mode_index) -> float:
+    """det sigma_i of a 1-based mode, read by :func:`_mode_entry`, refused unless positive:
+    the purity identity alone passes indefinite states."""
+    det = _mode_entry(cm._mode_dets, mode_index)
     if not det > 0.0:
         raise ValueError(f"mode {mode_index} has block determinant {det:.3e}, not a positive one")
     return det

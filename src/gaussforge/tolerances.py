@@ -97,9 +97,9 @@ def scale() -> float:
     return value
 
 
-def purity(sigma_norm: float) -> float:
-    """Tolerance on the purity-identity residual for a CM of given norm."""
-    return 1e-9 * (1.0 + sigma_norm**2) * scale()
+def purity(sigma_norm: float, factor: float | None = None) -> float:
+    """Tolerance on the purity-identity residual for a CM of given norm, at scale ``factor``."""
+    return 1e-9 * (1.0 + sigma_norm**2) * (scale() if factor is None else factor)
 
 
 def block(sigma_norm: float) -> float:
@@ -112,10 +112,11 @@ def rank() -> float:
     return RANK * scale()
 
 
-def entropy_window() -> tuple:
+def entropy_window(factor: float | None = None) -> tuple:
     """The lowest symplectic eigenvalue an entropy accepts, ``1 - rank()``, and the
-    distance above 1 within which one carries no entropy, from one read of the scale."""
-    factor = scale()
+    distance above 1 within which one carries no entropy, from one read of the scale
+    (``factor``, if the caller has read it)."""
+    factor = scale() if factor is None else factor
     return 1.0 - RANK * factor, 1e-12 * factor
 
 

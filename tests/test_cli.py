@@ -310,8 +310,9 @@ class TestRing:
         assert "1001" in result.stderr and "1000" in result.stderr
 
     def test_one_purity_check(self, runner, monkeypatch):
-        """One purity product for the ring state; each printed entropy's verdict
-        (``require_pure``, which no longer calls ``is_pure``) reads its cached residual."""
+        """One purity product for the ring state, row 0 of its circulant V_Q V_P; each printed
+        entropy's verdict (``require_pure``, which no longer calls ``is_pure``) reads its cached
+        residual."""
         from gaussforge import entanglement, symplectic
 
         verdicts = record_calls(monkeypatch, entanglement, "require_pure")
@@ -319,7 +320,7 @@ class TestRing:
         result = runner.invoke(main, ["ring", "--n", "9", "--coupling", "0.5"])
         assert result.exit_code == 0
         assert [cm.n_modes for cm in verdicts] == [9] * 9 and len({id(cm) for cm in verdicts}) == 1
-        assert [len(vq) for vq in products] == [9]
+        assert [vq.shape for vq in products] == [(1, 9)]
 
     @pytest.mark.parametrize("n", ["3", "64"])
     @pytest.mark.parametrize("coupling", ["1e16", "1e17", "1e308"])

@@ -1,6 +1,7 @@
 """Tests for entanglement measures and their pairwise accounting."""
 
 import math
+import os
 import warnings
 
 import numpy as np
@@ -29,7 +30,14 @@ from gaussforge.standard_form import (
 )
 from gaussforge.symplectic import CovarianceMatrix, is_pure, symplectic_eigenvalues, vacuum_cm
 
-from conftest import block_route_states, condition_number, count_fills, forbid, random_local_symplectic
+from conftest import (
+    block_route_states,
+    condition_number,
+    count_fills,
+    forbid,
+    random_local_symplectic,
+    record_calls,
+)
 from oracles import apply_symplectic, block_dets, mode_block, reduced_cm, squeezer
 
 TMS = Recipe(2, np.sqrt(2.0))  # a = 1.25, c = 0.75
@@ -249,7 +257,7 @@ class TestEntropyViaPairwise:
         (1 - rank())^2 = 1 - 2e-6, below which entropy_via_pairwise refuses.
         """
         direct = np.diag(cm._dets)
-        pairwise = 1.0 - sf._pairwise_sums
+        pairwise = 1.0 - np.array(sf._pairwise_sums)
         assert np.min(direct) >= 1.0
         assert np.max(np.abs(pairwise - direct) / direct) <= 1e-7
         assert np.min(pairwise) > (1.0 - tolerances.rank()) ** 2
@@ -402,7 +410,8 @@ class TestFullReport:
     def test_one_purity_product_per_state_across_helpers(self, monkeypatch):
         """The state keeps its residual, so per-mode helpers share one product.
 
-        The ring state has no q-p block, so that one product is V_Q V_P.
+        The ring state has no q-p block and keeps its circulant rows, so that one product is
+        row 0 of V_Q V_P.
         """
         calls = []
         for name in ("_purity_product", "_block_purity_product"):
@@ -419,7 +428,7 @@ class TestFullReport:
             entropy_one_vs_rest(cm, k)
             det_identity_residual(cm, k)
         to_standard_form(cm)
-        assert calls == [("_block_purity_product", 31)]
+        assert calls == [("_block_purity_product", 1)]
 
     def test_one_block_determinant_pass_per_state_across_helpers(self, monkeypatch):
         """The state keeps its 2x2 block determinants, so per-mode helpers share one pass."""
@@ -586,6 +595,133 @@ class TestCachedDeterminants:
         assert not cm._dets.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             cm._dets[0, 0] = 1.0
+
+
+def entropy_outcome(query):
+    """A query's float or its refusal, as ``outcome`` in test_symplectic: equal means equal bits."""
+    try:
+        return np.float64(query()).tobytes()
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestPerModeQueries:
+    """The four per-mode queries read the tolerance scale once per call, at every call, and
+    take a plain int index by one compare, with every other index checked as before."""
+
+    QUERIES = {
+        "schmidt": lambda cm, sf, k: schmidt_parameter(cm, k),
+        "entropy": lambda cm, sf, k: entropy_one_vs_rest(cm, k),
+        "pairwise": lambda cm, sf, k: entropy_via_pairwise(sf, k),
+        "det-identity": lambda cm, sf, k: det_identity_residual(cm, k),
+    }
+
+    @pytest.mark.parametrize("name", list(QUERIES))
+    @pytest.mark.parametrize(
+        "kind",
+        [np.int64(2), np.int32(5), True, np.True_, 2.0, "1", 0, 6],
+        ids=["int64", "int32", "True", "np.True_", "2.0", "str", "0", "N+1"],
+    )
+    def test_index_kinds(self, name, kind):
+        """numpy integers give the plain int's bits; bools, floats and strings are not
+        integers, and 0 and N + 1 are out of range, each with the message of before."""
+        cm = harmonic_ground_state(ring_potential(5, 0.5))
+        read = CovarianceMatrix.from_dict(cm.to_dict())
+        query = self.QUERIES[name]
+        if type(kind) in (int, np.int64, np.int32):
+            expected = entropy_outcome(lambda: query(read, to_standard_form(read), int(kind)))
+            if 1 <= kind <= 5:
+                assert isinstance(expected, bytes)
+            else:
+                assert expected == f"ValueError: mode index {kind} out of range for 5 modes"
+        else:
+            expected = f"ValueError: mode index must be an integer, got {kind!r}"
+        for state in (cm, read):
+            assert entropy_outcome(lambda: query(state, to_standard_form(state), kind)) == expected
+
+    def test_check_order(self):
+        """A mixed state with an index out of range: the Schmidt value and the entropy refuse
+        the state first, the det identity the index."""
+        mixed = CovarianceMatrix(2, 2.0 * np.eye(4))
+        for query in (schmidt_parameter, entropy_one_vs_rest):
+            with pytest.raises(NotPureError):
+                query(mixed, 3)
+        with pytest.raises(ValueError, match=r"^mode index 3 out of range for 2 modes$"):
+            det_identity_residual(mixed, 3)
+
+    @staticmethod
+    def single_mode(q: float, det: float) -> CovarianceMatrix:
+        return CovarianceMatrix(1, np.diag([q, det / q]))
+
+    def test_override_read_at_every_call(self, monkeypatch):
+        """Each query on the same state flips its verdict when GF_TOL_OVERRIDE changes through
+        os.environ between two calls: the purity refusal, the window's lower edge and its
+        unit threshold all follow the scale of the call."""
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "1")  # restored at teardown
+        # residual 2e-5 against 1e-9 (1 + 100^2) = 1.0e-5: mixed at scale 1, pure at 100
+        impure = self.single_mode(100.0, 1.0 - 2e-5)
+        # pure at scale 1, with nu = 0.99999 below the window at 1 and inside it at 100
+        low = self.single_mode(1e3, 1.0 - 2e-5)
+        # a two-mode squeezed state with nu - 1 = 1.8e-11: above the unit threshold 1e-12 at
+        # scale 1, within 1e-10 at scale 100
+        a, c = math.cosh(6e-6), math.sinh(6e-6)
+        weak = CovarianceMatrix(
+            2, [[a, 0, c, 0], [0, a, 0, -c], [c, 0, a, 0], [0, -c, 0, a]]
+        )
+        weak_sf = to_standard_form(weak)
+        cases = [
+            (lambda: schmidt_parameter(impure, 1), NotPureError),
+            (lambda: entropy_one_vs_rest(impure, 1), NotPureError),
+            (lambda: det_identity_residual(impure, 1), NotPureError),
+            (lambda: entropy_one_vs_rest(low, 1), ValueError),
+        ]
+        for query, refusal in cases:
+            os.environ["GF_TOL_OVERRIDE"] = "1"
+            with pytest.raises(refusal):
+                query()
+            os.environ["GF_TOL_OVERRIDE"] = "100"
+            assert math.isfinite(query())
+        for query in (lambda: entropy_one_vs_rest(weak, 1), lambda: entropy_via_pairwise(weak_sf, 1)):
+            os.environ["GF_TOL_OVERRIDE"] = "1"
+            assert query() > 0.0
+            os.environ["GF_TOL_OVERRIDE"] = "100"
+            assert query() == 0.0
+
+    def test_one_scale_read_per_call(self, monkeypatch):
+        reads = []
+        scale = tolerances.scale
+        monkeypatch.setattr(tolerances, "scale", lambda: reads.append(1) or scale())
+        cm = harmonic_ground_state(ring_potential(9, 0.5))
+        sf = to_standard_form(cm)
+        for query in self.QUERIES.values():
+            reads.clear()
+            query(cm, sf, 4)
+            assert len(reads) == 1
+        reads.clear()
+        full_report(cm)
+        assert len(reads) == 1
+
+    @pytest.mark.parametrize("n", [3, 31, 160])
+    def test_report_of_a_ring_computes_one_entropy(self, n, monkeypatch):
+        """A ring's modes share one determinant, so the report takes one entropy, with the
+        bytes of the same state read back from its document and of the per-mode query."""
+        cm = harmonic_ground_state(ring_potential(n, 0.5))
+        read = CovarianceMatrix.from_dict(cm.to_dict())
+        calls = record_calls(monkeypatch, entanglement, "_entropy")
+        entropies = full_report(cm).per_mode_entropy
+        assert len(calls) == 1
+        assert len(set(cm._mode_dets)) == 1 and cm._mode_dets == read._mode_dets
+        monkeypatch.undo()
+        assert np.array(entropies).tobytes() == np.array(full_report(read).per_mode_entropy).tobytes()
+        assert entropies == tuple(entropy_one_vs_rest(cm, k) for k in range(1, n + 1))
+
+    def test_mode_determinants_are_the_diagonal_of_the_block_determinants(self, rng):
+        states = determinant_states() + [
+            apply_symplectic(cm, random_local_symplectic(cm.n_modes, rng))
+            for cm in determinant_states()[::5]
+        ]
+        for cm in states:
+            assert np.array(cm._mode_dets).tobytes() == np.diag(cm._dets).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -7,7 +7,12 @@ import pytest
 
 from gaussforge import standard_form, symplectic, tolerances
 from gaussforge.engineering import Recipe, engineer_state, random_recipe
-from gaussforge.entanglement import entropy_one_vs_rest, entropy_via_pairwise
+from gaussforge.entanglement import (
+    entropy_one_vs_rest,
+    entropy_via_pairwise,
+    full_report,
+    log_negativity_pair,
+)
 from gaussforge.gmps import theta
 from gaussforge.errors import (
     InfeasibleError,
@@ -361,10 +366,12 @@ class TestOneInverse:
 
     def test_cached_arrays_are_read_only(self):
         sf = to_standard_form(engineer_state(random_recipe(4, seed=2)))
-        for array in (sf.vq, sf.vp, sf._pairwise_sums):
+        for array in (sf.vq, sf.vp):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1.0
+        assert type(sf._pairwise_sums) is tuple  # immutable, one float per mode
+        assert all(type(value) is float for value in sf._pairwise_sums)
 
 
 class TestQpFreeRoute:
@@ -1143,13 +1150,39 @@ class TestCirculantRoute:
     def test_ring_rows_give_the_dense_bytes(self, n, coupling, jitter, monkeypatch):
         """Both ring routes work on first rows, with no Cholesky test, and every output has
         the bytes of the dense route: _balance, V_P = (W + W^T) / 2 of the inverse W, and the
-        dense completion."""
+        dense completion.
+
+        The built ring carries its rows from the ground state; the same CM read back from its
+        document carries none, and every query of the two has the same bytes.  Only their
+        in-process purity residuals may differ (the ring's forms row 0 of V_Q V_P), and both
+        stay far inside the purity tolerance."""
         cm = harmonic_ground_state(ring_potential(n, coupling * jitter))
+        read = CovarianceMatrix.from_dict(cm.to_dict())
+        assert cm._rows is not None and read._rows is None
         factored = record_calls(monkeypatch, np.linalg, "cholesky")
         sf = to_standard_form(cm)
+        read_sf = to_standard_form(read)
         rebuilt = reconstruct_diagonal(extract_parameters(sf), n)
         assert not factored
         monkeypatch.undo()
+        modes = range(1, n + 1)
+        for query in (
+            lambda state, form: state.data,
+            lambda state, form: form.vq,
+            lambda state, form: form.vp,
+            lambda state, form: [entropy_one_vs_rest(state, k) for k in modes],
+            lambda state, form: [entropy_via_pairwise(form, k) for k in modes],
+            lambda state, form: [det_identity_residual(state, k) for k in modes],
+            lambda state, form: full_report(state).per_mode_entropy,
+            lambda state, form: full_report(state).schmidt_parameter,
+            lambda state, form: full_report(state).pairwise_logneg,
+            lambda state, form: full_report(state).pairwise_detblocks,
+            lambda state, form: log_negativity_pair(state, 1, 2),
+        ):
+            assert np.array(query(cm, sf)).tobytes() == np.array(query(read, read_sf)).tobytes()
+        tol = tolerances.purity(cm.inf_norm())
+        assert read.inf_norm() == cm.inf_norm()
+        assert max(cm._purity_residual, read._purity_residual) <= 1e-6 * tol
         vq = standard_form._balance(*(block + 0.0 for block in cm._vq_vp))[0]
         inverse = standard_form._inverse(vq, np.linalg.cholesky(vq))
         reference = dense_form(vq, (inverse + inverse.T) / 2.0)
@@ -1158,13 +1191,45 @@ class TestCirculantRoute:
             for array, expected in (
                 (ours.vq, dense.vq),
                 (ours.vp, dense.vp),
-                (ours._pairwise_sums, dense._pairwise_sums),
+                (np.array(ours._pairwise_sums), np.array(dense._pairwise_sums)),
                 (extract_parameters(ours), extract_parameters(dense)),
                 (standard_form_to_cm(ours).data, standard_form_to_cm(dense).data),
             ):
                 assert array.tobytes() == expected.tobytes()
             entropies = [entropy_via_pairwise(form, k) for form in (ours, dense) for k in range(1, n + 1)]
             assert entropies[:n] == entropies[n:]
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_ground_state_rows_skip_the_dense_passes(self, n, monkeypatch):
+        """A ring's ground state keeps the symmetrized first rows of its blocks, read-only:
+        the standard form reads them with no circulant detection, the purity check forms only
+        row 0 of V_Q V_P, and the per-mode queries read no N x N block determinants."""
+        cm = harmonic_ground_state(ring_potential(n, 0.5))
+        q, p = cm._rows
+        assert q.tobytes() == cm.data[0, 0::2].tobytes() and p.tobytes() == cm.data[1, 1::2].tobytes()
+        assert not (q.flags.writeable or p.flags.writeable)
+        forbid(monkeypatch, standard_form, "_circulant_row")
+        fills = count_fills(monkeypatch, CovarianceMatrix, "_dets")
+        products = record_calls(monkeypatch, symplectic, "_identity_residual")
+        sf = to_standard_form(cm)
+        for k in range(1, n + 1):
+            entropy_one_vs_rest(cm, k)
+            entropy_via_pairwise(sf, k)
+        assert [product.shape for product in products] == [(1, n)]
+        assert fills == []
+
+    @pytest.mark.parametrize(
+        "q, p",
+        [([2.0, 0.0, 0.0], [0.5, 0.0, 0.0]), ([2.0, 0.1, 0.1], [0.5, 0.0, 0.0]),
+         ([2.0, 0.0, 0.0], [0.5, 0.1, 0.1])],
+        ids=["both-diagonal", "p-diagonal", "q-diagonal"],
+    )
+    def test_diagonal_rows_are_not_kept(self, q, p):
+        """Rows are kept only where _circulant_row would find both blocks: a diagonal block
+        leaves the state to detection, which refuses it, and to the dense routes."""
+        cm = symplectic._from_blocks(np.array(q), np.array(p), circulant=True)
+        assert cm._rows is None
+        assert any(standard_form._circulant_row(block) is None for block in cm._vq_vp)
 
     def test_indefinite_circulant_is_refused(self):
         """V_Q = I - 0.6 (S + S^T) on 5 modes, eigenvalues 1 - 1.2 cos(2 pi k / 5), -0.2 at k = 0,

@@ -397,12 +397,15 @@ class TestFromBlocks:
     """States built from V_Q and V_P skip the constructor's scans and match it bit for bit."""
 
     def test_same_bits_as_the_dense_rebuild(self):
-        """Every block-built state and its copy through the public constructor agree bit for bit."""
+        """Every block-built state and its copy through the public constructor agree bit for bit.
+
+        A ring keeps its rows and forms only row 0 of its circulant V_Q V_P for its purity
+        residual, while the copy forms all of it: the ring's residual has the bits of the same
+        row-0 product on the copy's blocks, and both residuals stay within the tolerance."""
         for cm in block_route_states():
             n = cm.n_modes
             queries = [
                 lambda cm: cm._dets,
-                lambda cm: cm._purity_residual,
                 lambda cm: williamson_spectrum(cm).values,
                 lambda cm: [det_identity_residual(cm, k) for k in range(1, n + 1)],
                 lambda cm: full_report(cm).per_mode_entropy,
@@ -415,6 +418,14 @@ class TestFromBlocks:
             assert [outcome(lambda: query(cm)) for query in queries] == [
                 outcome(lambda: query(dense)) for query in queries
             ]
+            assert dense._rows is None
+            if cm._rows is None:
+                assert cm._purity_residual == dense._purity_residual
+            else:
+                vq, vp = dense._vq_vp
+                assert cm._purity_residual == symplectic._identity_residual(vq[:1] @ vp)
+                tol = tolerances.purity(cm.inf_norm())
+                assert max(cm._purity_residual, dense._purity_residual) <= 1e-6 * tol
             assert cm.data.tobytes() == dense.data.tobytes()
             assert not np.any(np.signbit(cm.data[0::2, 1::2]))  # its q-p zeros are +0.0
 
