@@ -96,6 +96,19 @@ def _entropy(nu: float, low: float, unit: float) -> float:
     return up * math.log2(up) - down * math.log2(down)
 
 
+def _memo_entropy(owner, det: float, factor: float) -> float:
+    """:func:`_entropy` of sqrt(det) at tolerance scale ``factor``, once per determinant: ``owner``
+    keeps the accepted values of the scale of its last query, and a new scale replaces them."""
+    scale, memo = owner._entropies
+    if scale != factor:
+        memo = {}
+        vars(owner)["_entropies"] = factor, memo
+    value = memo.get(det)
+    if value is None:
+        value = memo[det] = _entropy(math.sqrt(det), *tolerances.entropy_window(factor))
+    return value
+
+
 def _log_negativities(cm: CovarianceMatrix, i, j) -> np.ndarray:
     """Log-negativities in ebits of 0-based mode pairs (i[k], j[k]).
 
@@ -110,21 +123,46 @@ def _log_negativities(cm: CovarianceMatrix, i, j) -> np.ndarray:
 
 
 def _block_nu2(cm: CovarianceMatrix, i, j) -> np.ndarray:
-    """nu^2 of pairs of a q-p-free state, elementwise on the V_Q and V_P entries.
-
-    With (a, b, c) = V_Q's (ii, jj, ij) and (a', b', c') = V_P's, the pair's
-    determinant is (ab - c^2)(a'b' - c'^2) and the discriminant is
-    ``(a a' - b b')^2 + 4 (c b' - a c')(c a' - b c')``.
-    """
+    """nu^2 of pairs of a q-p-free state, elementwise on the V_Q and V_P entries."""
     vq, vp = cm._vq_vp
-    a, b, c = vq[i, i], vq[j, j], vq[i, j]
-    a_, b_, c_ = vp[i, i], vp[j, j], vp[i, j]
+    return _nu2(vq[i, i], vq[j, j], vq[i, j], vp[i, i], vp[j, j], vp[i, j], np.all, _array_root)
+
+
+def _array_root(discriminant: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(discriminant, 0.0))
+
+
+def _float_root(discriminant: float) -> float:
+    """The root of a float discriminant; nan, which no caller accepts, where the array route warns."""
+    return math.sqrt(max(discriminant, 0.0)) if discriminant > -math.inf else math.nan
+
+
+def _nu2(a, b, c, a_, b_, c_, every, root):
+    """nu^2 from (a, b, c) = V_Q's (ii, jj, ij) entries of pairs and (a', b', c') = V_P's: arrays
+    with ``np.all`` and :func:`_array_root`, or floats with ``bool`` and :func:`_float_root`.  The
+    pair's determinant is (ab - c^2)(a'b' - c'^2) and the discriminant is
+    ``(a a' - b b')^2 + 4 (c b' - a c')(c a' - b c')``, in operators only, for the same bits on both.
+    """
     det_q, det_p = a * b - c * c, a_ * b_ - c_ * c_
-    if not (np.all(a > 0.0) and np.all(det_q > 0.0) and np.all(a_ > 0.0) and np.all(det_p > 0.0)):
+    if not every((a > 0.0) & (det_q > 0.0) & (a_ > 0.0) & (det_p > 0.0)):
         raise ValueError("a two-mode reduction is not positive definite")
-    discriminant = (a * a_ - b * b_) ** 2 + 4.0 * (c * b_ - a * c_) * (c * a_ - b * c_)
-    gap = np.sqrt(np.maximum(discriminant, 0.0))
+    spread = a * a_ - b * b_
+    gap = root(spread * spread + 4.0 * (c * b_ - a * c_) * (c * a_ - b * c_))
     return 2.0 * det_q * det_p / (a * a_ + b * b_ - 2.0 * c * c_ + gap)
+
+
+def _float_log_negativity(cm: CovarianceMatrix, i: int, j: int):
+    """Log-negativity in ebits of the 0-based pair (i, j) of a q-p-free state, by :func:`_nu2` on
+    floats; None, for the array route and its inf, nan and warnings, unless nu^2 is positive finite."""
+    i, j = 2 * i, 2 * j
+    entries = [cm.data.item(row + s, col + s) for s in (0, 1) for row, col in ((i, i), (j, j), (i, j))]
+    try:
+        nu2 = _nu2(*entries, bool, _float_root)
+    except ZeroDivisionError:
+        return None
+    if not 0.0 < nu2 < math.inf:
+        return None
+    return float(-0.5 * np.log2(nu2)) if nu2 < 1.0 else 0.0
 
 
 def _dense_nu2(cm: CovarianceMatrix, i, j) -> np.ndarray:
@@ -167,7 +205,8 @@ def entropy_one_vs_rest(
     cm: CovarianceMatrix, mode_index: int, nats: bool = False
 ) -> float:
     """Entropy of entanglement between one mode and the remaining N-1: the :func:`bosonic_entropy`
-    of :func:`schmidt_parameter`, from one read of the tolerance scale.
+    of :func:`schmidt_parameter`, from one read of the tolerance scale, which the state computes
+    once per det sigma_i and scale (:func:`_memo_entropy`): a ring's modes share one.
 
     Raises, in this order:
         ValueError: if ``GF_TOL_OVERRIDE`` is set but not a positive finite float.
@@ -178,8 +217,7 @@ def entropy_one_vs_rest(
     """
     factor = tolerances.scale()
     require_pure(cm, factor)
-    nu = math.sqrt(_positive_mode_det(cm, mode_index))
-    value = _entropy(nu, *tolerances.entropy_window(factor))
+    value = _memo_entropy(cm, _positive_mode_det(cm, mode_index), factor)
     return value * _LN2 if nats else value
 
 
@@ -190,7 +228,8 @@ def entropy_via_pairwise(
 
     Uses ``det sigma_i = 1 - sum_{j != i} det eps_ij`` on the standard
     form, where ``det eps_ij = vq_ij * vp_ij``; the sums of all modes are
-    kept by the standard form.
+    kept by the standard form, and so is the entropy of each accepted
+    ``det sigma_i`` at the scale of its last query.
 
     Raises, in this order:
         ValueError: if ``mode_index`` is not an integer in 1..N; bools and floats are not.
@@ -205,7 +244,8 @@ def entropy_via_pairwise(
             f"pairwise accounting gave a negative determinant ({det_block:.3e}); "
             "the standard form is numerically inconsistent"
         )
-    return bosonic_entropy(math.sqrt(det_block), nats=nats)
+    value = _memo_entropy(sf, det_block, tolerances.scale())
+    return value * _LN2 if nats else value
 
 
 def log_negativity_pair(
@@ -215,14 +255,17 @@ def log_negativity_pair(
 
     Evaluates ``max(0, -log2 nu_min)`` from the smallest symplectic
     eigenvalue of the partially transposed (i, j) reduction, in closed form.
-    Both orders give the bits of :func:`full_report`, which takes i < j.
+    Both orders give the bits of :func:`full_report`, which takes i < j; a q-p-free state's
+    pair is read as Python floats wherever its nu^2 is a positive finite float.
     """
     mode_i, mode_j = (_integer(mode, "mode index") for mode in (mode_i, mode_j))
     if mode_i == mode_j:
         raise ValueError(f"log negativity needs two distinct modes, got {mode_i} twice")
     _check_mode_indices(cm.n_modes, mode_i, mode_j)
     low, high = sorted((mode_i - 1, mode_j - 1))
-    value = float(_log_negativities(cm, np.array([low]), np.array([high]))[0])
+    value = _float_log_negativity(cm, low, high) if cm._qp_free else None
+    if value is None:
+        value = float(_log_negativities(cm, np.array([low]), np.array([high]))[0])
     return value * _LN2 if nats else value
 
 
@@ -234,21 +277,20 @@ def full_report(cm: CovarianceMatrix, schmidt_mode: int = 1) -> EntanglementRepo
         schmidt_mode: 1-based mode defining the reported one-vs-rest
             Schmidt parameter.
 
-    Each distinct Schmidt value's entropy is computed once, in mode order: a ring's one.
+    Each distinct determinant's entropy is computed once, in mode order, as
+    :func:`entropy_one_vs_rest` computes it: a ring's one.
     """
     factor = tolerances.scale()
     require_pure(cm, factor)
     n = cm.n_modes
     _check_mode_indices(n, schmidt_mode)
-    schmidt = [math.sqrt(_positive_mode_det(cm, k)) for k in range(1, n + 1)]
+    dets = [_positive_mode_det(cm, k) for k in range(1, n + 1)]
     rows, cols = np.nonzero(_strict_upper(n))
     logneg = np.zeros((n, n))
     logneg[rows, cols] = logneg[cols, rows] = _log_negativities(cm, rows, cols)
-    low, unit = tolerances.entropy_window(factor)
-    entropies = {nu: _entropy(nu, low, unit) for nu in dict.fromkeys(schmidt)}
     return EntanglementReport(
-        per_mode_entropy=tuple(map(entropies.__getitem__, schmidt)),
-        schmidt_parameter=schmidt[schmidt_mode - 1],
+        per_mode_entropy=tuple(_memo_entropy(cm, det, factor) for det in dets),
+        schmidt_parameter=math.sqrt(dets[schmidt_mode - 1]),
         pairwise_logneg=logneg,
         pairwise_detblocks=np.where(np.eye(n, dtype=bool), 0.0, cm._dets),
     )

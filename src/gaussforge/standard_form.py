@@ -59,11 +59,16 @@ class StandardForm:
     ends in :meth:`_seal`, which checks the class: entries at most
     ``tolerances.MAX_ENTRY``, then the Williamson diagonal conditions
     ``(V_Q^{-1})_ii = (V_Q)_ii`` within ``tolerances.block`` of the larger
-    block norm.
+    block norm.  The blocks are read-only, as the form keeps each mode's
+    pairwise sum, a circulant's first rows and the entropy of each
+    ``1 - sum_j det eps_ij`` at the tolerance scale of the last query.
     """
 
     n_modes: int
     vq: np.ndarray
+
+    _rows = None  # a circulant's read-only first rows of V_Q and V_P (see _seal)
+    _entropies = (None, None)  # (scale, {1 - sum_j det eps_ij: entropy in ebits}) of the last query
 
     def __post_init__(self):
         n = _integer(self.n_modes, "n_modes", 1)
@@ -74,7 +79,7 @@ class StandardForm:
         row = _circulant_row(vq)
         inverse_row = None if row is None else _circulant_inverse(row, np.fft.rfft(row).real)
         if inverse_row is not None:
-            self._seal(n, row, inverse_row, circulant=True)
+            self._seal(n, row.copy(), inverse_row, circulant=True)  # not a view that keeps vq
             return
         factor = _cholesky(vq)
         if factor is None:
@@ -93,7 +98,7 @@ class StandardForm:
         """Take ``vq`` without a copy and V_P = (W + W^T) / 2 from W = ``inverse``, both
         read-only; then refuse entries above ``tolerances.MAX_ENTRY`` and a Williamson gap.
         With ``circulant``, ``vq`` (symmetric) and W are the first rows of exact circulants,
-        which the checks read, and the blocks are cyclic-shift views of the rows."""
+        which the checks read; the form keeps the rows, and its blocks are cyclic-shift views."""
         if circulant:  # a row holds every entry of its circulant, and entry 0 is the diagonal
             vp = (inverse + _mirror(inverse)) / 2.0
             diagonals = vq[:1], vp[:1]
@@ -102,9 +107,10 @@ class StandardForm:
             diagonals = vq.diagonal(), vp.diagonal()
         tol = tolerances.block(_bounded_norm("standard-form", vq, vp))
         diag_gap = float(abs(diagonals[1] - diagonals[0]).max())
-        if circulant:
-            vq, vp = _cyclic_shifts(vq), _cyclic_shifts(vp)
         vq.flags.writeable = vp.flags.writeable = False
+        if circulant:
+            vars(self)["_rows"] = vq, vp
+            vq, vp = _cyclic_shifts(vq), _cyclic_shifts(vp)
         object.__setattr__(self, "n_modes", n_modes)
         object.__setattr__(self, "vq", vq)
         object.__setattr__(self, "vp", vp)
@@ -525,8 +531,9 @@ def reconstruct_diagonal(
 
 
 def standard_form_to_cm(sf: StandardForm) -> CovarianceMatrix:
-    """Assemble the full covariance matrix V_Q (+) V_Q^{-1} of a standard form."""
-    return _from_blocks(sf.vq, sf.vp)
+    """Assemble the full covariance matrix V_Q (+) V_Q^{-1} of a standard form; a circulant
+    form's from its first rows, which the state then keeps."""
+    return _from_blocks(*sf._rows, circulant=True) if sf._rows else _from_blocks(sf.vq, sf.vp)
 
 
 def det_identity_residual(cm: CovarianceMatrix, mode_index: int) -> float:

@@ -134,8 +134,9 @@ class CovarianceMatrix:
             vacuum variance 1, entries finite and at most
             ``tolerances.MAX_ENTRY`` in magnitude; read-only, as the object
             keeps its inf-norm, purity residual, 2x2 block determinants and
-            their row sums, whether its q-p block is zero and a ring's first
-            rows (re-enabling writes leaves them stale).
+            their row sums, whether its q-p block is zero, a ring's first
+            rows and the entropy of each det sigma_i at the tolerance scale
+            of the last query (re-enabling writes leaves them stale).
     """
 
     n_modes: int
@@ -143,6 +144,7 @@ class CovarianceMatrix:
 
     # a ring's ground state keeps the read-only first rows of V_Q and V_P (see _from_blocks)
     _rows = None
+    _entropies = (None, None)  # (scale, {det sigma_i: entropy in ebits}) of the last query
 
     def __post_init__(self):
         data = _dense_data(self)

@@ -36,6 +36,7 @@ from conftest import (
     count_fills,
     forbid,
     random_local_symplectic,
+    random_spd,
     record_calls,
 )
 from oracles import apply_symplectic, block_dets, mode_block, reduced_cm, squeezer
@@ -565,7 +566,8 @@ class TestCachedDeterminants:
                     assert schmidt_parameter(moved, k) == per_call_schmidt(moved, k)
 
     def test_log_negativity_pair_reads_the_report_bits(self, rng):
-        """Both orders of a pair give the report's bits, also in random local frames."""
+        """Both orders of a pair give the report's bits, also in random local frames and on pure
+        states squeezed until their entries reach about 1e150 or 1e-150."""
         states = determinant_states()[::3]
         states += [
             apply_symplectic(cm, random_local_symplectic(n, rng))
@@ -573,6 +575,7 @@ class TestCachedDeterminants:
             for cm in [engineer_state(random_recipe(n, seed=90 + n))] * 2
         ]
         states.append(engineer_state(random_recipe(3, 0, 4.0)))  # (3, 1) once missed a bit
+        states += squeezed_pure_states()
         assert {cm._qp_free for cm in states} == {True, False}
         for cm in states:
             logneg = full_report(cm).pairwise_logneg
@@ -580,6 +583,27 @@ class TestCachedDeterminants:
             for i, j in {(1, 2), (1, n), (2, n)} - {(2, 2)}:
                 assert log_negativity_pair(cm, i, j) == logneg[i - 1, j - 1]
                 assert log_negativity_pair(cm, j, i) == logneg[i - 1, j - 1]
+
+    def test_log_negativity_pair_reads_the_report_bits_at_the_extremes(self, monkeypatch):
+        """q-p-free states that are not pure, have entries near 1e150 or 1e-150, or have an
+        indefinite two-mode reduction: both orders of every pair give the bits of the report's
+        array route on that pair, or its ValueError text, with the same warnings.  A pair goes
+        to the array route exactly when that route warns; every other pair is read as floats."""
+        routed = record_calls(monkeypatch, entanglement, "_log_negativities")
+        kinds = set()
+        for cm in extreme_qp_free_states():
+            assert cm._qp_free
+            n = cm.n_modes
+            for i, j in zip(*np.triu_indices(n, k=1)):
+                expected = pair_outcome(
+                    lambda: float(entanglement._log_negativities(cm, np.array([i]), np.array([j]))[0])
+                )
+                for a, b in ((i + 1, j + 1), (j + 1, i + 1)):
+                    routed.clear()
+                    assert pair_outcome(lambda: log_negativity_pair(cm, a, b)) == expected
+                    assert len(routed) == bool(expected[1])
+                kinds.add((type(expected[0]).__name__, bool(expected[1])))
+        assert kinds == {("bytes", False), ("bytes", True), ("str", False)}
 
     def test_pairwise_entropy_matches_masked_dot(self):
         for cm in determinant_states():
@@ -595,6 +619,55 @@ class TestCachedDeterminants:
         assert not cm._dets.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             cm._dets[0, 0] = 1.0
+
+
+def qp_free(q: np.ndarray, p: np.ndarray) -> CovarianceMatrix:
+    """The state V_Q (+) V_P from two blocks, each symmetrized."""
+    n = len(q)
+    data = np.zeros((2 * n, 2 * n))
+    data[0::2, 0::2], data[1::2, 1::2] = (q + q.T) / 2.0, (p + p.T) / 2.0
+    return CovarianceMatrix(n, data)
+
+
+def squeezed_pure_states():
+    """Engineered pure states of 2, 3 and 4 modes with V_Q scaled by s and V_P by 1/s, for s that
+    brings V_Q's largest entry to 1e140 or its smallest to 1e-140, and for s = 1e75 and 1e-75."""
+    states = []
+    for n in (2, 3, 4):
+        vq, vp = (block + 0.0 for block in engineer_state(random_recipe(n, seed=n))._vq_vp)
+        for scale in (1e140 / np.abs(vq).max(), 1e-140 / np.abs(vq).min(), 1e75, 1e-75):
+            states.append(qp_free(vq * scale, vp / scale))
+    return states
+
+
+def extreme_qp_free_states():
+    """q-p-free states at the edges of the pair route: the squeezed pure states, mixed ones with
+    entries near 1e150 or 1e-150, whose nu^2 overflows or underflows, and pure or mixed ones
+    with an indefinite two-mode reduction."""
+    rng = np.random.default_rng(17)
+    states = squeezed_pure_states()
+    for n in (2, 3, 4):
+        q, p = (random_spd(n, rng) for _ in range(2))
+        q, p = q / np.abs(q).max(), p / np.abs(p).max()  # largest entry 1
+        scales = [(1.0, 1.0), (1e150, 1e150), (1e77, 1e77), (1e-150, 1e-150), (1e-77, 1e-77)]
+        for first, second in scales + [(1e150, 1e-150)]:
+            states.append(qp_free(q * first, p * second))
+        indefinite = np.eye(n) + 2.0 * np.roll(np.eye(n), 1, axis=1) + 2.0 * np.roll(np.eye(n), -1, axis=1)
+        states.append(qp_free(indefinite, np.linalg.inv(indefinite)))
+        states.append(qp_free(q, -p))
+        states.append(qp_free(-q, p * 1e150))
+    return states
+
+
+def pair_outcome(query):
+    """A query's bytes or its ValueError text, and the RuntimeWarnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = np.float64(query()).tobytes()
+        except ValueError as exc:
+            result = f"{type(exc).__name__}: {exc}"
+    return result, [f"{w.category.__name__}: {w.message}" for w in caught]
 
 
 def entropy_outcome(query):
@@ -722,6 +795,121 @@ class TestPerModeQueries:
         ]
         for cm in states:
             assert np.array(cm._mode_dets).tobytes() == np.diag(cm._dets).tobytes()
+
+
+def per_call_pairwise(sf, mode_index: int, nats: bool = False) -> float:
+    """Reference pairwise entropy by the per-call formula: one bosonic_entropy a call."""
+    det_block = 1.0 - symplectic._mode_entry(sf._pairwise_sums, mode_index)
+    if det_block < 0.0:
+        raise ValueError(f"pairwise accounting gave a negative determinant ({det_block:.3e})")
+    return bosonic_entropy(math.sqrt(det_block), nats=nats)
+
+
+def query_outcome(query):
+    """A query's bytes, or its refusal's class and text."""
+    try:
+        return np.float64(query()).tobytes()
+    except (ValueError, NotPureError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.fixture(scope="module")
+def memo_states():
+    """Rings N {3, 5, 9, 31, 64, 101, 160} x c {0.1, 0.5, 2, 1e3, 1e6}, engineered states
+    N 2..16 x s_max {4, 1e2, 1e3, 1e4} and a two-mode squeezed state with nu - 1 = 1.8e-11,
+    whose entropy is 0 only at scale 100, each with its standard form, or None where refused."""
+    a, c = math.cosh(6e-6), math.sinh(6e-6)
+    states = [CovarianceMatrix(2, [[a, 0, c, 0], [0, a, 0, -c], [c, 0, a, 0], [0, -c, 0, a]])]
+    states += [
+        harmonic_ground_state(ring_potential(n, coupling))
+        for n in (3, 5, 9, 31, 64, 101, 160)
+        for coupling in (0.1, 0.5, 2.0, 1e3, 1e6)
+    ]
+    states += [
+        engineer_state(random_recipe(n, seed=n, s_max=s_max))
+        for n in range(2, 17)
+        for s_max in (4.0, 1e2, 1e3, 1e4)
+    ]
+    pairs = []
+    for cm in states:
+        try:
+            pairs.append((cm, to_standard_form(cm)))
+        except NotInGenericClassError:
+            pairs.append((cm, None))
+    return pairs
+
+
+class TestEntropyMemo:
+    """A state and a standard form keep the entropy of each accepted determinant at the tolerance
+    scale of their last query: the per-call formula's bits, one entropy per distinct determinant,
+    and a fresh one after a scale change or a refusal."""
+
+    def test_per_call_bits(self, memo_states, monkeypatch):
+        """Both queries, in ebits and nats, twice over every mode and at indices 0 and N + 1,
+        on the same objects at each scale in turn: the bytes and refusal texts of the formula."""
+        assert sum(sf is None for _, sf in memo_states) > 0
+        for override in (None, "1", "100", "1e-3"):
+            if override is None:
+                monkeypatch.delenv("GF_TOL_OVERRIDE", raising=False)
+            else:
+                monkeypatch.setenv("GF_TOL_OVERRIDE", override)
+            for cm, sf in memo_states:
+                n = cm.n_modes
+                for k in (0, *range(1, n + 1), *range(1, n + 1), n + 1):
+                    for nats in (False, True):
+                        assert query_outcome(lambda: entropy_one_vs_rest(cm, k, nats)) == query_outcome(
+                            lambda: bosonic_entropy(schmidt_parameter(cm, k), nats=nats)
+                        )
+                        if sf is not None:
+                            assert query_outcome(lambda: entropy_via_pairwise(sf, k, nats)) == query_outcome(
+                                lambda: per_call_pairwise(sf, k, nats)
+                            )
+                for k in (0, n + 1):
+                    refusal = f"ValueError: mode index {k} out of range for {n} modes"
+                    if sf is not None:
+                        assert query_outcome(lambda: entropy_via_pairwise(sf, k)) == refusal
+                    if is_pure(cm):
+                        assert query_outcome(lambda: entropy_one_vs_rest(cm, k)) == refusal
+
+    @pytest.mark.parametrize("n", [3, 31, 64, 101, 160])
+    @pytest.mark.parametrize("coupling", [0.1, 2.0])
+    def test_one_entropy_per_distinct_determinant(self, n, coupling, monkeypatch):
+        """A fresh ring's 2N queries take one direct entropy and one per distinct pairwise
+        determinant; asking again takes none."""
+        cm = harmonic_ground_state(ring_potential(n, coupling))
+        sf = to_standard_form(cm)
+        calls = record_calls(monkeypatch, entanglement, "_entropy")
+        direct = [entropy_one_vs_rest(cm, k) for k in range(1, n + 1)]
+        assert len(calls) == len(set(cm._mode_dets)) == 1
+        pairwise = [entropy_via_pairwise(sf, k) for k in range(1, n + 1)]
+        assert len(calls) == 1 + len({1.0 - value for value in sf._pairwise_sums})
+        calls.clear()
+        nats = [entropy_one_vs_rest(cm, k, nats=True) for k in range(1, n + 1)]
+        assert nats == [value * math.log(2.0) for value in direct]
+        assert [entropy_via_pairwise(sf, k) for k in range(1, n + 1)] == pairwise
+        assert calls == []
+
+    def test_scale_change_recomputes(self, monkeypatch):
+        """Each scale change between two calls replaces the memo; an unchanged scale reads it."""
+        cm = harmonic_ground_state(ring_potential(9, 0.5))
+        sf = to_standard_form(cm)
+        calls = record_calls(monkeypatch, entanglement, "_entropy")
+        for override, fresh in (("1", 2), ("1", 0), ("100", 2), ("100", 0), ("1e-3", 2), ("1", 2)):
+            monkeypatch.setenv("GF_TOL_OVERRIDE", override)
+            calls.clear()
+            values = entropy_one_vs_rest(cm, 3), entropy_via_pairwise(sf, 3)
+            assert len(calls) == fresh
+            assert values == (bosonic_entropy(schmidt_parameter(cm, 3)), per_call_pairwise(sf, 3))
+            assert cm._entropies[0] == sf._entropies[0] == float(override)
+
+    def test_refusals_are_not_kept(self, monkeypatch):
+        """A refused entropy is computed again at the next call, with the same text."""
+        monkeypatch.setenv("GF_TOL_OVERRIDE", "1")
+        low = CovarianceMatrix(1, np.diag([1e3, (1.0 - 2e-5) / 1e3]))  # nu = 0.99999: below the window
+        calls = record_calls(monkeypatch, entanglement, "_entropy")
+        texts = {query_outcome(lambda: entropy_one_vs_rest(low, 1)) for _ in range(3)}
+        assert len(calls) == 3 and len(texts) == 1 and "lies outside" in texts.pop()
+        assert low._entropies == (1.0, {})
 
 
 @pytest.fixture(scope="module")

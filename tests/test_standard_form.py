@@ -1218,6 +1218,42 @@ class TestCirculantRoute:
         assert [product.shape for product in products] == [(1, n)]
         assert fills == []
 
+    @pytest.mark.parametrize("n", [3, 31, 101])
+    @pytest.mark.parametrize("coupling", [0.5, 1e3])
+    def test_circulant_forms_rebuild_the_state_from_their_rows(self, n, coupling, monkeypatch):
+        """Every circulant standard form (from to_standard_form, the Fourier completion and the
+        public constructor) keeps its two symmetric first rows, read-only; standard_form_to_cm
+        builds the state from them, with no dense (X + X^T) / 2, to the dense bytes, and the
+        rebuilt state keeps the rows, so its own standard form skips the circulant detection."""
+        sf = to_standard_form(harmonic_ground_state(ring_potential(n, coupling)))
+        forms = [sf, reconstruct_diagonal(extract_parameters(sf), n), StandardForm(n, sf.vq)]
+        for form in forms:
+            q, p = form._rows
+            assert q.tobytes() == form.vq[0].tobytes() and p.tobytes() == form.vp[0].tobytes()
+            assert not (q.flags.writeable or p.flags.writeable)
+            assert q.base is None or q.base.shape == q.shape  # not a view that keeps an N x N matrix
+            dense = symplectic._from_blocks(form.vq, form.vp)
+            mirrored = record_calls(monkeypatch, symplectic, "_mirror")
+            forbid(monkeypatch, np, "transpose")
+            rebuilt = standard_form_to_cm(form)
+            monkeypatch.undo()
+            assert [row.shape for row in mirrored] == [(n,), (n,)]
+            assert rebuilt.data.tobytes() == dense.data.tobytes()
+            assert rebuilt._rows[0].tobytes() == q.tobytes() and rebuilt._rows[1].tobytes() == p.tobytes()
+            forbid(monkeypatch, standard_form, "_circulant_row")
+            again = to_standard_form(rebuilt)
+            monkeypatch.undo()
+            assert again.vq.tobytes() == to_standard_form(dense).vq.tobytes()
+
+    def test_dense_forms_keep_no_rows(self):
+        """Forms that are not circulant rebuild their state from the dense blocks, as before."""
+        for cm in (engineer_state(random_recipe(5, seed=3)), harmonic_ground_state(graded_ring(9, 0.5))):
+            sf = to_standard_form(cm)
+            assert sf._rows is None
+            rebuilt = standard_form_to_cm(sf)
+            assert rebuilt._rows is None
+            assert rebuilt.data.tobytes() == symplectic._from_blocks(sf.vq, sf.vp).data.tobytes()
+
     @pytest.mark.parametrize(
         "q, p",
         [([2.0, 0.0, 0.0], [0.5, 0.0, 0.0]), ([2.0, 0.1, 0.1], [0.5, 0.0, 0.0]),
